@@ -70,6 +70,21 @@
 //! *optimistic read → upgrade on miss*: try under the read lock, and only
 //! on `None` take the write lock, `warm`, and answer exclusively.
 //!
+//! Clean reads fold once per index state. The first read that finds
+//! every component clean — shared or exclusive — sums `I_MI`, `I_P`,
+//! `I_R` and `I_R^lin` in one ascending-order pass over the component
+//! caches and stores the result in a `OnceLock` that concurrent `&self`
+//! readers may fill. Every later read of that state is a field read, so
+//! a dashboard polling a clean index pays `O(1)` per measure instead of
+//! `O(#components)`. The ranked per-tuple scores behind
+//! [`try_top_k_tuples`](IncrementalIndex::try_top_k_tuples) are memoized
+//! the same way, so a clean top-`k` costs `O(k)`. A memo is only filled
+//! while no component is dirty, and every `&mut` path that changes a clean
+//! component's cache (a structural delta, a stored `I_R`/`I_R^lin` value)
+//! or the read mode drops both memos; the exclusive readers keep their
+//! fill/solve steps and then read the same memo, so there is one fold and
+//! the values are bit-identical on every path.
+//!
 //! # Parallel dirty-component solves
 //!
 //! When one write invalidates several components (a merge-heavy insert, a
@@ -105,6 +120,7 @@ pub use inconsist_solver::TupleScores;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// How measure reads are answered; see the module docs.
@@ -174,6 +190,33 @@ struct CompCache {
     ir_lin: Option<f64>,
 }
 
+/// The component-sum measures of one index state, folded once in
+/// ascending component order from `0.0` (the order and identity every
+/// reader used before, so memoized values are bit-identical).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Totals {
+    /// `Σ |minimal|` (`I_MI`).
+    mi: usize,
+    /// `Σ tuple_count` (`I_P`).
+    p: usize,
+    /// `Σ ir` with the one step budget every component was solved under
+    /// (`None` budget: there are no components, so any budget answers
+    /// `0.0`); `None` unless every component holds a value under it.
+    ir: Option<(Option<u64>, f64)>,
+    /// `Σ ir_lin`; `None` unless every component holds one.
+    ir_lin: Option<f64>,
+}
+
+impl Totals {
+    /// `I_R` under `budget`, if every component was solved under it.
+    fn i_r(&self, budget: u64) -> Option<f64> {
+        match self.ir {
+            Some((b, v)) if b.is_none_or(|b| b == budget) => Some(v),
+            _ => None,
+        }
+    }
+}
+
 /// A live violation index over a database: apply repairing operations and
 /// read inconsistency measures without re-running the full violation scan
 /// — and, in [`ReadMode::Component`], without re-deriving anything for
@@ -222,6 +265,13 @@ pub struct IncrementalIndex {
     /// Thread budget for dirty-component cover/LP solves (1 = sequential).
     solve_threads: usize,
     stats: ReadStats,
+    /// [`Totals`] of the current state, filled by the first read that
+    /// finds every component clean (possibly a shared `&self` read) and
+    /// reset by [`invalidate_memos`](Self::invalidate_memos) whenever a
+    /// component cache changes.
+    totals: OnceLock<Totals>,
+    /// Every scored tuple in top-k order, memoized like `totals`.
+    ranked: OnceLock<Vec<TupleScores>>,
 }
 
 impl IncrementalIndex {
@@ -265,6 +315,8 @@ impl IncrementalIndex {
             dc_min_cache: vec![None; dc_count],
             solve_threads: 1,
             stats: ReadStats::default(),
+            totals: OnceLock::new(),
+            ranked: OnceLock::new(),
         };
         idx.rebuild_inverted();
         Ok(idx)
@@ -291,6 +343,7 @@ impl IncrementalIndex {
         self.raw_count = 0;
         self.graph = DynamicConflictGraph::new();
         self.comp_cache.clear();
+        self.invalidate_memos();
         for (i, sets) in self.per_dc.iter().enumerate() {
             for set in sets {
                 self.raw_count += 1;
@@ -333,6 +386,7 @@ impl IncrementalIndex {
     /// independently, so switching is always safe.
     pub fn set_mode(&mut self, mode: ReadMode) {
         self.mode = mode;
+        self.invalidate_memos();
     }
 
     /// Current number of conflict components.
@@ -370,6 +424,15 @@ impl IncrementalIndex {
         self.stats = ReadStats::default();
     }
 
+    /// Drops the memoized [`Totals`] and top-k ranking; called by every
+    /// `&mut` path that changes a clean component's cache or the read
+    /// mode. (Filling a dirty component's cache needs no call: no memo is
+    /// filled while a component is dirty.)
+    fn invalidate_memos(&mut self) {
+        self.totals.take();
+        self.ranked.take();
+    }
+
     // -- mutations ---------------------------------------------------------
 
     /// Removes every indexed binding that involves `tid`.
@@ -405,6 +468,7 @@ impl IncrementalIndex {
             }
             if structural {
                 self.mi_cache = None;
+                self.invalidate_memos();
             }
         }
     }
@@ -429,6 +493,7 @@ impl IncrementalIndex {
                         self.comp_cache.remove(c);
                     }
                     self.mi_cache = None;
+                    self.invalidate_memos();
                 }
             }
         }
@@ -575,10 +640,8 @@ impl IncrementalIndex {
         match self.mode {
             ReadMode::Global => self.minimal_subsets().len() as f64,
             ReadMode::Component => {
-                let ids = self.ensure_components();
-                ids.iter()
-                    .map(|c| self.comp_cache[c].minimal.len())
-                    .sum::<usize>() as f64
+                self.ensure_components();
+                self.totals().expect("components just filled").mi as f64
             }
         }
     }
@@ -596,10 +659,8 @@ impl IncrementalIndex {
             ReadMode::Component => {
                 // Components partition the participating tuples, so the
                 // global union is the sum of the per-component counts.
-                let ids = self.ensure_components();
-                ids.iter()
-                    .map(|c| self.comp_cache[c].tuple_count)
-                    .sum::<usize>() as f64
+                self.ensure_components();
+                self.totals().expect("components just filled").p as f64
             }
         }
     }
@@ -717,6 +778,7 @@ impl IncrementalIndex {
         for (c, value) in dirty.iter().zip(values) {
             self.comp_cache.get_mut(c).expect("ensured").ir = Some((budget, value));
         }
+        self.invalidate_memos();
         Ok(())
     }
 
@@ -743,21 +805,20 @@ impl IncrementalIndex {
         for (c, value) in dirty.iter().zip(values) {
             self.comp_cache.get_mut(c).expect("ensured").ir_lin = Some(value);
         }
+        self.invalidate_memos();
         Ok(())
     }
 
     /// Component-scoped `I_R`: solves each dirty component independently
-    /// (in parallel under the thread budget) and sums the cached values of
-    /// the clean ones in ascending component order.
+    /// (in parallel under the thread budget), then reads the ascending
+    /// component-order sum from [`totals`](Self::totals).
     fn i_r_component(&mut self, options: &MeasureOptions) -> MeasureResult {
         let ids = self.ensure_components();
         self.solve_dirty_covers(&ids, options.vc_budget)?;
-        // Explicit fold: f64's `Sum` identity is -0.0, which would leak a
-        // negative zero on consistent databases.
-        Ok(ids
-            .iter()
-            .map(|c| self.comp_cache[c].ir.expect("just solved").1)
-            .fold(0.0, |acc, v| acc + v))
+        Ok(self
+            .totals()
+            .and_then(|t| t.i_r(options.vc_budget))
+            .expect("every component just solved"))
     }
 
     /// `I_R` (deletions): exact minimum-cost repair over the maintained
@@ -784,10 +845,10 @@ impl IncrementalIndex {
     fn i_r_lin_component(&mut self) -> MeasureResult {
         let ids = self.ensure_components();
         self.solve_dirty_lins(&ids)?;
-        Ok(ids
-            .iter()
-            .map(|c| self.comp_cache[c].ir_lin.expect("just solved"))
-            .fold(0.0, |acc, v| acc + v))
+        Ok(self
+            .totals()
+            .and_then(|t| t.ir_lin)
+            .expect("every component just solved"))
     }
 
     /// `I_R^lin`: the LP relaxation (Fig. 2) over the maintained violations.
@@ -888,6 +949,7 @@ impl IncrementalIndex {
             match solved {
                 Some(v) => {
                     self.comp_cache.get_mut(c).expect("ensured").ir = Some((options.vc_budget, v));
+                    self.invalidate_memos();
                     out.value += v;
                     out.upper += v;
                     out.solved += 1;
@@ -970,6 +1032,7 @@ impl IncrementalIndex {
             match solved {
                 Some(v) => {
                     self.comp_cache.get_mut(c).expect("ensured").ir_lin = Some(v);
+                    self.invalidate_memos();
                     out.value += v;
                     out.upper += v;
                     out.solved += 1;
@@ -987,11 +1050,47 @@ impl IncrementalIndex {
 
     // -- optimistic `&self` reads ------------------------------------------
 
-    /// Whether every live component has a filled minimal-subset cache.
-    fn components_clean(&self) -> bool {
-        self.graph
-            .component_ids()
-            .all(|c| self.comp_cache.contains_key(&c))
+    /// One ascending-order pass over the component caches; `None` when
+    /// any component is dirty.
+    fn fold_totals(&self) -> Option<Totals> {
+        // Fewer cache entries than live components: some component is
+        // dirty, no need to sort the ids to find out.
+        if self.comp_cache.len() < self.graph.component_count() {
+            return None;
+        }
+        let mut t = Totals {
+            mi: 0,
+            p: 0,
+            ir: Some((None, 0.0)),
+            ir_lin: Some(0.0),
+        };
+        // Explicit `0.0` starts: f64's `Sum` identity is -0.0, which would
+        // leak a negative zero on consistent databases.
+        for c in self.sorted_components() {
+            let cache = self.comp_cache.get(&c)?;
+            t.mi += cache.minimal.len();
+            t.p += cache.tuple_count;
+            t.ir = match (t.ir, cache.ir) {
+                (Some((b, sum)), Some((cb, v))) if b.is_none_or(|b| b == cb) => {
+                    Some((Some(cb), sum + v))
+                }
+                _ => None,
+            };
+            t.ir_lin = t.ir_lin.zip(cache.ir_lin).map(|(sum, v)| sum + v);
+        }
+        Some(t)
+    }
+
+    /// The component-sum measures of the current state: folded by the
+    /// first read that finds every component clean, then answered from
+    /// the memo until a `&mut` path changes a component cache. `None`
+    /// when any component is dirty.
+    fn totals(&self) -> Option<Totals> {
+        if let Some(t) = self.totals.get() {
+            return Some(*t);
+        }
+        let t = self.fold_totals()?;
+        Some(*self.totals.get_or_init(|| t))
     }
 
     /// `I_MI` from caches only: `Some` iff no mutation dirtied state since
@@ -999,12 +1098,7 @@ impl IncrementalIndex {
     pub fn try_i_mi(&self) -> Option<f64> {
         match self.mode {
             ReadMode::Global => self.mi_cache.as_ref().map(|v| v.len() as f64),
-            ReadMode::Component => self.components_clean().then(|| {
-                self.graph
-                    .component_ids()
-                    .map(|c| self.comp_cache[&c].minimal.len())
-                    .sum::<usize>() as f64
-            }),
+            ReadMode::Component => self.totals().map(|t| t.mi as f64),
         }
     }
 
@@ -1018,33 +1112,20 @@ impl IncrementalIndex {
                 }
                 tuples.len() as f64
             }),
-            ReadMode::Component => self.components_clean().then(|| {
-                self.graph
-                    .component_ids()
-                    .map(|c| self.comp_cache[&c].tuple_count)
-                    .sum::<usize>() as f64
-            }),
+            ReadMode::Component => self.totals().map(|t| t.p as f64),
         }
     }
 
     /// `I_R` from caches only: every component must hold a value solved
     /// under exactly `options.vc_budget`. Always `None` in
     /// [`ReadMode::Global`], whose monolithic solve is not memoized. The
-    /// sum runs in ascending component order, so the result is bit-identical
-    /// to [`i_r`](Self::i_r).
+    /// sum is the same ascending-order fold [`i_r`](Self::i_r) reads, so
+    /// the result is bit-identical to it.
     pub fn try_i_r(&self, options: &MeasureOptions) -> Option<f64> {
         if self.mode != ReadMode::Component {
             return None;
         }
-        let ids = self.sorted_components();
-        let mut total = 0.0;
-        for c in &ids {
-            match self.comp_cache.get(c)?.ir {
-                Some((budget, value)) if budget == options.vc_budget => total += value,
-                _ => return None,
-            }
-        }
-        Some(total)
+        self.totals()?.i_r(options.vc_budget)
     }
 
     /// `I_R^lin` from caches only (component mode; ascending-order sum).
@@ -1052,12 +1133,7 @@ impl IncrementalIndex {
         if self.mode != ReadMode::Component {
             return None;
         }
-        let ids = self.sorted_components();
-        let mut total = 0.0;
-        for c in &ids {
-            total += self.comp_cache.get(c)?.ir_lin?;
-        }
-        Some(total)
+        self.totals()?.ir_lin
     }
 
     /// `I_MI^dc` from caches only; `None` when any constraint's count was
@@ -1129,30 +1205,28 @@ impl IncrementalIndex {
     /// list. The kernel sums each tuple's subset-size reciprocals in a
     /// canonical (ascending) order, so both modes agree bit-for-bit.
     pub fn tuple_measures(&mut self) -> Vec<TupleScores> {
-        match self.mode {
-            ReadMode::Global => component_tuple_scores(self.minimal_subsets()),
-            ReadMode::Component => {
-                let ids = self.ensure_components();
-                let mut out: Vec<TupleScores> = Vec::new();
-                for c in &ids {
-                    out.extend(component_tuple_scores(&self.comp_cache[c].minimal));
-                }
-                // Components partition the scored tuples; one sort merges
-                // the per-component (already sorted) runs.
-                out.sort_by_key(|s| s.tuple);
-                out
-            }
-        }
+        self.ensure_minimal();
+        self.try_tuple_measures().expect("caches just filled")
     }
 
     /// The `k` most inconsistent tuples under the ranking
     /// `(cbm desc, cim desc, rim desc, tuple asc)` — ties broken by tuple
     /// id so the cut is stable across runs, modes and thread counts.
     pub fn top_k_tuples(&mut self, k: usize) -> Vec<TupleScores> {
-        let mut all = self.tuple_measures();
-        Self::rank_tuple_scores(&mut all);
-        all.truncate(k);
-        all
+        self.ensure_minimal();
+        self.try_top_k_tuples(k).expect("caches just filled")
+    }
+
+    /// Fills the minimal-subset caches the per-tuple readers score from.
+    fn ensure_minimal(&mut self) {
+        match self.mode {
+            ReadMode::Global => {
+                self.minimal_subsets();
+            }
+            ReadMode::Component => {
+                self.ensure_components();
+            }
+        }
     }
 
     /// [`tuple_measures`](Self::tuple_measures) from caches only: `Some`
@@ -1164,24 +1238,33 @@ impl IncrementalIndex {
                 .mi_cache
                 .as_ref()
                 .map(|subsets| component_tuple_scores(subsets)),
-            ReadMode::Component => self.components_clean().then(|| {
-                let ids = self.sorted_components();
+            ReadMode::Component => {
+                self.totals()?; // every component clean
                 let mut out: Vec<TupleScores> = Vec::new();
-                for c in &ids {
+                for c in &self.sorted_components() {
                     out.extend(component_tuple_scores(&self.comp_cache[c].minimal));
                 }
+                // Components partition the scored tuples; one sort merges
+                // the per-component (already sorted) runs.
                 out.sort_by_key(|s| s.tuple);
-                out
-            }),
+                Some(out)
+            }
         }
     }
 
-    /// [`top_k_tuples`](Self::top_k_tuples) from caches only.
+    /// [`top_k_tuples`](Self::top_k_tuples) from caches only. The full
+    /// ranking is scored and sorted once per index state; later calls
+    /// copy its first `k` entries.
     pub fn try_top_k_tuples(&self, k: usize) -> Option<Vec<TupleScores>> {
-        let mut all = self.try_tuple_measures()?;
-        Self::rank_tuple_scores(&mut all);
-        all.truncate(k);
-        Some(all)
+        let ranked = match self.ranked.get() {
+            Some(ranked) => ranked,
+            None => {
+                let mut all = self.try_tuple_measures()?;
+                Self::rank_tuple_scores(&mut all);
+                self.ranked.get_or_init(|| all)
+            }
+        };
+        Some(ranked[..k.min(ranked.len())].to_vec())
     }
 
     /// The responsibility scores of one tuple: `None` when the tuple is
@@ -1233,7 +1316,8 @@ impl IncrementalIndex {
     /// Internal consistency check used by tests: rebuilds from scratch and
     /// cross-validates the raw binding sets, the maintained component
     /// structure and every cached aggregate (per-component minimal sets,
-    /// `I_P` shares, solved cover values, per-DC minimal counts).
+    /// `I_P` shares, solved cover values, per-DC minimal counts, and the
+    /// memoized totals and top-k ranking).
     /// Expensive; not for production loops.
     #[doc(hidden)]
     pub fn self_check(&self) -> bool {
@@ -1296,6 +1380,21 @@ impl IncrementalIndex {
                 if engine::filter_minimal(self.per_dc[i].clone()).len() != *count {
                     return false;
                 }
+            }
+        }
+        // Filled memos must equal a fresh fold of the current caches.
+        if let Some(memo) = self.totals.get() {
+            if self.fold_totals() != Some(*memo) {
+                return false;
+            }
+        }
+        if let Some(memo) = self.ranked.get() {
+            let mut fresh = self.try_tuple_measures();
+            if let Some(all) = fresh.as_mut() {
+                Self::rank_tuple_scores(all);
+            }
+            if fresh.as_ref() != Some(memo) {
+                return false;
             }
         }
         true
@@ -1788,6 +1887,166 @@ mod tests {
         assert_eq!(idx.try_i_mi(), Some(3.0));
         assert_eq!(idx.try_i_p(), Some(6.0));
         assert_eq!(idx.try_i_r(&opts), None);
+    }
+
+    /// The shared readers of `idx`, bit for bit (`to_bits`, so `-0.0`
+    /// and `0.0` differ).
+    fn shared_bits(idx: &IncrementalIndex, opts: &MeasureOptions) -> [Option<u64>; 4] {
+        [
+            idx.try_i_mi().map(f64::to_bits),
+            idx.try_i_p().map(f64::to_bits),
+            idx.try_i_r(opts).map(f64::to_bits),
+            idx.try_i_r_lin().map(f64::to_bits),
+        ]
+    }
+
+    /// The `&mut` readers of `idx` under `opts`, bit for bit.
+    fn exclusive_bits(idx: &mut IncrementalIndex, opts: &MeasureOptions) -> [Option<u64>; 4] {
+        [
+            Some(idx.i_mi().to_bits()),
+            Some(idx.i_p().to_bits()),
+            Some(idx.i_r(opts).unwrap().to_bits()),
+            Some(idx.i_r_lin().unwrap().to_bits()),
+        ]
+    }
+
+    /// A live tuple whose deletion removes its whole component and
+    /// touches no other: every edge of its component contains it.
+    fn dissolving_tuple(idx: &IncrementalIndex) -> Option<TupleId> {
+        let mut ids: Vec<TupleId> = idx.db().ids().collect();
+        ids.sort_unstable();
+        ids.into_iter().find(|&t| {
+            idx.graph.component_of(t).is_some_and(|c| {
+                idx.graph
+                    .component_sets(c)
+                    .iter()
+                    .all(|set| set.contains(&t))
+            })
+        })
+    }
+
+    #[test]
+    fn memoized_reads_match_exclusive_and_scratch_on_random_sequences() {
+        let (s, r) = setup();
+        let budgets = [
+            MeasureOptions::default(),
+            MeasureOptions {
+                vc_budget: MeasureOptions::default().vc_budget - 1,
+                ..MeasureOptions::default()
+            },
+        ];
+        // Sparse values, so the conflict graph splits into many small
+        // components that single deletes can dissolve.
+        let random_fact = |rng: &mut StdRng| {
+            fact3(
+                r,
+                rng.gen_range(0..8),
+                rng.gen_range(0..8),
+                rng.gen_range(0..4),
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(20);
+        let (mut shared_hits, mut dissolves) = (0, 0);
+        for _ in 0..24 {
+            let mut db = Database::new(Arc::clone(&s));
+            for _ in 0..12 {
+                db.insert(random_fact(&mut rng)).unwrap();
+            }
+            let mut idx = IncrementalIndex::build(db, two_fd_cs(&s, r)).unwrap();
+            for _ in 0..40 {
+                let opts = &budgets[rng.gen_range(0..2)];
+                let other = &budgets[usize::from(opts.vc_budget == budgets[0].vc_budget)];
+                match rng.gen_range(0..7) {
+                    // Shared read: refuses on any dirty component, and
+                    // otherwise equals the exclusive and scratch readers.
+                    0 | 1 => {
+                        let shared = shared_bits(&idx, opts);
+                        let top = idx.try_top_k_tuples(3);
+                        if idx.dirty_component_count() > 0 {
+                            assert_eq!(shared, [None; 4]);
+                            assert!(top.is_none());
+                            continue;
+                        }
+                        shared_hits += 1;
+                        let mut scratch =
+                            IncrementalIndex::build(idx.db().clone(), idx.constraints().clone())
+                                .unwrap();
+                        let expected = exclusive_bits(&mut scratch, opts);
+                        for (got, want) in shared.iter().zip(&expected) {
+                            assert!(got.is_none() || got == want, "{shared:?} vs {expected:?}");
+                        }
+                        assert_eq!(top, Some(scratch.top_k_tuples(3)));
+                    }
+                    // Exclusive read: fills what it needs, after which the
+                    // shared readers answer the same bits. Half of them
+                    // solve through the anytime readers first (after an
+                    // `I_MI` read has folded the unsolved state).
+                    2 => {
+                        if rng.gen_bool(0.5) {
+                            idx.i_mi();
+                            let lin = idx.i_r_lin_anytime(None);
+                            assert!(!lin.partial);
+                            let shared = idx.try_i_r_lin().map(f64::to_bits);
+                            assert_eq!(shared, Some(lin.value.to_bits()));
+                            let ir = idx.i_r_anytime(opts, None);
+                            assert!(!ir.partial);
+                            let shared = idx.try_i_r(opts).map(f64::to_bits);
+                            assert_eq!(shared, Some(ir.value.to_bits()));
+                        }
+                        let exclusive = exclusive_bits(&mut idx, opts);
+                        let top = idx.top_k_tuples(3);
+                        assert_eq!(shared_bits(&idx, opts), exclusive);
+                        assert_eq!(idx.try_top_k_tuples(3), Some(top.clone()));
+                        if idx.component_count() > 0 {
+                            assert_eq!(idx.try_i_r(other), None, "stale budget served");
+                        }
+                        let mut scratch =
+                            IncrementalIndex::build(idx.db().clone(), idx.constraints().clone())
+                                .unwrap();
+                        assert_eq!(exclusive_bits(&mut scratch, opts), exclusive);
+                        assert_eq!(scratch.top_k_tuples(3), top);
+                    }
+                    // A write that only dissolves a component leaves every
+                    // other cache (and so the shared path) intact; half of
+                    // them follow a `warm`, the serving layer's refill.
+                    3 | 4 => {
+                        if rng.gen_bool(0.5) {
+                            idx.warm(opts).unwrap();
+                        }
+                        let Some(t) = dissolving_tuple(&idx) else {
+                            continue;
+                        };
+                        let was_clean = idx.dirty_component_count() == 0;
+                        let before = idx.component_count();
+                        idx.delete(t);
+                        assert_eq!(idx.component_count(), before - 1);
+                        if was_clean {
+                            dissolves += 1;
+                            assert_eq!(idx.dirty_component_count(), 0);
+                            assert!(idx.try_i_mi().is_some() && idx.try_i_p().is_some());
+                        }
+                    }
+                    // Any other write.
+                    _ => {
+                        let ids: Vec<TupleId> = idx.db().ids().collect();
+                        if ids.is_empty() || rng.gen_bool(0.3) {
+                            idx.insert(random_fact(&mut rng)).unwrap();
+                        } else {
+                            let t = ids[rng.gen_range(0..ids.len())];
+                            let a = AttrId(rng.gen_range(0..3));
+                            idx.update(t, a, Value::int(rng.gen_range(0..8))).unwrap();
+                        }
+                    }
+                }
+                assert!(idx.self_check(), "memo diverged from a fresh fold");
+            }
+        }
+        // The sequences exercise the interesting branches.
+        assert!(shared_hits > 50, "only {shared_hits} clean shared reads");
+        assert!(
+            dissolves > 5,
+            "only {dissolves} dissolving writes on a clean index"
+        );
     }
 
     #[test]

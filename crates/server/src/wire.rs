@@ -189,6 +189,7 @@ impl Json {
     /// Parses one complete JSON value; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -261,6 +262,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -367,13 +369,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next `"` or `\`. Both are
+                    // ASCII, so the run ends on a char boundary of the
+                    // (valid UTF-8) input and the whole string costs one
+                    // pass.
+                    let start = self.pos;
+                    self.pos = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -474,6 +479,22 @@ mod tests {
         assert_eq!(Json::parse(&wired).unwrap(), Json::str(tricky));
         // Surrogate-pair escapes decode too.
         assert_eq!(Json::parse("\"\\ud83e\\udd80\"").unwrap(), Json::str("🦀"));
+    }
+
+    #[test]
+    fn megabyte_strings_parse_in_linear_time() {
+        // Every escape form next to multibyte text, repeated past 1 MB.
+        let wired_chunk =
+            "ab\u{e9}\u{2026}\u{1f980}\\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\ud83e\\udd80x";
+        let plain_chunk = "ab\u{e9}\u{2026}\u{1f980}\"\\/\u{8}\u{c}\n\r\t\u{e9}\u{1f980}x";
+        let reps = (1 << 20) / wired_chunk.len() + 1;
+        let wired = format!("\"{}\"", wired_chunk.repeat(reps));
+        let plain = plain_chunk.repeat(reps);
+        assert!(wired.len() >= 1 << 20);
+        assert_eq!(Json::parse(&wired).unwrap(), Json::str(plain.clone()));
+        // The writer's own escaping round-trips at the same size.
+        let rewired = Json::str(plain.clone()).to_string();
+        assert_eq!(Json::parse(&rewired).unwrap(), Json::str(plain));
     }
 
     #[test]

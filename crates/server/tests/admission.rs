@@ -7,6 +7,7 @@ use inconsist::incremental::ReadMode;
 use inconsist::measures::MeasureOptions;
 use inconsist_server::{serve, Client, Json, RetryPolicy, ServerConfig, Session};
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,22 +112,30 @@ fn full_request_queue_sheds_then_a_retrying_client_gets_through() {
     let addr = handle.addr();
 
     // Occupy the single worker with a deliberately heavy `create`: a
-    // 30k-row CSV takes long enough to parse and index that the
-    // subsequent dispatches below land while it is still running.
+    // 200k-row CSV (~2.5 MB line) takes several hundred milliseconds to
+    // parse, load and index. The owner signals once the whole line is
+    // written, so the dispatches below (50 and 80 ms later) cannot
+    // overtake it and land while it is still running.
     let mut csv = String::from("City,Country,Pop\n");
-    for i in 0..30_000 {
+    for i in 0..200_000 {
         csv.push_str(&format!("C{i},X,1\n"));
     }
+    let create = format!(
+        "{{\"cmd\":\"create\",\"session\":\"t\",\"csv\":{},\"dc\":{}}}\n",
+        Json::str(csv.as_str()),
+        Json::str(DC)
+    );
+    let (sent_tx, sent_rx) = std::sync::mpsc::channel();
     let owner = std::thread::spawn(move || {
-        let mut owner = Client::connect(&addr).unwrap();
-        let create = format!(
-            "{{\"cmd\":\"create\",\"session\":\"t\",\"csv\":{},\"dc\":{}}}",
-            Json::str(csv.as_str()),
-            Json::str(DC)
-        );
-        let created = Json::parse(&owner.request(&create).unwrap()).unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(create.as_bytes()).unwrap();
+        sent_tx.send(()).unwrap();
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).unwrap();
+        let created = Json::parse(line.trim_end()).unwrap();
         assert_eq!(created.get("ok").and_then(Json::as_bool), Some(true));
     });
+    sent_rx.recv().unwrap();
     std::thread::sleep(Duration::from_millis(50));
 
     // Second connection's work request fills the one-deep queue...
@@ -231,7 +240,6 @@ fn a_client_that_never_reads_is_dropped_without_stalling_others() {
     // byte back.
     let mut dead = TcpStream::connect(addr).unwrap();
     let burst = "{\"cmd\":\"tuple_measures\",\"session\":\"t\",\"k\":1600}\n".repeat(100);
-    use std::io::Write;
     dead.write_all(burst.as_bytes()).unwrap();
 
     // Meanwhile this connection keeps getting served promptly.

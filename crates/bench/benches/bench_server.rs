@@ -389,7 +389,6 @@ fn overload_run(csv: &str, requests: usize) -> String {
 /// own `coord_scatter_gather_us` histogram p99 from its metrics
 /// endpoint. Returns the JSON entry.
 fn sharded_run(csv: &str, clients: usize, requests: usize) -> String {
-    use inconsist::incremental::ReadMode;
     use inconsist_server::{ClientBuilder, CoordinatorConfig};
     const SESSIONS: [&str; 4] = ["s0", "s1", "s2", "s3"];
     const AGG: [&str; 4] = ["I_MI", "I_P", "I_R", "I_R^lin"];
@@ -421,12 +420,8 @@ fn sharded_run(csv: &str, clients: usize, requests: usize) -> String {
         "coordinator"
     );
     for name in SESSIONS {
-        single_client
-            .create(name, csv, DC, ReadMode::Component)
-            .expect("create single");
-        coord_client
-            .create(name, csv, DC, ReadMode::Component)
-            .expect("create sharded");
+        single_client.create(name, csv, DC).expect("create single");
+        coord_client.create(name, csv, DC).expect("create sharded");
     }
     let mut rng = StdRng::seed_from_u64(0x5AAD);
     let max_id = (BLOCKS * ROWS_PER_BLOCK) as u32;

@@ -24,7 +24,7 @@ inconsist — database inconsistency measures (SIGMOD 2021 reproduction)
 
 USAGE:
   inconsist measure  <data.csv> <rules.dc> [--threads N] [--all]
-                     [--ops repairs.ops] [--mode component|global]
+                     [--ops repairs.ops]
   inconsist mine     <data.csv> [--epsilon E] [--max-dcs K] [--max-pairs P]
                      [--seed S] [--out rules.dc]
   inconsist repair   <data.csv> <rules.dc> [--out cleaned.csv]
@@ -33,7 +33,7 @@ USAGE:
                      [--beta B] [--typo T] [--seed S]
   inconsist progress <data.csv> <rules.dc> [--steps N]
   inconsist serve    [--addr HOST:PORT] [--workers N] [--solve-threads N]
-                     [--mode component|global] [--preload name=data.csv,rules.dc]
+                     [--preload name=data.csv,rules.dc]
                      [--addr-file path] [--data-dir DIR] [--fsync always|never]
                      [--snapshot-every N] [--segment-bytes N]
                      [--max-inflight N] [--session-inflight N] [--queue-limit N]
@@ -56,8 +56,7 @@ COMMANDS:
              + the extension measures) and the violation ratio; with
              --ops, replay a repair-op script (delete/update/insert, one
              per line) through the incremental index and print the
-             measure trajectory after each step (--mode picks the
-             component-scoped or global read path)
+             measure trajectory after each step
   mine       discover denial constraints from the data (evidence-set miner)
   repair     compute a minimum-cost deletion repair; --out writes the
              repaired CSV
@@ -188,18 +187,8 @@ fn cmd_measure_ops(cli: &Cli, loaded: &LoadedCsv, cs: ConstraintSet) -> Result<S
     let path = cli.opt_str("ops").expect("checked by caller");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let ops = parse_ops_file(loaded.db.relation_schema(loaded.rel), loaded.rel, &text)?;
-    let mode = match cli.opt_str("mode").unwrap_or("component") {
-        "component" => ReadMode::Component,
-        "global" => ReadMode::Global,
-        other => {
-            return Err(format!(
-                "--mode: expected `component` or `global`, got `{other}`"
-            ))
-        }
-    };
     let opts = MeasureOptions::default();
-    let mut idx = IncrementalIndex::build_with_mode(loaded.db.clone(), cs, mode)
-        .map_err(|e| e.to_string())?;
+    let mut idx = IncrementalIndex::build(loaded.db.clone(), cs).map_err(|e| e.to_string())?;
     let mut out = format!(
         "{:>5} {:<24} {:>8} {:>8} {:>8} {:>10}\n",
         "step", "op", "I_MI", "I_P", "I_R", "I_R^lin"
@@ -234,11 +223,10 @@ fn cmd_measure_ops(cli: &Cli, loaded: &LoadedCsv, cs: ConstraintSet) -> Result<S
     let stats = idx.stats();
     let _ = writeln!(
         out,
-        "\n{} ops replayed ({:?} reads): {} components live, \
+        "\n{} ops replayed: {} components live, \
          {} minimality filters ({} cached), {} cover solves ({} cached), \
          {} LP solves ({} cached)",
         ops.len(),
-        mode,
         idx.component_count(),
         stats.filter_runs,
         stats.filter_cache_hits,
@@ -429,15 +417,6 @@ fn resolve_addr(spec: &str) -> Result<std::net::SocketAddr, String> {
 
 /// `serve`: run the measure server until a client sends `shutdown`.
 fn cmd_serve(cli: &Cli) -> Result<String, String> {
-    let mode = match cli.opt_str("mode").unwrap_or("component") {
-        "component" => ReadMode::Component,
-        "global" => ReadMode::Global,
-        other => {
-            return Err(format!(
-                "--mode: expected `component` or `global`, got `{other}`"
-            ))
-        }
-    };
     let durability = match cli.opt_str("data-dir") {
         None => {
             for flag in ["fsync", "snapshot-every", "segment-bytes"] {
@@ -501,8 +480,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
                 &cli.opt("workers", 8usize)?.to_string(),
                 "--solve-threads",
                 &cli.opt("solve-threads", 1usize)?.to_string(),
-                "--mode",
-                cli.opt_str("mode").unwrap_or("component"),
             ]
             .iter()
             .map(|s| s.to_string())
@@ -544,7 +521,6 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         addr: cli.opt_str("addr").unwrap_or("127.0.0.1:7878").to_string(),
         workers: cli.opt("workers", 8)?,
         solve_threads: cli.opt("solve-threads", 1)?,
-        mode,
         // A coordinator holds no sessions of its own: with spawned
         // shards the per-worker subdirs carry the state, and recovering
         // the parent dir here would shadow the shards' sessions.
@@ -575,7 +551,7 @@ fn cmd_serve(cli: &Cli) -> Result<String, String> {
         let preload = |path: &str| inconsist_server::protocol::Payload::Path(path.to_string());
         let session = handle
             .registry()
-            .create(name, &preload(csv), &preload(dc), mode)
+            .create(name, &preload(csv), &preload(dc), ReadMode::Component)
             .map_err(|e| {
                 handle.stop();
                 e.to_string()
@@ -851,19 +827,6 @@ mod tests {
         // Step 0 has the initial I_MI = 1; the final delete restores it to 0.
         let lines: Vec<&str> = out.lines().collect();
         assert!(lines[1].trim_start().starts_with("0"), "{out}");
-        // Both read modes produce the same trajectory.
-        let global = run(&cli(&[
-            "measure", &data, &rules, "--ops", &ops, "--mode", "global",
-        ]))
-        .unwrap();
-        let head = |s: &str| s.lines().take(5).collect::<Vec<_>>().join("\n");
-        assert_eq!(head(&out), head(&global));
-        // Unknown mode is rejected.
-        let err = run(&cli(&[
-            "measure", &data, &rules, "--ops", &ops, "--mode", "wat",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--mode"), "{err}");
     }
 
     #[test]

@@ -46,13 +46,13 @@
 //! * answers `I_MI`, `I_P`, `I_R`, `I_R^lin` as sums of per-component
 //!   contributions.
 //!
-//! [`ReadMode::Global`] preserves the previous behaviour (one global
-//! minimality pass and one monolithic solve per read, memoized until the
-//! next mutation) as the ablation baseline — `bench_incremental` drives
-//! both modes through identical traces. [`ReadStats`] counts filter runs,
-//! cache hits and cover solves so tests can assert that clean components
-//! are never re-processed. `I_MI^dc` is cached per constraint and
-//! invalidated only for the constraints the delta tags as touched.
+//! This is the only read path: no reader runs a global minimality pass or
+//! a monolithic solve. The definitional oracle is the batch measures of
+//! [`crate::measures`], which re-enumerate the violations from scratch.
+//! [`ReadStats`] counts filter runs, cache hits and cover solves so tests
+//! can assert that clean components are never re-processed. `I_MI^dc` is
+//! cached per constraint and invalidated only for the constraints the
+//! delta tags as touched.
 //!
 //! # Reader/writer split
 //!
@@ -81,9 +81,9 @@
 //! the same way, so a clean top-`k` costs `O(k)`. A memo is only filled
 //! while no component is dirty, and every `&mut` path that changes a clean
 //! component's cache (a structural delta, a stored `I_R`/`I_R^lin` value)
-//! or the read mode drops both memos; the exclusive readers keep their
-//! fill/solve steps and then read the same memo, so there is one fold and
-//! the values are bit-identical on every path.
+//! drops both memos; the exclusive readers keep their fill/solve steps and
+//! then read the same memo, so there is one fold and the values are
+//! bit-identical on every path.
 //!
 //! # Parallel dirty-component solves
 //!
@@ -123,14 +123,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// How measure reads are answered; see the module docs.
+/// The one way measure reads are answered: per-component caches, where
+/// only components dirtied since the last read are re-filtered and
+/// re-solved (see the module docs).
+///
+/// A one-variant leftover of the removed global read mode. It survives
+/// only because the frozen `loadbench/` crate still passes it to
+/// `Registry::create` and `Session::open`, which ignore it; the next
+/// benchmark change removes it together with those parameters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReadMode {
-    /// One global minimality pass and one monolithic cover solve per read,
-    /// memoized until the next mutation (the pre-component baseline).
-    Global,
-    /// Per-component caches: only components dirtied since the last read
-    /// are re-filtered and re-solved; clean ones answer from cache.
+    /// Component-scoped reads.
     #[default]
     Component,
 }
@@ -140,8 +143,8 @@ pub enum ReadMode {
 /// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadStats {
-    /// Minimality filters run (one per dirty component, or per global pass
-    /// in [`ReadMode::Global`]).
+    /// Minimality filters run (one per dirty component or dirty
+    /// constraint count).
     pub filter_runs: u64,
     /// Components answered from the minimal-subset cache.
     pub filter_cache_hits: u64,
@@ -219,8 +222,8 @@ impl Totals {
 
 /// A live violation index over a database: apply repairing operations and
 /// read inconsistency measures without re-running the full violation scan
-/// — and, in [`ReadMode::Component`], without re-deriving anything for
-/// conflict components the operation did not touch.
+/// — and without re-deriving anything for conflict components the
+/// operation did not touch.
 ///
 /// ```
 /// use inconsist::incremental::IncrementalIndex;
@@ -248,17 +251,12 @@ pub struct IncrementalIndex {
     by_tuple: HashMap<TupleId, HashSet<(usize, ViolationSet)>>,
     /// Total raw bindings across constraints.
     raw_count: usize,
-    mode: ReadMode,
     /// Maintained conflict structure over the raw binding sets: refcounted
     /// edges (one ref per `(dc, set)` pair), component ids stable while a
     /// component is untouched.
     graph: DynamicConflictGraph,
     /// Clean components' cached measures; a component is dirty iff absent.
     comp_cache: HashMap<CompId, CompCache>,
-    /// Memoized global `MI_Σ(D)` (cross-constraint dedup + minimality);
-    /// in [`ReadMode::Component`] it is assembled from the per-component
-    /// caches instead of one global filter pass.
-    mi_cache: Option<Vec<ViolationSet>>,
     /// Per-constraint minimal-violation counts (`I_MI^dc` terms),
     /// invalidated only for constraints whose binding set changed.
     dc_min_cache: Vec<Option<usize>>,
@@ -308,10 +306,8 @@ impl IncrementalIndex {
             per_dc,
             by_tuple: HashMap::new(),
             raw_count: 0,
-            mode: ReadMode::default(),
             graph: DynamicConflictGraph::new(),
             comp_cache: HashMap::new(),
-            mi_cache: None,
             dc_min_cache: vec![None; dc_count],
             solve_threads: 1,
             stats: ReadStats::default(),
@@ -325,17 +321,6 @@ impl IncrementalIndex {
     /// Builds the index with the default (uncapped) scan.
     pub fn build(db: Database, cs: ConstraintSet) -> Result<Self, MeasureError> {
         Self::build_with_limit(db, cs, None)
-    }
-
-    /// [`build`](Self::build), then fixes the read mode.
-    pub fn build_with_mode(
-        db: Database,
-        cs: ConstraintSet,
-        mode: ReadMode,
-    ) -> Result<Self, MeasureError> {
-        let mut idx = Self::build(db, cs)?;
-        idx.mode = mode;
-        Ok(idx)
     }
 
     fn rebuild_inverted(&mut self) {
@@ -377,18 +362,6 @@ impl IncrementalIndex {
         self.raw_count
     }
 
-    /// The active read mode.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
-    }
-
-    /// Switches the read mode. Caches for both modes are maintained
-    /// independently, so switching is always safe.
-    pub fn set_mode(&mut self, mode: ReadMode) {
-        self.mode = mode;
-        self.invalidate_memos();
-    }
-
     /// Current number of conflict components.
     pub fn component_count(&self) -> usize {
         self.graph.component_count()
@@ -425,8 +398,7 @@ impl IncrementalIndex {
     }
 
     /// Drops the memoized [`Totals`] and top-k ranking; called by every
-    /// `&mut` path that changes a clean component's cache or the read
-    /// mode. (Filling a dirty component's cache needs no call: no memo is
+    /// `&mut` path that changes a clean component's cache. (Filling a dirty component's cache needs no call: no memo is
     /// filled while a component is dirty.)
     fn invalidate_memos(&mut self) {
         self.totals.take();
@@ -467,7 +439,6 @@ impl IncrementalIndex {
                 self.comp_cache.remove(c);
             }
             if structural {
-                self.mi_cache = None;
                 self.invalidate_memos();
             }
         }
@@ -492,7 +463,6 @@ impl IncrementalIndex {
                     for c in &ins.merged {
                         self.comp_cache.remove(c);
                     }
-                    self.mi_cache = None;
                     self.invalidate_memos();
                 }
             }
@@ -608,61 +578,31 @@ impl IncrementalIndex {
     }
 
     /// The global minimal inconsistent subsets `MI_Σ(D)` (cross-constraint
-    /// dedup + inclusion-minimality), memoized until the next mutation. In
-    /// [`ReadMode::Component`] the list is assembled from the per-component
-    /// caches (dirty components are re-filtered first).
-    pub fn minimal_subsets(&mut self) -> &[ViolationSet] {
-        if self.mi_cache.is_none() {
-            match self.mode {
-                ReadMode::Global => {
-                    let union: HashSet<ViolationSet> =
-                        self.per_dc.iter().flat_map(|s| s.iter().cloned()).collect();
-                    self.mi_cache = Some(engine::filter_minimal(union));
-                    self.stats.filter_runs += 1;
-                }
-                ReadMode::Component => {
-                    let ids = self.ensure_components();
-                    let mut all: Vec<ViolationSet> = ids
-                        .iter()
-                        .flat_map(|c| self.comp_cache[c].minimal.iter().cloned())
-                        .collect();
-                    // Same presentation order as `filter_minimal`.
-                    all.sort_by_key(|s| (s.len(), s.first().copied()));
-                    self.mi_cache = Some(all);
-                }
-            }
-        }
-        self.mi_cache.as_deref().expect("just filled")
+    /// dedup + inclusion-minimality), assembled from the per-component
+    /// caches (dirty components are re-filtered first). Not memoized: a
+    /// listing for tests and tooling, not a serving read.
+    pub fn minimal_subsets(&mut self) -> Vec<ViolationSet> {
+        let ids = self.ensure_components();
+        let mut all: Vec<ViolationSet> = ids
+            .iter()
+            .flat_map(|c| self.comp_cache[c].minimal.iter().cloned())
+            .collect();
+        // Same presentation order as `filter_minimal`.
+        all.sort_by_key(|s| (s.len(), s.first().copied()));
+        all
     }
 
     /// `I_MI`: `|MI_Σ(D)|`.
     pub fn i_mi(&mut self) -> f64 {
-        match self.mode {
-            ReadMode::Global => self.minimal_subsets().len() as f64,
-            ReadMode::Component => {
-                self.ensure_components();
-                self.totals().expect("components just filled").mi as f64
-            }
-        }
+        self.ensure_components();
+        self.totals().expect("components just filled").mi as f64
     }
 
-    /// `I_P`: `|∪ MI_Σ(D)|`.
+    /// `I_P`: `|∪ MI_Σ(D)|`. Components partition the participating
+    /// tuples, so the global union is the sum of the per-component counts.
     pub fn i_p(&mut self) -> f64 {
-        match self.mode {
-            ReadMode::Global => {
-                let mut tuples: HashSet<TupleId> = HashSet::new();
-                for s in self.minimal_subsets() {
-                    tuples.extend(s.iter().copied());
-                }
-                tuples.len() as f64
-            }
-            ReadMode::Component => {
-                // Components partition the participating tuples, so the
-                // global union is the sum of the per-component counts.
-                self.ensure_components();
-                self.totals().expect("components just filled").p as f64
-            }
-        }
+        self.ensure_components();
+        self.totals().expect("components just filled").p as f64
     }
 
     /// `I_MI^dc`: per-constraint minimal violation count (§5.3 semantics —
@@ -688,13 +628,6 @@ impl IncrementalIndex {
                 }
             })
             .collect()
-    }
-
-    /// The conflict (hyper)graph over the current minimal subsets.
-    pub fn conflict_graph(&mut self) -> ConflictGraph {
-        self.minimal_subsets();
-        let subsets = self.mi_cache.as_deref().expect("just filled");
-        ConflictGraph::from_subsets(&self.db, subsets)
     }
 
     /// Runs one independent cover/LP solve per job — sequentially, or over
@@ -809,10 +742,11 @@ impl IncrementalIndex {
         Ok(())
     }
 
-    /// Component-scoped `I_R`: solves each dirty component independently
-    /// (in parallel under the thread budget), then reads the ascending
-    /// component-order sum from [`totals`](Self::totals).
-    fn i_r_component(&mut self, options: &MeasureOptions) -> MeasureResult {
+    /// `I_R` (deletions): exact minimum-cost repair over the maintained
+    /// violations. Solves each dirty component independently (in parallel
+    /// under the thread budget), never the self-join, then reads the
+    /// memoized ascending component-order sum.
+    pub fn i_r(&mut self, options: &MeasureOptions) -> MeasureResult {
         let ids = self.ensure_components();
         self.solve_dirty_covers(&ids, options.vc_budget)?;
         Ok(self
@@ -821,50 +755,16 @@ impl IncrementalIndex {
             .expect("every component just solved"))
     }
 
-    /// `I_R` (deletions): exact minimum-cost repair over the maintained
-    /// violations; only dirty components are re-solved, never the self-join.
-    pub fn i_r(&mut self, options: &MeasureOptions) -> MeasureResult {
-        if self.mode == ReadMode::Component {
-            return self.i_r_component(options);
-        }
-        let graph = self.conflict_graph();
-        let subsets = self.mi_cache.as_deref().expect("filled by conflict_graph");
-        // The node-index sets are only consulted on the hypergraph path.
-        let node_sets = if graph.is_plain_graph() {
-            Vec::new()
-        } else {
-            node_index_sets(&graph, subsets)
-        };
-        self.stats.cover_solves += 1;
-        component_min_repair(&graph, &node_sets, options.vc_budget).ok_or(MeasureError::Timeout)
-    }
-
-    /// Component-scoped `I_R^lin`: LP-relaxation per dirty component (in
-    /// parallel under the thread budget), summed in ascending component
-    /// order.
-    fn i_r_lin_component(&mut self) -> MeasureResult {
+    /// `I_R^lin`: the LP relaxation (Fig. 2) over the maintained
+    /// violations, solved per dirty component (in parallel under the
+    /// thread budget) and summed in ascending component order.
+    pub fn i_r_lin(&mut self) -> MeasureResult {
         let ids = self.ensure_components();
         self.solve_dirty_lins(&ids)?;
         Ok(self
             .totals()
             .and_then(|t| t.ir_lin)
             .expect("every component just solved"))
-    }
-
-    /// `I_R^lin`: the LP relaxation (Fig. 2) over the maintained violations.
-    pub fn i_r_lin(&mut self) -> MeasureResult {
-        if self.mode == ReadMode::Component {
-            return self.i_r_lin_component();
-        }
-        let graph = self.conflict_graph();
-        let subsets = self.mi_cache.as_deref().expect("filled by conflict_graph");
-        let node_sets = if graph.is_plain_graph() {
-            Vec::new()
-        } else {
-            node_index_sets(&graph, subsets)
-        };
-        self.stats.lin_solves += 1;
-        component_min_repair_lin(&graph, &node_sets).ok_or(MeasureError::Timeout)
     }
 
     // -- deadline-bounded (anytime) reads ----------------------------------
@@ -883,36 +783,6 @@ impl IncrementalIndex {
         deadline: Option<Instant>,
     ) -> AnytimeValue {
         let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        if self.mode == ReadMode::Global {
-            let graph = self.conflict_graph();
-            let subsets = self.mi_cache.as_deref().expect("filled by conflict_graph");
-            let node_sets = if graph.is_plain_graph() {
-                Vec::new()
-            } else {
-                node_index_sets(&graph, subsets)
-            };
-            self.stats.cover_solves += 1;
-            let mut budget = Budget::with_deadline(options.vc_budget, deadline);
-            return match component_min_repair_with(&graph, &node_sets, &mut budget) {
-                Some(v) => AnytimeValue {
-                    value: v,
-                    upper: v,
-                    partial: false,
-                    solved: 1,
-                    degraded: 0,
-                },
-                None => {
-                    let (lower, upper) = component_repair_bounds(&graph, &node_sets);
-                    AnytimeValue {
-                        value: lower,
-                        upper,
-                        partial: true,
-                        solved: 0,
-                        degraded: 1,
-                    }
-                }
-            };
-        }
         let ids = self.ensure_components();
         let mut out = AnytimeValue {
             value: 0.0,
@@ -972,35 +842,6 @@ impl IncrementalIndex {
     /// bounds and the result is marked partial.
     pub fn i_r_lin_anytime(&mut self, deadline: Option<Instant>) -> AnytimeValue {
         let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        if self.mode == ReadMode::Global {
-            let graph = self.conflict_graph();
-            let subsets = self.mi_cache.as_deref().expect("filled by conflict_graph");
-            let node_sets = if graph.is_plain_graph() {
-                Vec::new()
-            } else {
-                node_index_sets(&graph, subsets)
-            };
-            self.stats.lin_solves += 1;
-            return match component_min_repair_lin(&graph, &node_sets) {
-                Some(v) => AnytimeValue {
-                    value: v,
-                    upper: v,
-                    partial: false,
-                    solved: 1,
-                    degraded: 0,
-                },
-                None => {
-                    let (_, upper) = component_repair_bounds(&graph, &node_sets);
-                    AnytimeValue {
-                        value: 0.0,
-                        upper,
-                        partial: true,
-                        solved: 0,
-                        degraded: 1,
-                    }
-                }
-            };
-        }
         let ids = self.ensure_components();
         let mut out = AnytimeValue {
             value: 0.0,
@@ -1096,43 +937,24 @@ impl IncrementalIndex {
     /// `I_MI` from caches only: `Some` iff no mutation dirtied state since
     /// the caches were last filled (see [`warm`](Self::warm)).
     pub fn try_i_mi(&self) -> Option<f64> {
-        match self.mode {
-            ReadMode::Global => self.mi_cache.as_ref().map(|v| v.len() as f64),
-            ReadMode::Component => self.totals().map(|t| t.mi as f64),
-        }
+        self.totals().map(|t| t.mi as f64)
     }
 
     /// `I_P` from caches only; `None` when any component is dirty.
     pub fn try_i_p(&self) -> Option<f64> {
-        match self.mode {
-            ReadMode::Global => self.mi_cache.as_ref().map(|subsets| {
-                let mut tuples: HashSet<TupleId> = HashSet::new();
-                for s in subsets {
-                    tuples.extend(s.iter().copied());
-                }
-                tuples.len() as f64
-            }),
-            ReadMode::Component => self.totals().map(|t| t.p as f64),
-        }
+        self.totals().map(|t| t.p as f64)
     }
 
     /// `I_R` from caches only: every component must hold a value solved
-    /// under exactly `options.vc_budget`. Always `None` in
-    /// [`ReadMode::Global`], whose monolithic solve is not memoized. The
-    /// sum is the same ascending-order fold [`i_r`](Self::i_r) reads, so
-    /// the result is bit-identical to it.
+    /// under exactly `options.vc_budget`. The sum is the same
+    /// ascending-order fold [`i_r`](Self::i_r) reads, so the result is
+    /// bit-identical to it.
     pub fn try_i_r(&self, options: &MeasureOptions) -> Option<f64> {
-        if self.mode != ReadMode::Component {
-            return None;
-        }
         self.totals()?.i_r(options.vc_budget)
     }
 
-    /// `I_R^lin` from caches only (component mode; ascending-order sum).
+    /// `I_R^lin` from caches only (ascending-order sum).
     pub fn try_i_r_lin(&self) -> Option<f64> {
-        if self.mode != ReadMode::Component {
-            return None;
-        }
         self.totals()?.ir_lin
     }
 
@@ -1149,20 +971,14 @@ impl IncrementalIndex {
     }
 
     /// Fills every cache the `try_*` readers consult, so that — until the
-    /// next mutation — shared (`&self`) reads answer all measures. In
-    /// [`ReadMode::Component`] this re-filters and re-solves exactly the
-    /// dirty components (fanning solves across the thread budget); in
-    /// [`ReadMode::Global`] it memoizes the minimality pass (`I_R` has no
-    /// global cache and keeps taking the exclusive path).
+    /// next mutation — shared (`&self`) reads answer all measures. This
+    /// re-filters and re-solves exactly the dirty components (fanning
+    /// solves across the thread budget).
     pub fn warm(&mut self, options: &MeasureOptions) -> Result<(), MeasureError> {
-        self.minimal_subsets();
         self.i_mi_by_dc();
-        if self.mode == ReadMode::Component {
-            let ids = self.ensure_components();
-            self.solve_dirty_covers(&ids, options.vc_budget)?;
-            self.solve_dirty_lins(&ids)?;
-        }
-        Ok(())
+        let ids = self.ensure_components();
+        self.solve_dirty_covers(&ids, options.vc_budget)?;
+        self.solve_dirty_lins(&ids)
     }
 
     /// Tuples ranked by how many raw bindings they currently appear in —
@@ -1199,57 +1015,37 @@ impl IncrementalIndex {
     /// Tuples outside every subset are omitted (their scores are all zero
     /// — see [`tuple_measure`](Self::tuple_measure)).
     ///
-    /// In [`ReadMode::Component`] the scores are computed component-locally
-    /// from the per-component minimal caches (dirty components are
-    /// re-filtered first); in [`ReadMode::Global`] from the memoized global
-    /// list. The kernel sums each tuple's subset-size reciprocals in a
-    /// canonical (ascending) order, so both modes agree bit-for-bit.
+    /// The scores are computed component-locally from the per-component
+    /// minimal caches (dirty components are re-filtered first). The kernel
+    /// sums each tuple's subset-size reciprocals in a canonical
+    /// (ascending) order, so they equal the batch scores over the global
+    /// `MI_Σ(D)` bit-for-bit.
     pub fn tuple_measures(&mut self) -> Vec<TupleScores> {
-        self.ensure_minimal();
+        self.ensure_components();
         self.try_tuple_measures().expect("caches just filled")
     }
 
     /// The `k` most inconsistent tuples under the ranking
     /// `(cbm desc, cim desc, rim desc, tuple asc)` — ties broken by tuple
-    /// id so the cut is stable across runs, modes and thread counts.
+    /// id so the cut is stable across runs and thread counts.
     pub fn top_k_tuples(&mut self, k: usize) -> Vec<TupleScores> {
-        self.ensure_minimal();
+        self.ensure_components();
         self.try_top_k_tuples(k).expect("caches just filled")
-    }
-
-    /// Fills the minimal-subset caches the per-tuple readers score from.
-    fn ensure_minimal(&mut self) {
-        match self.mode {
-            ReadMode::Global => {
-                self.minimal_subsets();
-            }
-            ReadMode::Component => {
-                self.ensure_components();
-            }
-        }
     }
 
     /// [`tuple_measures`](Self::tuple_measures) from caches only: `Some`
     /// iff no mutation dirtied state since the caches were last filled.
     /// Bit-identical to the exclusive path.
     pub fn try_tuple_measures(&self) -> Option<Vec<TupleScores>> {
-        match self.mode {
-            ReadMode::Global => self
-                .mi_cache
-                .as_ref()
-                .map(|subsets| component_tuple_scores(subsets)),
-            ReadMode::Component => {
-                self.totals()?; // every component clean
-                let mut out: Vec<TupleScores> = Vec::new();
-                for c in &self.sorted_components() {
-                    out.extend(component_tuple_scores(&self.comp_cache[c].minimal));
-                }
-                // Components partition the scored tuples; one sort merges
-                // the per-component (already sorted) runs.
-                out.sort_by_key(|s| s.tuple);
-                Some(out)
-            }
+        self.totals()?; // every component clean
+        let mut out: Vec<TupleScores> = Vec::new();
+        for c in &self.sorted_components() {
+            out.extend(component_tuple_scores(&self.comp_cache[c].minimal));
         }
+        // Components partition the scored tuples; one sort merges the
+        // per-component (already sorted) runs.
+        out.sort_by_key(|s| s.tuple);
+        Some(out)
     }
 
     /// [`top_k_tuples`](Self::top_k_tuples) from caches only. The full
@@ -1272,10 +1068,10 @@ impl IncrementalIndex {
     /// minimal inconsistent subset (a *free* tuple), its component-local
     /// scores otherwise.
     ///
-    /// In [`ReadMode::Component`] only the tuple's own component is
-    /// (re)filtered — the tuple→component lookup rides the maintained
-    /// conflict graph, so a point query stays local no matter how dirty
-    /// the rest of the index is.
+    /// Only the tuple's own component is (re)filtered — the
+    /// tuple→component lookup rides the maintained conflict graph, so a
+    /// point query stays local no matter how dirty the rest of the index
+    /// is.
     pub fn tuple_measure(&mut self, t: TupleId) -> Option<TupleScores> {
         self.db.fact(t)?;
         let zero = TupleScores {
@@ -1285,32 +1081,18 @@ impl IncrementalIndex {
             pim: 0.0,
             rim: 0.0,
         };
-        match self.mode {
-            ReadMode::Global => {
-                self.minimal_subsets();
-                let subsets = self.mi_cache.as_deref().expect("just filled");
-                Some(
-                    component_tuple_scores(subsets)
-                        .into_iter()
-                        .find(|s| s.tuple == t)
-                        .unwrap_or(zero),
-                )
-            }
-            ReadMode::Component => match self.graph.component_of(t) {
-                None => Some(zero),
-                Some(c) => {
-                    self.ensure_component(c);
-                    Some(
-                        component_tuple_scores(&self.comp_cache[&c].minimal)
-                            .into_iter()
-                            .find(|s| s.tuple == t)
-                            // In the graph but only via non-minimal sets:
-                            // still free at the minimal level.
-                            .unwrap_or(zero),
-                    )
-                }
-            },
-        }
+        let Some(c) = self.graph.component_of(t) else {
+            return Some(zero);
+        };
+        self.ensure_component(c);
+        Some(
+            component_tuple_scores(&self.comp_cache[&c].minimal)
+                .into_iter()
+                .find(|s| s.tuple == t)
+                // In the graph but only via non-minimal sets: still free at
+                // the minimal level.
+                .unwrap_or(zero),
+        )
     }
 
     /// Internal consistency check used by tests: rebuilds from scratch and
@@ -1405,8 +1187,8 @@ impl IncrementalIndex {
 mod tests {
     use super::*;
     use crate::measures::{
-        InconsistencyMeasure, LinearMinimumRepair, MinimalInconsistentSubsets, MinimumRepair,
-        ProblematicFacts,
+        InconsistencyMeasure, LinearMinimumRepair, MinimalInconsistentSubsets, MinimalViolations,
+        MinimumRepair, ProblematicFacts,
     };
     use inconsist_constraints::{dc::build, CmpOp, Fd};
     use inconsist_relational::{relation, Schema, ValueKind};
@@ -1442,8 +1224,8 @@ mod tests {
         Fact::new(r, [Value::int(a), Value::int(b), Value::int(c)])
     }
 
-    /// Asserts the incremental reads match a from-scratch evaluation, in
-    /// the index's current mode.
+    /// Asserts the incremental reads match the batch measures, which
+    /// re-enumerate the violations from scratch.
     fn assert_matches_scratch(idx: &mut IncrementalIndex) {
         let opts = MeasureOptions::default();
         let db = idx.db().clone();
@@ -1472,19 +1254,17 @@ mod tests {
             idx.is_consistent(),
             inconsist_constraints::is_consistent(&db, &cs)
         );
-        // The other mode must agree exactly too (unit costs throughout the
-        // tests, so the per-component sums are exact).
-        let other = match idx.mode() {
-            ReadMode::Global => ReadMode::Component,
-            ReadMode::Component => ReadMode::Global,
-        };
-        let mut cross = idx.clone();
-        cross.set_mode(other);
-        assert_eq!(cross.i_mi(), idx.i_mi());
-        assert_eq!(cross.i_p(), idx.i_p());
-        assert_eq!(cross.i_r(&opts).unwrap(), idx.i_r(&opts).unwrap());
-        assert!((cross.i_r_lin().unwrap() - idx.i_r_lin().unwrap()).abs() < 1e-9);
-        assert_eq!(cross.i_mi_dc(), idx.i_mi_dc());
+        // The per-DC counts, the assembled `MI_Σ(D)` and the per-tuple
+        // scores must agree exactly too (unit costs throughout the tests,
+        // so the per-component sums are exact).
+        assert_eq!(
+            idx.i_mi_dc(),
+            MinimalViolations { options: opts }.eval(&cs, &db).unwrap()
+        );
+        let batch = engine::minimal_inconsistent_subsets(&db, &cs, None);
+        let listed: HashSet<ViolationSet> = idx.minimal_subsets().into_iter().collect();
+        assert_eq!(listed, batch.subsets.iter().cloned().collect());
+        assert_eq!(idx.tuple_measures(), component_tuple_scores(&batch.subsets));
     }
 
     #[test]
@@ -1499,27 +1279,29 @@ mod tests {
     }
 
     #[test]
-    fn tuple_measures_agree_across_modes_and_recover_aggregates() {
+    fn tuple_measures_match_batch_and_recover_aggregates() {
         let (d1, cs) = crate::paper::airport_d1();
         let mut idx = IncrementalIndex::build(d1, cs).unwrap();
         let comp = idx.tuple_measures();
-        let mut global = idx.clone();
-        global.set_mode(ReadMode::Global);
-        // Bit-identical across read modes — PartialEq on f64 fields.
-        assert_eq!(global.tuple_measures(), comp);
+        let mi = engine::minimal_inconsistent_subsets(idx.db(), idx.constraints(), None);
+        let batch = component_tuple_scores(&mi.subsets);
+        // Bit-identical to the batch kernel over the whole database's
+        // `MI_Σ(D)` — PartialEq on f64 fields.
+        assert_eq!(batch, comp);
         // Σ cim recovers I_MI, Σ pim recovers I_P.
         let cim: f64 = comp.iter().map(|s| s.cim).sum();
         assert!((cim - idx.i_mi()).abs() < 1e-9);
         assert_eq!(comp.iter().map(|s| s.pim).sum::<f64>(), idx.i_p());
-        // Top-k: ranked by cbm first, k-bounded, identical in both modes.
+        // Top-k: ranked by cbm first, k-bounded, the batch ranking's head.
         let top = idx.top_k_tuples(3);
         assert_eq!(top.len(), 3);
-        assert_eq!(global.top_k_tuples(3), top);
+        let mut ranked = batch;
+        IncrementalIndex::rank_tuple_scores(&mut ranked);
+        assert_eq!(ranked[..3], top[..]);
         assert!(top.windows(2).all(|w| w[0].cbm >= w[1].cbm));
         // Point queries agree with the bulk listing.
         for s in &comp {
             assert_eq!(idx.tuple_measure(s.tuple), Some(*s));
-            assert_eq!(global.tuple_measure(s.tuple), Some(*s));
         }
     }
 
@@ -1780,16 +1562,16 @@ mod tests {
     }
 
     #[test]
-    fn global_mode_matches_component_mode() {
+    fn multi_component_reads_match_batch_measures() {
         let (s, r) = setup();
         let (db, firsts) = multi_component(&s, r, 3);
         let mut cs = ConstraintSet::new(Arc::clone(&s));
         cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
-        let mut idx = IncrementalIndex::build_with_mode(db, cs, ReadMode::Global).unwrap();
-        assert_eq!(idx.mode(), ReadMode::Global);
+        let mut idx = IncrementalIndex::build(db, cs).unwrap();
         assert_eq!(idx.i_mi(), 3.0);
+        assert_matches_scratch(&mut idx);
         idx.delete(firsts[2]);
-        assert_matches_scratch(&mut idx); // cross-checks Component mode too
+        assert_matches_scratch(&mut idx);
     }
 
     #[test]
@@ -1879,14 +1661,6 @@ mod tests {
         assert_eq!(idx.stats().cover_solves, 1);
         assert_eq!(idx.try_i_mi(), Some(3.0));
         assert_matches_scratch(&mut idx);
-
-        // Global mode: minimality caches serve, solver reads never do.
-        idx.set_mode(ReadMode::Global);
-        assert_eq!(idx.try_i_r(&opts), None);
-        idx.warm(&opts).unwrap();
-        assert_eq!(idx.try_i_mi(), Some(3.0));
-        assert_eq!(idx.try_i_p(), Some(6.0));
-        assert_eq!(idx.try_i_r(&opts), None);
     }
 
     /// The shared readers of `idx`, bit for bit (`to_bits`, so `-0.0`
@@ -2053,7 +1827,7 @@ mod tests {
     fn random_operation_sequences_stay_in_sync() {
         let (s, r) = setup();
         let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..8 {
+        for _ in 0..8 {
             let mut db = Database::new(Arc::clone(&s));
             for _ in 0..12 {
                 db.insert(fact3(
@@ -2078,13 +1852,7 @@ mod tests {
                 )
                 .unwrap(),
             );
-            // Alternate starting modes across trials.
-            let mode = if trial % 2 == 0 {
-                ReadMode::Component
-            } else {
-                ReadMode::Global
-            };
-            let mut idx = IncrementalIndex::build_with_mode(db, cs, mode).unwrap();
+            let mut idx = IncrementalIndex::build(db, cs).unwrap();
             for step in 0..25 {
                 let ids: Vec<TupleId> = idx.db().ids().collect();
                 match rng.gen_range(0..3) {

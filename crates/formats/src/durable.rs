@@ -16,7 +16,6 @@
 //! session cities
 //! seq 42
 //! applied 37
-//! mode component
 //! kinds str,str,int
 //! options violation_limit=20000000 mis_budget=50000000 vc_budget=50000000
 //! ids 0 1 3 2
@@ -40,6 +39,9 @@
 //! * **`kinds`** pins the column types. Re-inferring them from the dumped
 //!   rows could drift (e.g. a `float` column whose surviving values all
 //!   look integral), silently retyping replayed op values.
+//!
+//! Snapshots written before the index had a single read mode carry a
+//! `mode component` or `mode global` header line; the reader skips it.
 //!
 //! The CSV section is last because quoted CSV fields may contain
 //! newlines; everything above it is strictly line-structured.
@@ -88,8 +90,6 @@ pub struct SnapshotMeta {
     pub seq: u64,
     /// Ops applied so far (no-ops excluded) — carried for `stats` only.
     pub applied: u64,
-    /// Read mode, `component` or `global`.
-    pub mode: String,
     /// Measure budgets active when the snapshot was taken.
     pub options: MeasureOptions,
 }
@@ -120,11 +120,10 @@ pub fn write_snapshot(
     let kinds: Vec<&str> = rs.attributes().iter().map(|a| a.kind.name()).collect();
     let ids: Vec<String> = db.ids_of(rel).iter().map(|t| t.0.to_string()).collect();
     let mut out = format!(
-        "{SNAPSHOT_MAGIC}\nsession {}\nseq {}\napplied {}\nmode {}\nkinds {}\n",
+        "{SNAPSHOT_MAGIC}\nsession {}\nseq {}\napplied {}\nkinds {}\n",
         meta.session,
         meta.seq,
         meta.applied,
-        meta.mode,
         kinds.join(",")
     );
     out.push_str(&format!(
@@ -167,7 +166,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
     let mut session = None;
     let mut seq = None;
     let mut applied = 0u64;
-    let mut mode = None;
     let mut kinds: Option<Vec<ValueKind>> = None;
     let mut options = MeasureOptions::default();
     let mut ids: Option<Vec<u32>> = None;
@@ -194,10 +192,8 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
                     header_err(lineno, line, "`applied` expects an unsigned integer")
                 })?
             }
-            "mode" => match value {
-                "component" | "global" => mode = Some(value.to_string()),
-                _ => return Err(header_err(lineno, line, "`mode` is component|global")),
-            },
+            // Legacy read-mode line: every read is component-scoped now.
+            "mode" if matches!(value, "component" | "global") => {}
             "kinds" => {
                 let parsed: Result<Vec<ValueKind>, String> = value
                     .split(',')
@@ -249,7 +245,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
     }
     let session = session.ok_or("snapshot header is missing `session`")?;
     let seq = seq.ok_or("snapshot header is missing `seq`")?;
-    let mode = mode.ok_or("snapshot header is missing `mode`")?;
     let kinds = kinds.ok_or("snapshot header is missing `kinds`")?;
     let ids = ids.ok_or("snapshot header is missing `ids`")?;
     // The DC section runs until %%csv; the CSV section is the rest.
@@ -315,7 +310,6 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
             session,
             seq,
             applied,
-            mode,
             options,
         },
         db,
@@ -430,7 +424,6 @@ mod tests {
             session: "cities".into(),
             seq,
             applied: seq,
-            mode: "component".into(),
             options: MeasureOptions::default(),
         }
     }
@@ -504,7 +497,7 @@ mod tests {
     fn snapshot_errors_echo_the_line() {
         for (mangle, needle) in [
             ("seq abc", "`seq` expects"),
-            ("mode sideways", "component|global"),
+            ("mode sideways", "unknown header field"),
             ("kinds int,wat", "unknown column kind"),
             ("frob 1", "unknown header field"),
             ("ids 1 x", "`ids` expects"),

@@ -19,7 +19,6 @@
 use crate::protocol::{Payload, Request, PROTO_VERSION, SERVER_FEATURES};
 use crate::wire::Json;
 use crate::{Client, RetryPolicy};
-use inconsist::incremental::ReadMode;
 use std::fmt;
 use std::net::SocketAddr;
 
@@ -324,18 +323,11 @@ impl TypedClient {
     }
 
     /// Creates a session from inline CSV + DC text.
-    pub fn create(
-        &mut self,
-        name: &str,
-        csv: &str,
-        dc: &str,
-        mode: ReadMode,
-    ) -> Result<Json, ClientError> {
+    pub fn create(&mut self, name: &str, csv: &str, dc: &str) -> Result<Json, ClientError> {
         self.call(&Request::Create {
             session: name.to_string(),
             csv: Payload::Inline(csv.to_string()),
             dc: Payload::Inline(dc.to_string()),
-            mode,
         })
     }
 

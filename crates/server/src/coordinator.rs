@@ -300,19 +300,13 @@ impl Coordinator {
         request: Request,
     ) -> Result<Json, ServerError> {
         match request {
-            Request::Create {
-                session,
-                csv,
-                dc,
-                mode,
-            } => {
+            Request::Create { session, csv, dc } => {
                 // Paths are resolved *here*: the file lives on the
                 // coordinator's host, not the shard's.
                 let forwarded = Request::Create {
                     session: session.clone(),
                     csv: Payload::Inline(csv.read()?),
                     dc: Payload::Inline(dc.read()?),
-                    mode,
                 };
                 let (idx, shard) = self.place(&session)?;
                 let json = self.forward_to(registry, &shard, &forwarded.to_json().to_string())?;

@@ -66,7 +66,6 @@ pub use shard::Follower;
 pub use wire::Json;
 
 use event_loop::{completion_channel, EventThread, Peer};
-use inconsist::incremental::ReadMode;
 use inconsist::measures::MeasureOptions;
 use mio::{Poll, Waker};
 use parking_lot::Mutex;
@@ -97,8 +96,6 @@ pub struct ServerConfig {
     /// Per-connection response backlog (bytes) above which the server
     /// stops reading more requests from that connection.
     pub write_buffer_bytes: usize,
-    /// Read mode for sessions created through the protocol.
-    pub mode: ReadMode,
     /// Thread budget for dirty-component solves inside each session.
     pub solve_threads: usize,
     /// Measure budgets/caps applied to every read.
@@ -152,7 +149,6 @@ impl Default for ServerConfig {
             event_threads: 1,
             max_pipeline: 128,
             write_buffer_bytes: 256 * 1024,
-            mode: ReadMode::Component,
             solve_threads: 1,
             options: MeasureOptions::default(),
             durability: None,

@@ -6,7 +6,7 @@
 //! | `cmd` | fields | effect |
 //! |---|---|---|
 //! | `ping` | — | liveness probe |
-//! | `create` | `session`, `csv`/`csv_path`, `dc`/`dc_path`, `mode?` | load a database + constraints into a named session |
+//! | `create` | `session`, `csv`/`csv_path`, `dc`/`dc_path` | load a database + constraints into a named session |
 //! | `drop` | `session` | drop a session |
 //! | `sessions` | — | list live session names |
 //! | `op` | `session`, `ops`, `token?` | apply repairing operations (`.ops` lines) through the writer path; `token` makes the batch idempotent (a replayed token returns the recorded response instead of re-applying) |
@@ -38,7 +38,6 @@
 
 use crate::error::ServerError;
 use crate::wire::Json;
-use inconsist::incremental::ReadMode;
 
 /// The measures the serving layer knows how to answer.
 pub const KNOWN_MEASURES: &[&str] = &[
@@ -89,8 +88,6 @@ pub enum Request {
         csv: Payload,
         /// Inline `.dc` text or a server-side path to it.
         dc: Payload,
-        /// Read mode (`component` default).
-        mode: ReadMode,
     },
     /// Drop a session.
     Drop {
@@ -282,20 +279,10 @@ impl Request {
             | Request::Shards
             | Request::Shutdown
             | Request::Quit => {}
-            Request::Create {
-                session,
-                csv,
-                dc,
-                mode,
-            } => {
+            Request::Create { session, csv, dc } => {
                 m.push(("session", Json::str(session.clone())));
                 payload(&mut m, csv, "csv");
                 payload(&mut m, dc, "dc");
-                let name = match mode {
-                    ReadMode::Component => "component",
-                    ReadMode::Global => "global",
-                };
-                m.push(("mode", Json::str(name)));
             }
             Request::Drop { session }
             | Request::Snapshot { session }
@@ -487,23 +474,11 @@ pub fn parse_request(line: &str) -> Result<Request, ServerError> {
         "sessions" => Ok(Request::Sessions),
         "shutdown" => Ok(Request::Shutdown),
         "quit" => Ok(Request::Quit),
-        "create" => {
-            let mode = match json.get("mode").and_then(Json::as_str) {
-                None | Some("component") => ReadMode::Component,
-                Some("global") => ReadMode::Global,
-                Some(other) => {
-                    return Err(ServerError::Protocol(format!(
-                        "`mode`: expected `component` or `global`, got `{other}`"
-                    )))
-                }
-            };
-            Ok(Request::Create {
-                session: required_str(&json, "session")?,
-                csv: payload(&json, "csv", "csv_path")?,
-                dc: payload(&json, "dc", "dc_path")?,
-                mode,
-            })
-        }
+        "create" => Ok(Request::Create {
+            session: required_str(&json, "session")?,
+            csv: payload(&json, "csv", "csv_path")?,
+            dc: payload(&json, "dc", "dc_path")?,
+        }),
         "drop" => Ok(Request::Drop {
             session: required_str(&json, "session")?,
         }),
@@ -743,16 +718,13 @@ mod tests {
         );
         assert_eq!(parse_request("{\"cmd\":\"quit\"}").unwrap(), Request::Quit);
         let create = parse_request(
-            "{\"cmd\":\"create\",\"session\":\"s\",\"csv\":\"A\\n1\\n\",\"dc\":\"t.A < 0\",\"mode\":\"global\"}",
+            "{\"cmd\":\"create\",\"session\":\"s\",\"csv\":\"A\\n1\\n\",\"dc\":\"t.A < 0\"}",
         )
         .unwrap();
         match create {
-            Request::Create {
-                session, csv, mode, ..
-            } => {
+            Request::Create { session, csv, .. } => {
                 assert_eq!(session, "s");
                 assert_eq!(csv, Payload::Inline("A\n1\n".into()));
-                assert_eq!(mode, ReadMode::Global);
             }
             other => panic!("{other:?}"),
         }
@@ -903,10 +875,6 @@ mod tests {
                 "unknown measure",
             ),
             (
-                "{\"cmd\":\"create\",\"session\":\"s\",\"csv\":\"a\",\"dc\":\"x\",\"mode\":\"warp\"}",
-                "`mode`",
-            ),
-            (
                 "{\"cmd\":\"measure\",\"session\":\"s\",\"deadline_ms\":-5}",
                 "`deadline_ms`",
             ),
@@ -1046,6 +1014,11 @@ mod tests {
                 "{\"cmd\":\"tuple_measures\",\"session\":\"s\",\"unknown\":true}",
                 "tuple_measures",
             ),
+            // The read-mode field older clients send on `create`.
+            (
+                "{\"cmd\":\"create\",\"session\":\"s\",\"csv\":\"a\",\"dc\":\"x\",\"mode\":\"global\"}",
+                "create",
+            ),
         ] {
             let parsed = parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(parsed.kind(), want_kind, "{line}");
@@ -1066,13 +1039,11 @@ mod tests {
                 session: "s".into(),
                 csv: Payload::Inline("A\n1\n".into()),
                 dc: Payload::Inline("t.A < 0".into()),
-                mode: ReadMode::Global,
             },
             Request::Create {
                 session: "s".into(),
                 csv: Payload::Path("/tmp/x.csv".into()),
                 dc: Payload::Path("/tmp/x.dc".into()),
-                mode: ReadMode::Component,
             },
             Request::Drop {
                 session: "s".into(),

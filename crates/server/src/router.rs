@@ -22,6 +22,7 @@ use crate::error::ServerError;
 use crate::protocol::{parse_request, Request, PROTO_VERSION, SERVER_FEATURES};
 use crate::session::Registry;
 use crate::wire::Json;
+use inconsist::incremental::ReadMode;
 use inconsist_obs::{Counter, Gauge, Sample, Value};
 use std::time::Instant;
 
@@ -492,14 +493,9 @@ fn dispatch(
                 Json::Arr(registry.names().into_iter().map(Json::Str).collect()),
             ),
         ])),
-        Request::Create {
-            session,
-            csv,
-            dc,
-            mode,
-        } => {
+        Request::Create { session, csv, dc } => {
             let _global = admission.acquire()?;
-            let s = registry.create(&session, &csv, &dc, mode)?;
+            let s = registry.create(&session, &csv, &dc, ReadMode::Component)?;
             let mut summary = s.summary();
             if let Json::Obj(entries) = &mut summary {
                 entries.insert(0, ("ok".to_string(), Json::Bool(true)));

@@ -145,7 +145,6 @@ pub struct Session {
     name: String,
     rel: RelId,
     rel_schema: Arc<RelationSchema>,
-    mode: ReadMode,
     /// Per-session measure budgets/caps: seeded from the server-wide
     /// defaults, overridable at runtime through `set_options`, and (for
     /// durable sessions) persisted in the snapshot meta so recovery
@@ -169,29 +168,19 @@ pub struct Session {
     tokens: Mutex<TokenCache>,
 }
 
-fn mode_name(mode: ReadMode) -> &'static str {
-    match mode {
-        ReadMode::Component => "component",
-        ReadMode::Global => "global",
-    }
-}
-
-fn parse_mode(name: &str) -> ReadMode {
-    match name {
-        "global" => ReadMode::Global,
-        _ => ReadMode::Component,
-    }
-}
-
 impl Session {
     /// Loads CSV + DC text into a fresh session (full violation scan).
     /// With a [`DurabilityConfig`], the session directory is created and
     /// the initial snapshot (seq 0) written before the session serves.
+    ///
+    /// `_mode` is ignored: every read is component-scoped. The parameter
+    /// stays only for the frozen `loadbench/` crate, and the next
+    /// benchmark change removes it.
     pub fn open(
         name: &str,
         csv_text: &str,
         dc_text: &str,
-        mode: ReadMode,
+        _mode: ReadMode,
         solve_threads: usize,
         options: MeasureOptions,
         durable_cfg: Option<&DurabilityConfig>,
@@ -203,7 +192,7 @@ impl Session {
             cs.add_dc(dc);
         }
         let rel_schema = loaded.db.relation_schema(loaded.rel).clone();
-        let mut index = IncrementalIndex::build_with_mode(loaded.db, cs, mode)
+        let mut index = IncrementalIndex::build(loaded.db, cs)
             .map_err(|e| ServerError::Measure(e.to_string()))?;
         index.set_solve_threads(solve_threads);
         let durable = match durable_cfg {
@@ -213,7 +202,6 @@ impl Session {
                     session: name.to_string(),
                     seq: 0,
                     applied: 0,
-                    mode: mode_name(mode).to_string(),
                     options,
                 };
                 let text = write_snapshot(&meta, index.db(), loaded.rel, index.constraints().dcs());
@@ -227,7 +215,6 @@ impl Session {
             name: name.to_string(),
             rel: loaded.rel,
             rel_schema,
-            mode,
             options: RwLock::new(options),
             index: RwLock::new(index),
             counters: SessionCounters::default(),
@@ -258,7 +245,6 @@ impl Session {
                 snap.meta.session
             )));
         }
-        let mode = parse_mode(&snap.meta.mode);
         // The snapshotted options win over the server-wide defaults: a
         // session that overrode its budgets via `set_options` keeps them
         // across restarts, and budget-sensitive measures reproduce the
@@ -273,7 +259,7 @@ impl Session {
             cs.add_dc(dc);
         }
         let rel_schema = snap.db.relation_schema(snap.rel).clone();
-        let mut index = IncrementalIndex::build_with_mode(snap.db, cs, mode)
+        let mut index = IncrementalIndex::build(snap.db, cs)
             .map_err(|e| ServerError::Measure(e.to_string()))?;
         index.set_solve_threads(solve_threads);
         let mut replay_applied = 0u64;
@@ -302,7 +288,6 @@ impl Session {
             name: name.to_string(),
             rel: snap.rel,
             rel_schema,
-            mode,
             options: RwLock::new(options),
             index: RwLock::new(index),
             counters,
@@ -405,7 +390,6 @@ impl Session {
             ("constraints", Json::Num(idx.constraints().len() as f64)),
             ("raw", Json::Num(idx.raw_violations() as f64)),
             ("components", Json::Num(idx.component_count() as f64)),
-            ("mode", Json::str(mode_name(self.mode))),
             ("durable", Json::Bool(self.durable.is_some())),
         ])
     }
@@ -518,7 +502,6 @@ impl Session {
             session: self.name.clone(),
             seq,
             applied: self.counters.ops_applied.get(),
-            mode: mode_name(self.mode).to_string(),
             options: *self.options.read(),
         };
         write_snapshot(&meta, idx.db(), self.rel, idx.constraints().dcs())
@@ -829,7 +812,9 @@ impl Session {
     ) -> Result<Json, ServerError> {
         let last = self.last_served.lock();
         let mut values: Vec<(String, Json)> = Vec::with_capacity(measures.len() + 1);
-        let mut as_of = u64::MAX;
+        // Every recorded seq is at most the current one, so an empty
+        // request answers as of now.
+        let mut as_of = self.counters.op_seq.get();
         for m in measures {
             match last.values.get(m) {
                 Some((seq, v)) => {
@@ -1326,6 +1311,10 @@ impl Registry {
     }
 
     /// Creates a session; the expensive load runs outside the map lock.
+    ///
+    /// `mode` is ignored and passed through only because the frozen
+    /// `loadbench/` crate still supplies it; the next benchmark change
+    /// removes it, as on [`Session::open`].
     pub fn create(
         &self,
         name: &str,
@@ -1925,9 +1914,12 @@ mod tests {
         let (_reg, s) = registry_with_session();
         let opts = MeasureOptions::default();
         let names: Vec<String> = vec!["I_MI".to_string(), "raw".to_string()];
+        // One op first (off the DC's columns), so the current seq is not 0.
+        s.apply_ops("update 3 Pop 9").unwrap();
         // Seed the last-served cache with one full read.
         s.measure(&names, false, &opts).unwrap();
         let seq = s.counters().op_seq.get();
+        assert_eq!(seq, 1);
         // A writer pins the index; a 1ms-deadline read cannot get in and
         // must answer from the last fully-served values.
         let _writer = s.index.write();
@@ -1940,6 +1932,14 @@ mod tests {
         );
         assert_eq!(value(&resp, "I_MI"), 1.0);
         assert_eq!(s.counters().stale_reads.get(), 1);
+        // An empty measure list is answered as of the current seq.
+        let empty = s.measure_deadline(&[], false, &opts, 1).unwrap();
+        assert_eq!(empty.get("stale").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            empty.get("as_of_seq").and_then(Json::as_f64),
+            Some(seq as f64)
+        );
+        assert_eq!(s.counters().stale_reads.get(), 2);
         // A measure that was never fully served has nothing to fall back
         // to: fail loudly rather than invent a value.
         let err = s

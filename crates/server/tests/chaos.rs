@@ -14,14 +14,17 @@
 //!   session keeps applying and measuring, no temp files are stranded;
 //! * **recovery is bit-identical or loud** — after every injected
 //!   crash, `Session::recover` lands exactly on the acknowledged op
-//!   prefix (verified against a from-scratch replay in *both* read
-//!   modes), or fails with an error instead of silently skipping data.
+//!   prefix (verified against a from-scratch index replay and the batch
+//!   measures), or fails with an error instead of silently skipping data.
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! one mutex and disarms all sites on entry and exit (panic included).
 
 use inconsist::incremental::{IncrementalIndex, ReadMode};
-use inconsist::measures::MeasureOptions;
+use inconsist::measures::{
+    InconsistencyMeasure, LinearMinimumRepair, MeasureOptions, MinimalInconsistentSubsets,
+    MinimumRepair, ProblematicFacts,
+};
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
 use inconsist_formats::opsfile::parse_ops_file;
@@ -72,12 +75,12 @@ fn fresh_cfg(fsync: FsyncPolicy, segment_bytes: Option<u64>) -> DurabilityConfig
     }
 }
 
-fn open(cfg: &DurabilityConfig, mode: ReadMode) -> Session {
+fn open(cfg: &DurabilityConfig) -> Session {
     Session::open(
         "t",
         &fixture_csv(),
         FIXTURE_DC,
-        mode,
+        ReadMode::Component,
         1,
         MeasureOptions::default(),
         Some(cfg),
@@ -104,19 +107,11 @@ fn measures(session: &Session) -> Vec<(String, f64)> {
 }
 
 /// From-scratch ground truth: rebuild from the fixture CSV and replay the
-/// acknowledged op lines through a fresh index in `mode`.
-fn scratch_measures(ops: &[String], mode: ReadMode) -> Vec<(String, f64)> {
-    let loaded = load_csv(&fixture_csv(), "t").unwrap();
-    let dcs = parse_dc_file(&loaded.schema, "t", FIXTURE_DC).unwrap();
-    let mut cs = inconsist::constraints::ConstraintSet::new(Arc::clone(&loaded.schema));
-    for dc in dcs {
-        cs.add_dc(dc);
-    }
-    let rel_schema = loaded.db.relation_schema(loaded.rel).clone();
-    let mut idx = IncrementalIndex::build_with_mode(loaded.db, cs, mode).unwrap();
-    for line in ops {
-        let parsed = parse_ops_file(&rel_schema, loaded.rel, line).unwrap();
-        idx.apply(&parsed[0]);
+/// acknowledged op lines through a fresh index.
+fn scratch_measures(ops: &[String]) -> Vec<(String, f64)> {
+    let (mut idx, parsed) = fixture_index(ops);
+    for op in &parsed {
+        idx.apply(op);
     }
     let opts = MeasureOptions::default();
     vec![
@@ -129,14 +124,58 @@ fn scratch_measures(ops: &[String], mode: ReadMode) -> Vec<(String, f64)> {
     ]
 }
 
+/// The definitional oracle: apply the op lines to the fixture database
+/// and evaluate the batch measures, which re-enumerate the violations.
+/// `raw`/`components` come from an index built over the final database.
+fn batch_measures(ops: &[String]) -> Vec<(String, f64)> {
+    let (idx, parsed) = fixture_index(ops);
+    let cs = idx.constraints().clone();
+    let mut db = idx.into_db();
+    for op in &parsed {
+        op.apply(&mut db);
+    }
+    let fresh = IncrementalIndex::build(db, cs).unwrap();
+    let options = MeasureOptions::default();
+    let eval = |m: &dyn InconsistencyMeasure| m.eval(fresh.constraints(), fresh.db()).unwrap();
+    vec![
+        (
+            "I_MI".to_string(),
+            eval(&MinimalInconsistentSubsets { options }),
+        ),
+        ("I_P".to_string(), eval(&ProblematicFacts { options })),
+        ("I_R".to_string(), eval(&MinimumRepair { options })),
+        (
+            "I_R^lin".to_string(),
+            eval(&LinearMinimumRepair { options }),
+        ),
+        ("raw".to_string(), fresh.raw_violations() as f64),
+        ("components".to_string(), fresh.component_count() as f64),
+    ]
+}
+
+/// A fresh index over the fixture, plus `ops` parsed against its schema.
+fn fixture_index(ops: &[String]) -> (IncrementalIndex, Vec<inconsist::repair::RepairOp>) {
+    let loaded = load_csv(&fixture_csv(), "t").unwrap();
+    let dcs = parse_dc_file(&loaded.schema, "t", FIXTURE_DC).unwrap();
+    let mut cs = inconsist::constraints::ConstraintSet::new(Arc::clone(&loaded.schema));
+    for dc in dcs {
+        cs.add_dc(dc);
+    }
+    let rel_schema = loaded.db.relation_schema(loaded.rel).clone();
+    let parsed = ops
+        .iter()
+        .map(|line| parse_ops_file(&rel_schema, loaded.rel, line).unwrap()[0].clone())
+        .collect();
+    (IncrementalIndex::build(loaded.db, cs).unwrap(), parsed)
+}
+
 /// Recovery must land exactly on the acknowledged ops, bit-identical to a
-/// from-scratch replay in both read modes.
+/// from-scratch index replay and to the batch measures.
 fn assert_recovers_to(cfg: &DurabilityConfig, acked: &[String]) {
     let recovered = Session::recover(cfg, "t", 1, MeasureOptions::default()).unwrap();
     let got = measures(&recovered);
-    for mode in [ReadMode::Component, ReadMode::Global] {
-        assert_eq!(got, scratch_measures(acked, mode), "replay in {mode:?}");
-    }
+    assert_eq!(got, scratch_measures(acked), "index replay");
+    assert_eq!(got, batch_measures(acked), "batch measures");
 }
 
 fn no_temp_files(dir: &std::path::Path) {
@@ -160,32 +199,30 @@ fn append_faults_are_all_or_nothing() {
         ("wal.append.fsync", "err:injected fsync failure"),
         ("wal.append.write", "torn:5"),
     ];
-    for mode in [ReadMode::Component, ReadMode::Global] {
-        for (site, spec) in sites {
-            let cfg = fresh_cfg(FsyncPolicy::Always, None);
-            let session = open(&cfg, mode);
-            let mut acked = Vec::new();
-            for line in ["update 0 B 1", "update 3 B 1", "insert 2,1"] {
-                session.apply_ops(line).unwrap();
-                acked.push(line.to_string());
-            }
-            let before = measures(&session);
-
-            failpoints::config(site, spec).unwrap();
-            let err = session.apply_ops("update 1 B 99").unwrap_err();
-            assert!(err.to_string().contains(site), "{err}");
-            failpoints::config(site, "off").unwrap();
-
-            // The failed batch must not have been applied...
-            assert_eq!(measures(&session), before, "{site} leaked a batch");
-            // ...and the log must be intact for further writes.
-            session.apply_ops("update 1 B 99").unwrap();
-            acked.push("update 1 B 99".to_string());
-
-            drop(session);
-            assert_recovers_to(&cfg, &acked);
-            std::fs::remove_dir_all(&cfg.data_dir).ok();
+    for (site, spec) in sites {
+        let cfg = fresh_cfg(FsyncPolicy::Always, None);
+        let session = open(&cfg);
+        let mut acked = Vec::new();
+        for line in ["update 0 B 1", "update 3 B 1", "insert 2,1"] {
+            session.apply_ops(line).unwrap();
+            acked.push(line.to_string());
         }
+        let before = measures(&session);
+
+        failpoints::config(site, spec).unwrap();
+        let err = session.apply_ops("update 1 B 99").unwrap_err();
+        assert!(err.to_string().contains(site), "{err}");
+        failpoints::config(site, "off").unwrap();
+
+        // The failed batch must not have been applied...
+        assert_eq!(measures(&session), before, "{site} leaked a batch");
+        // ...and the log must be intact for further writes.
+        session.apply_ops("update 1 B 99").unwrap();
+        acked.push("update 1 B 99".to_string());
+
+        drop(session);
+        assert_recovers_to(&cfg, &acked);
+        std::fs::remove_dir_all(&cfg.data_dir).ok();
     }
 }
 
@@ -195,49 +232,47 @@ fn append_faults_are_all_or_nothing() {
 #[test]
 fn failed_rollback_wedges_and_recovery_drops_the_torn_tail() {
     let _armed = arm();
-    for mode in [ReadMode::Component, ReadMode::Global] {
-        let cfg = fresh_cfg(FsyncPolicy::Never, None);
-        let session = open(&cfg, mode);
-        let acked = vec!["update 0 B 1".to_string(), "update 3 B 2".to_string()];
-        for line in &acked {
-            session.apply_ops(line).unwrap();
-        }
-        let before = measures(&session);
-
-        failpoints::config("wal.append.write", "torn:7").unwrap();
-        failpoints::config("wal.append.truncate", "err:rollback denied").unwrap();
-        session.apply_ops("update 1 B 99").unwrap_err();
-        failpoints::clear_all();
-
-        // Wedged: the next append is refused with the original cause...
-        let err = session.apply_ops("update 1 B 99").unwrap_err();
-        assert!(err.to_string().contains("wedged"), "{err}");
-        // ...stats say so...
-        let wedged = session
-            .stats()
-            .get("durability")
-            .and_then(|d| d.get("wedged"))
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        assert!(wedged.is_some(), "stats should expose the wedge");
-        // ...but reads still serve the acknowledged state.
-        assert_eq!(measures(&session), before);
-        drop(session);
-
-        // The 7 torn bytes are on disk; recovery must drop them.
-        let recovered = Session::recover(&cfg, "t", 1, MeasureOptions::default()).unwrap();
-        let torn = recovered
-            .stats()
-            .get("durability")
-            .and_then(|d| d.get("recovery"))
-            .and_then(|r| r.get("torn_tail_dropped"))
-            .and_then(Json::as_bool);
-        assert_eq!(torn, Some(true), "recovery should report the torn tail");
-        assert_eq!(recovered.counters().op_seq.get(), acked.len() as u64);
-        drop(recovered);
-        assert_recovers_to(&cfg, &acked);
-        std::fs::remove_dir_all(&cfg.data_dir).ok();
+    let cfg = fresh_cfg(FsyncPolicy::Never, None);
+    let session = open(&cfg);
+    let acked = vec!["update 0 B 1".to_string(), "update 3 B 2".to_string()];
+    for line in &acked {
+        session.apply_ops(line).unwrap();
     }
+    let before = measures(&session);
+
+    failpoints::config("wal.append.write", "torn:7").unwrap();
+    failpoints::config("wal.append.truncate", "err:rollback denied").unwrap();
+    session.apply_ops("update 1 B 99").unwrap_err();
+    failpoints::clear_all();
+
+    // Wedged: the next append is refused with the original cause...
+    let err = session.apply_ops("update 1 B 99").unwrap_err();
+    assert!(err.to_string().contains("wedged"), "{err}");
+    // ...stats say so...
+    let wedged = session
+        .stats()
+        .get("durability")
+        .and_then(|d| d.get("wedged"))
+        .and_then(Json::as_str)
+        .map(str::to_string);
+    assert!(wedged.is_some(), "stats should expose the wedge");
+    // ...but reads still serve the acknowledged state.
+    assert_eq!(measures(&session), before);
+    drop(session);
+
+    // The 7 torn bytes are on disk; recovery must drop them.
+    let recovered = Session::recover(&cfg, "t", 1, MeasureOptions::default()).unwrap();
+    let torn = recovered
+        .stats()
+        .get("durability")
+        .and_then(|d| d.get("recovery"))
+        .and_then(|r| r.get("torn_tail_dropped"))
+        .and_then(Json::as_bool);
+    assert_eq!(torn, Some(true), "recovery should report the torn tail");
+    assert_eq!(recovered.counters().op_seq.get(), acked.len() as u64);
+    drop(recovered);
+    assert_recovers_to(&cfg, &acked);
+    std::fs::remove_dir_all(&cfg.data_dir).ok();
 }
 
 /// Snapshot- and compact-path faults fail the maintenance request but
@@ -255,39 +290,37 @@ fn snapshot_and_compact_faults_leave_serving_state_intact() {
         ("compact.write", true),
         ("compact.rename", true),
     ];
-    for mode in [ReadMode::Component, ReadMode::Global] {
-        for (site, is_compact) in sites {
-            let cfg = fresh_cfg(FsyncPolicy::Always, None);
-            let session = open(&cfg, mode);
-            let mut acked = vec!["update 0 B 1".to_string()];
-            session.apply_ops(&acked[0]).unwrap();
-            if is_compact {
-                // Give compaction something to drop.
-                session.snapshot().unwrap();
-            }
-            let before = measures(&session);
-
-            failpoints::config(site, "err:injected").unwrap();
-            let err = if is_compact {
-                session.compact().unwrap_err()
-            } else {
-                session.snapshot().unwrap_err()
-            };
-            assert!(err.to_string().contains(site), "{err}");
-            failpoints::config(site, "off").unwrap();
-
-            no_temp_files(&cfg.data_dir.join("t"));
-            assert_eq!(measures(&session), before, "{site} disturbed state");
-            // The session still writes and maintains.
-            session.apply_ops("update 1 B 2").unwrap();
-            acked.push("update 1 B 2".to_string());
+    for (site, is_compact) in sites {
+        let cfg = fresh_cfg(FsyncPolicy::Always, None);
+        let session = open(&cfg);
+        let mut acked = vec!["update 0 B 1".to_string()];
+        session.apply_ops(&acked[0]).unwrap();
+        if is_compact {
+            // Give compaction something to drop.
             session.snapshot().unwrap();
-            session.compact().unwrap();
-
-            drop(session);
-            assert_recovers_to(&cfg, &acked);
-            std::fs::remove_dir_all(&cfg.data_dir).ok();
         }
+        let before = measures(&session);
+
+        failpoints::config(site, "err:injected").unwrap();
+        let err = if is_compact {
+            session.compact().unwrap_err()
+        } else {
+            session.snapshot().unwrap_err()
+        };
+        assert!(err.to_string().contains(site), "{err}");
+        failpoints::config(site, "off").unwrap();
+
+        no_temp_files(&cfg.data_dir.join("t"));
+        assert_eq!(measures(&session), before, "{site} disturbed state");
+        // The session still writes and maintains.
+        session.apply_ops("update 1 B 2").unwrap();
+        acked.push("update 1 B 2".to_string());
+        session.snapshot().unwrap();
+        session.compact().unwrap();
+
+        drop(session);
+        assert_recovers_to(&cfg, &acked);
+        std::fs::remove_dir_all(&cfg.data_dir).ok();
     }
 }
 
@@ -299,7 +332,7 @@ fn rotation_and_unlink_faults_are_contained() {
     let _armed = arm();
     // Rotate after every batch: 1-byte threshold.
     let cfg = fresh_cfg(FsyncPolicy::Never, Some(1));
-    let session = open(&cfg, ReadMode::Component);
+    let session = open(&cfg);
     let mut acked = Vec::new();
 
     // Seal rename fails: the append itself still succeeds and the log
@@ -349,7 +382,7 @@ fn rotation_and_unlink_faults_are_contained() {
 fn recover_read_faults_fail_loudly() {
     let _armed = arm();
     let cfg = fresh_cfg(FsyncPolicy::Never, None);
-    let session = open(&cfg, ReadMode::Component);
+    let session = open(&cfg);
     let acked = vec!["update 0 B 1".to_string()];
     session.apply_ops(&acked[0]).unwrap();
     drop(session);

@@ -1,8 +1,9 @@
 //! Durability property test: random interleavings of repair ops,
 //! snapshots, log compactions and *simulated truncated-log crashes*
 //! recover to exactly the state a from-scratch [`IncrementalIndex`]
-//! reaches by replaying the surviving op prefix — bit-identical
-//! `I_MI`/`I_P`/`I_R`/`I_R^lin` in **both** read modes.
+//! reaches by replaying the surviving op prefix, and to the batch
+//! measures evaluated on that prefix — bit-identical
+//! `I_MI`/`I_P`/`I_R`/`I_R^lin`.
 //!
 //! The crash simulation chops an arbitrary number of bytes off the end
 //! of `ops.log`, which can land anywhere inside the final record (or eat
@@ -13,7 +14,11 @@
 //! the test computes `K` independently by scanning the truncated file.
 
 use inconsist::incremental::{IncrementalIndex, ReadMode};
-use inconsist::measures::MeasureOptions;
+use inconsist::measures::{
+    InconsistencyMeasure, LinearMinimumRepair, MeasureOptions, MinimalInconsistentSubsets,
+    MinimumRepair, ProblematicFacts,
+};
+use inconsist::repair::RepairOp;
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
 use inconsist_formats::durable::parse_log;
@@ -103,9 +108,8 @@ fn measures(session: &Session) -> Vec<(String, f64)> {
     }
 }
 
-/// From-scratch ground truth: rebuild from the original CSV and replay
-/// ops `1..=k` through a fresh index in `mode`.
-fn scratch_measures(csv: &str, ops: &[String], k: u64, mode: ReadMode) -> Vec<(String, f64)> {
+/// A fresh index over `csv`, plus ops `1..=k` parsed against its schema.
+fn fixture_index(csv: &str, ops: &[String], k: u64) -> (IncrementalIndex, Vec<RepairOp>) {
     let loaded = load_csv(csv, "t").unwrap();
     let dcs = parse_dc_file(&loaded.schema, "t", FIXTURE_DC).unwrap();
     let mut cs = inconsist::constraints::ConstraintSet::new(Arc::clone(&loaded.schema));
@@ -113,10 +117,48 @@ fn scratch_measures(csv: &str, ops: &[String], k: u64, mode: ReadMode) -> Vec<(S
         cs.add_dc(dc);
     }
     let rel_schema = loaded.db.relation_schema(loaded.rel).clone();
-    let mut idx = IncrementalIndex::build_with_mode(loaded.db, cs, mode).unwrap();
-    for line in &ops[..k as usize] {
-        let parsed = parse_ops_file(&rel_schema, loaded.rel, line).unwrap();
-        idx.apply(&parsed[0]);
+    let parsed = ops[..k as usize]
+        .iter()
+        .map(|line| parse_ops_file(&rel_schema, loaded.rel, line).unwrap()[0].clone())
+        .collect();
+    (IncrementalIndex::build(loaded.db, cs).unwrap(), parsed)
+}
+
+/// The definitional oracle: apply ops `1..=k` to the original database
+/// and evaluate the batch measures, which re-enumerate the violations.
+/// `raw`/`components` come from an index built over the final database.
+fn batch_measures(csv: &str, ops: &[String], k: u64) -> Vec<(String, f64)> {
+    let (idx, parsed) = fixture_index(csv, ops, k);
+    let cs = idx.constraints().clone();
+    let mut db = idx.into_db();
+    for op in &parsed {
+        op.apply(&mut db);
+    }
+    let fresh = IncrementalIndex::build(db, cs).unwrap();
+    let options = MeasureOptions::default();
+    let eval = |m: &dyn InconsistencyMeasure| m.eval(fresh.constraints(), fresh.db()).unwrap();
+    vec![
+        (
+            "I_MI".to_string(),
+            eval(&MinimalInconsistentSubsets { options }),
+        ),
+        ("I_P".to_string(), eval(&ProblematicFacts { options })),
+        ("I_R".to_string(), eval(&MinimumRepair { options })),
+        (
+            "I_R^lin".to_string(),
+            eval(&LinearMinimumRepair { options }),
+        ),
+        ("raw".to_string(), fresh.raw_violations() as f64),
+        ("components".to_string(), fresh.component_count() as f64),
+    ]
+}
+
+/// From-scratch ground truth: rebuild from the original CSV and replay
+/// ops `1..=k` through a fresh index.
+fn scratch_measures(csv: &str, ops: &[String], k: u64) -> Vec<(String, f64)> {
+    let (mut idx, parsed) = fixture_index(csv, ops, k);
+    for op in &parsed {
+        idx.apply(op);
     }
     let opts = MeasureOptions::default();
     vec![
@@ -152,18 +194,16 @@ proptest! {
 
     /// Random ops, snapshots and compactions; then a crash that truncates
     /// the log at an arbitrary byte; recovery must land exactly on the
-    /// surviving prefix, in both read modes.
+    /// surviving prefix, as an index replay and the batch measures see it.
     #[test]
     fn truncated_log_recovery_matches_from_scratch_replay(
         actions in action_strategy(),
         cut in 0usize..48,
-        global_mode in 0u8..2,
     ) {
         let cfg = fresh_cfg();
         let csv = fixture_csv();
-        let mode = if global_mode == 1 { ReadMode::Global } else { ReadMode::Component };
         let session = Session::open(
-            "t", &csv, FIXTURE_DC, mode, 1, MeasureOptions::default(), Some(&cfg),
+            "t", &csv, FIXTURE_DC, ReadMode::Component, 1, MeasureOptions::default(), Some(&cfg),
         ).unwrap();
         let actions = decode(&actions);
         let mut ops: Vec<String> = Vec::new();
@@ -199,10 +239,8 @@ proptest! {
         let recovered = Session::recover(&cfg, "t", 1, MeasureOptions::default()).unwrap();
         let got = measures(&recovered);
         prop_assert_eq!(recovered.counters().op_seq.get(), k);
-        for scratch_mode in [ReadMode::Component, ReadMode::Global] {
-            let want = scratch_measures(&csv, &ops, k, scratch_mode);
-            prop_assert_eq!(&got, &want);
-        }
+        prop_assert_eq!(&got, &scratch_measures(&csv, &ops, k));
+        prop_assert_eq!(&got, &batch_measures(&csv, &ops, k));
         drop(recovered);
         std::fs::remove_dir_all(&cfg.data_dir).ok();
     }
@@ -247,12 +285,9 @@ fn sealed_segments_recover_in_order_and_compact_by_unlink() {
     let recovered = Session::recover(&cfg, "t", 1, MeasureOptions::default()).unwrap();
     assert_eq!(recovered.counters().op_seq.get(), ops.len() as u64);
     assert_eq!(measures(&recovered), expected);
-    for mode in [ReadMode::Component, ReadMode::Global] {
-        assert_eq!(
-            measures(&recovered),
-            scratch_measures(&csv, &ops, ops.len() as u64, mode)
-        );
-    }
+    let k = ops.len() as u64;
+    assert_eq!(measures(&recovered), scratch_measures(&csv, &ops, k));
+    assert_eq!(measures(&recovered), batch_measures(&csv, &ops, k));
 
     // A snapshot covers every sealed segment; compaction unlinks them.
     recovered.snapshot().unwrap();
@@ -301,5 +336,69 @@ fn mid_log_corruption_fails_recovery_loudly() {
     assert!(matches!(err, ServerError::Io(_)), "{err}");
     let msg = err.to_string();
     assert!(msg.contains("oplog line 1"), "{msg}");
+    std::fs::remove_dir_all(&cfg.data_dir).ok();
+}
+
+/// A data dir written before the index had a single read mode recovers:
+/// its snapshot header carries a `mode global` line, which the reader
+/// skips, and the recovered session serves exactly what a fresh session
+/// over the same data and ops serves.
+#[test]
+fn legacy_global_mode_snapshot_recovers_bit_identically() {
+    let cfg = fresh_cfg();
+    let csv = fixture_csv();
+    let session = Session::open(
+        "t",
+        &csv,
+        FIXTURE_DC,
+        ReadMode::Component,
+        1,
+        MeasureOptions::default(),
+        Some(&cfg),
+    )
+    .unwrap();
+    let ops = ["update 0 B 7", "insert 2,40", "delete 4", "update 9 A 1"];
+    session.apply_ops(ops[0]).unwrap();
+    session.apply_ops(ops[1]).unwrap();
+    session.snapshot().unwrap();
+    session.apply_ops(ops[2]).unwrap(); // log tail past the snapshot
+    session.apply_ops(ops[3]).unwrap();
+    drop(session); // crash: no shutdown snapshot
+
+    // Rewrite the newest snapshot in the older header layout.
+    let dir = cfg.data_dir.join("t");
+    let path = dir.join(format!("snapshot-{:020}.snap", newest_snapshot_seq(&dir)));
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(!text.contains("\nmode "), "{text}");
+    let legacy = text.replacen("\nkinds ", "\nmode global\nkinds ", 1);
+    assert_ne!(legacy, text);
+    std::fs::write(&path, legacy).unwrap();
+
+    let recovered = Session::recover(&cfg, "t", 1, MeasureOptions::default()).unwrap();
+    let fresh = Session::open(
+        "t",
+        &csv,
+        FIXTURE_DC,
+        ReadMode::Component,
+        1,
+        MeasureOptions::default(),
+        None,
+    )
+    .unwrap();
+    for line in ops {
+        fresh.apply_ops(line).unwrap();
+    }
+    let bits = |s: &Session| -> Vec<(String, u64)> {
+        measures(s)
+            .into_iter()
+            .map(|(k, v)| (k, v.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&recovered), bits(&fresh));
+    assert_eq!(recovered.counters().op_seq.get(), ops.len() as u64);
+    let top = |s: &Session| s.tuple_measures(5, None).unwrap().get("tuples").cloned();
+    assert!(top(&recovered).is_some());
+    assert_eq!(top(&recovered), top(&fresh));
+    drop(recovered);
     std::fs::remove_dir_all(&cfg.data_dir).ok();
 }

@@ -20,7 +20,6 @@
 //!   `kind:"unavailable"` (never a silently wrong aggregate — a dead
 //!   shard fails the gather loudly).
 
-use inconsist::incremental::ReadMode;
 use inconsist_server::durable::{DurabilityConfig, FsyncPolicy};
 use inconsist_server::{
     serve, ClientBuilder, CoordinatorConfig, Json, ServerConfig, ServerHandle, TypedClient,
@@ -232,10 +231,10 @@ proptest! {
         let csv = fixture_csv();
         for name in SESSIONS {
             let a = single_client
-                .create(name, &csv, FIXTURE_DC, ReadMode::Component)
+                .create(name, &csv, FIXTURE_DC)
                 .expect("create single");
             let b = coord_client
-                .create(name, &csv, FIXTURE_DC, ReadMode::Component)
+                .create(name, &csv, FIXTURE_DC)
                 .expect("create sharded");
             prop_assert_eq!(
                 a.get("tuples").and_then(Json::as_f64),
@@ -346,9 +345,7 @@ fn drop_leaves_every_shard_recoverable() {
     let csv = fixture_csv();
     let mut want: Vec<(String, String)> = Vec::new();
     for (i, name) in SESSIONS.iter().enumerate() {
-        client
-            .create(name, &csv, FIXTURE_DC, ReadMode::Component)
-            .expect("create");
+        client.create(name, &csv, FIXTURE_DC).expect("create");
         client
             .session(name)
             .apply_ops(&format!("update {i} B {}", 100 + i), None)
@@ -411,9 +408,7 @@ fn follower_replicates_bit_identically_and_tags_stale() {
     let primary = start_server("127.0.0.1:0", primary_dir.clone());
     let mut client = connect(primary.addr());
     let csv = fixture_csv();
-    client
-        .create("t", &csv, FIXTURE_DC, ReadMode::Component)
-        .expect("create");
+    client.create("t", &csv, FIXTURE_DC).expect("create");
     client
         .session("t")
         .apply_ops("update 0 B 99\nupdate 1 B 99", None)

@@ -7,9 +7,9 @@
 //!
 //! * **epoll** (Linux, the default there): `epoll_create1` /
 //!   `epoll_ctl` / `epoll_wait`, level-triggered;
-//! * **poll(2)** (every other unix, and Linux under
-//!   `MIO_SHIM_FORCE_POLL=1` so CI exercises it): a registration table
-//!   replayed into a `pollfd` array per wait.
+//! * **poll(2)** (every other unix): a registration table replayed into
+//!   a `pollfd` array per wait. [`Poll::with_backend`] selects it on
+//!   Linux too, which is how the unit tests cover both backends.
 //!
 //! Both are *level-triggered*: an event keeps firing until its cause is
 //! drained, which is the simpler contract for the server's event loop
@@ -218,7 +218,7 @@ impl<'a> IntoIterator for &'a Events {
 pub enum Backend {
     /// Linux `epoll` (default on Linux).
     Epoll,
-    /// Portable `poll(2)` (default elsewhere; `MIO_SHIM_FORCE_POLL=1`
+    /// Portable `poll(2)` (default elsewhere; [`Poll::with_backend`]
     /// selects it on Linux too, so tests cover both).
     PollSyscall,
 }
@@ -239,11 +239,10 @@ pub struct Poll {
 }
 
 impl Poll {
-    /// A selector on the platform-default backend (epoll on Linux unless
-    /// `MIO_SHIM_FORCE_POLL=1`, `poll(2)` elsewhere).
+    /// A selector on the platform-default backend (epoll on Linux,
+    /// `poll(2)` elsewhere).
     pub fn new() -> io::Result<Poll> {
-        let force_poll = std::env::var_os("MIO_SHIM_FORCE_POLL").is_some_and(|v| v == "1");
-        if cfg!(target_os = "linux") && !force_poll {
+        if cfg!(target_os = "linux") {
             Poll::with_backend(Backend::Epoll)
         } else {
             Poll::with_backend(Backend::PollSyscall)

@@ -75,9 +75,9 @@ pub struct TupleScores {
 /// The computation is **canonical**: per tuple, the subset sizes are
 /// collected, sorted ascending and summed in that order. The result is
 /// therefore bit-identical no matter how `minimal` is ordered — which is
-/// what lets component-mode reads (per-component lists) and global-mode
-/// reads (one concatenated list) agree float-for-float. Output is sorted
-/// by tuple id.
+/// what lets the index's per-component lists and the batch path's one
+/// whole-database list agree float-for-float. Output is sorted by tuple
+/// id.
 pub fn component_tuple_scores<S: AsRef<[inconsist_relational::TupleId]>>(
     minimal: &[S],
 ) -> Vec<TupleScores> {

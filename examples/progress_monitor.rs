@@ -5,8 +5,8 @@
 //! I_R^lin) decay smoothly toward zero; bad ones (I_d) stay flat until the
 //! very end and I_P collapses in jumps.
 //!
-//! The measure trace is read from an [`IncrementalIndex`] in
-//! component-scoped mode: each greedy deletion dirties one conflict
+//! The measure trace is read from an [`IncrementalIndex`], whose reads
+//! are component-scoped: each greedy deletion dirties one conflict
 //! component, so every re-read after the first filters and solves only
 //! that component instead of the whole database — the read-side stats are
 //! printed at the end.

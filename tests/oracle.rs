@@ -325,7 +325,9 @@ fn ir_matches_subset_minimization_with_costs() {
 
 #[test]
 fn tuple_measures_match_naive_mi_oracle() {
-    use inconsist::incremental::{IncrementalIndex, ReadMode};
+    use inconsist::constraints::engine;
+    use inconsist::incremental::IncrementalIndex;
+    use inconsist::solver::component_tuple_scores;
     use std::collections::BTreeMap;
     for seed in 0..60 {
         let inst = random_instance(seed);
@@ -343,14 +345,15 @@ fn tuple_measures_match_naive_mi_oracle() {
             ks.sort_unstable();
         }
 
+        // The batch kernel over the engine's whole-database listing.
+        let batch = component_tuple_scores(
+            &engine::minimal_inconsistent_subsets(&inst.db, &inst.cs, None).subsets,
+        );
         let mut comp = IncrementalIndex::build(inst.db, inst.cs).unwrap();
-        let inst2 = random_instance(seed);
-        let mut glob = IncrementalIndex::build(inst2.db, inst2.cs).unwrap();
-        glob.set_mode(ReadMode::Global);
 
         let scores = comp.tuple_measures();
-        // The two read modes must agree bit for bit.
-        assert_eq!(scores, glob.tuple_measures(), "seed {seed}: mode skew");
+        // The component-scoped index and the batch path agree bit for bit.
+        assert_eq!(scores, batch, "seed {seed}: index vs batch skew");
 
         // Exactly the problematic tuples appear, each matching the oracle.
         assert_eq!(scores.len(), sizes.len(), "seed {seed}");
@@ -435,7 +438,7 @@ fn incremental_index_matches_oracle_after_random_ops() {
         let mut expected = naive_mi(idx.db(), idx.constraints());
         expected.sort();
         let mut actual: Vec<Vec<TupleId>> =
-            idx.minimal_subsets().iter().map(|s| s.to_vec()).collect();
+            idx.minimal_subsets().into_iter().map(Vec::from).collect();
         actual.sort();
         assert_eq!(actual, expected, "seed {seed}");
         let _ = s;

@@ -8,7 +8,7 @@ use inconsist::constraints::{
 };
 use inconsist::measures::{
     InconsistencyMeasure, LinearMinimumRepair, MaximalConsistentSubsetsWithSelf, MeasureOptions,
-    MinimalInconsistentSubsets, MinimumRepair, ProblematicFacts,
+    MinimalInconsistentSubsets, MinimalViolations, MinimumRepair, ProblematicFacts,
 };
 use inconsist::relational::{relation, AttrId, Database, Fact, RelId, Schema, Value, ValueKind};
 use proptest::prelude::*;
@@ -279,9 +279,9 @@ proptest! {
     fn component_caches_survive_merges_and_splits(
         seed_rows in prop::collection::vec(0i64..3, 4..12),
         ops in prop::collection::vec((0u8..4, 0usize..24, 0i64..3, 0i64..4), 1..12),
-        global_start in 0u8..2,
     ) {
-        use inconsist::incremental::{IncrementalIndex, ReadMode};
+        use inconsist::incremental::IncrementalIndex;
+        use inconsist::solver::component_tuple_scores;
         // Blocked layout under A→B: tuples with equal A conflict pairwise
         // when B differs. A has a tiny domain, and a second FD B→C lets a
         // single insert bridge an A-block and a B-block, so the op mix
@@ -299,8 +299,7 @@ proptest! {
         cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
         cs.add_fd(Fd::new(r, [AttrId(1)], [AttrId(2)]));
         let opts = MeasureOptions::default();
-        let mode = if global_start == 0 { ReadMode::Global } else { ReadMode::Component };
-        let mut idx = IncrementalIndex::build_with_mode(db, cs, mode).unwrap();
+        let mut idx = IncrementalIndex::build(db, cs).unwrap();
         for (kind, pick, a, b) in ops {
             let ids: Vec<_> = idx.db().ids().collect();
             match kind {
@@ -355,6 +354,13 @@ proptest! {
             );
             let lin = LinearMinimumRepair { options: opts }.eval(&cs, &db).unwrap();
             prop_assert!((idx.i_r_lin().unwrap() - lin).abs() < 1e-6);
+            // Per-DC counts and per-tuple scores against the batch path.
+            prop_assert_eq!(
+                idx.i_mi_dc(),
+                MinimalViolations { options: opts }.eval(&cs, &db).unwrap()
+            );
+            let batch = engine::minimal_inconsistent_subsets(&db, &cs, None);
+            prop_assert_eq!(idx.tuple_measures(), component_tuple_scores(&batch.subsets));
         }
     }
 

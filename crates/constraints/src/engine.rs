@@ -11,14 +11,25 @@
 //!   and filtered to inclusion-minimal sets;
 //! * [`violations_per_dc`] — the `(F, σ)` "minimal violation" pairs of
 //!   §5.3 (one entry per constraint);
-//! * [`violations_involving`] — violations touching one tuple, used by
-//!   cleaners and by incremental measure updates.
+//! * [`violations_involving`] — minimal violations touching one tuple,
+//!   used by cleaners; incremental measure updates use the raw
+//!   [`delta_violations_involving`] instead, which runs the same pinned
+//!   probe without the minimality filter.
 //!
 //! # Execution plans
 //!
 //! Unary DCs scan; binary DCs hash-join on their equality predicates
 //! (symmetric DCs enumerate each unordered pair once); DCs of arity ≥ 3
-//! run a backtracking index join.
+//! run a backtracking index join over the database's persistent column
+//! postings ([`Database::postings`]). Pinned probes — one tuple fixed at
+//! one atom, the delta of a write — run the same index join at every
+//! arity: the pinned atom is bound first, each later level binds an atom
+//! an equality predicate links to a bound one and reads that key's
+//! postings bucket, and each predicate is checked at the level where its
+//! last variable is bound. A probe thus visits the tuples its keys match,
+//! not the relation; only a level no equality links to scans. The
+//! `engine_pinned_candidates_total` metric counts the candidates pinned
+//! probes visit.
 //!
 //! All joins run over the *dictionary-encoded* columns of the database
 //! (see `inconsist_relational::Dictionary`): equality keys are packed
@@ -49,8 +60,9 @@ use crate::codekey::PackedKeyMap;
 use crate::dc::DenialConstraint;
 use crate::predicate::{CmpOp, Operand, Predicate};
 use crate::set::ConstraintSet;
-use crate::smallvec::{SmallIdVec, SmallVec};
-use inconsist_relational::{AttrId, Database, Dictionary, FactRef, RelId, TupleId, Value};
+use inconsist_relational::{
+    AttrId, Database, Dictionary, FactRef, RelId, SmallVec, TupleId, Value,
+};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -111,10 +123,9 @@ pub struct DcViolations {
 
 /// Decides `D |= Σ`.
 pub fn is_consistent(db: &Database, cs: &ConstraintSet) -> bool {
-    let mut indexes = Indexes::default();
     for dc in cs.dcs() {
         let mut found = false;
-        for_each_violation(db, dc, &mut indexes, &mut |_set| {
+        for_each_violation(db, dc, &mut |_set| {
             found = true;
             ControlFlow::Break(())
         });
@@ -171,12 +182,11 @@ fn minimal_inconsistent_subsets_impl(
     cs: &ConstraintSet,
     limit: Option<usize>,
 ) -> MiResult {
-    let mut indexes = Indexes::default();
     let mut seen: HashSet<ViolationSet> = HashSet::new();
     let mut budget = limit.unwrap_or(usize::MAX);
     let mut complete = true;
     for dc in cs.dcs() {
-        for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+        for_each_violation(db, dc, &mut |set: &[TupleId]| {
             if budget == 0 {
                 complete = false;
                 return ControlFlow::Break(());
@@ -205,7 +215,6 @@ pub fn violations_per_dc(
     cs: &ConstraintSet,
     limit: Option<usize>,
 ) -> Vec<DcViolations> {
-    let mut indexes = Indexes::default();
     let mut out = Vec::with_capacity(cs.len());
     let mut budget = limit.unwrap_or(usize::MAX);
     let mut truncated = false;
@@ -222,7 +231,7 @@ pub fn violations_per_dc(
             continue;
         }
         let mut seen: HashSet<ViolationSet> = HashSet::new();
-        for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+        for_each_violation(db, dc, &mut |set: &[TupleId]| {
             if budget == 0 {
                 truncated = true;
                 return ControlFlow::Break(());
@@ -253,11 +262,10 @@ pub fn violations_of_dc(
     dc: &DenialConstraint,
     limit: Option<usize>,
 ) -> (Vec<ViolationSet>, bool) {
-    let mut indexes = Indexes::default();
     let mut seen: HashSet<ViolationSet> = HashSet::new();
     let mut budget = limit.unwrap_or(usize::MAX);
     let mut complete = true;
-    for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+    for_each_violation(db, dc, &mut |set: &[TupleId]| {
         if budget == 0 {
             complete = false;
             return ControlFlow::Break(());
@@ -275,24 +283,16 @@ pub fn violations_involving(db: &Database, cs: &ConstraintSet, tid: TupleId) -> 
     let Some(fact) = db.fact(tid) else {
         return Vec::new();
     };
-    let mut indexes = Indexes::default();
     let mut seen: HashSet<ViolationSet> = HashSet::new();
     for dc in cs.dcs() {
         for (atom_idx, atom) in dc.atoms.iter().enumerate() {
             if atom.rel != fact.rel {
                 continue;
             }
-            let _ = enumerate_fixed(
-                db,
-                dc,
-                atom_idx,
-                tid,
-                &mut indexes,
-                &mut |set: &[TupleId]| {
-                    seen.insert(set.to_vec().into_boxed_slice());
-                    ControlFlow::Continue(())
-                },
-            );
+            let _ = enumerate_fixed(db, dc, atom_idx, tid, &mut |set: &[TupleId]| {
+                seen.insert(set.to_vec().into_boxed_slice());
+                ControlFlow::Continue(())
+            });
         }
     }
     filter_minimal(seen)
@@ -312,7 +312,6 @@ pub fn raw_violations_involving_per_dc(
     let Some(fact) = db.fact(tid) else {
         return Vec::new();
     };
-    let mut indexes = Indexes::default();
     let mut out = Vec::new();
     for (dc_idx, dc) in cs.dcs().iter().enumerate() {
         let mut seen: HashSet<ViolationSet> = HashSet::new();
@@ -324,17 +323,10 @@ pub fn raw_violations_involving_per_dc(
             if symmetric_binary && atom_idx == 1 {
                 continue;
             }
-            let _ = enumerate_fixed(
-                db,
-                dc,
-                atom_idx,
-                tid,
-                &mut indexes,
-                &mut |set: &[TupleId]| {
-                    seen.insert(set.to_vec().into_boxed_slice());
-                    ControlFlow::Continue(())
-                },
-            );
+            let _ = enumerate_fixed(db, dc, atom_idx, tid, &mut |set: &[TupleId]| {
+                seen.insert(set.to_vec().into_boxed_slice());
+                ControlFlow::Continue(())
+            });
         }
         out.extend(seen.into_iter().map(|s| (dc_idx, s)));
     }
@@ -456,35 +448,12 @@ pub fn warm_rank_tables(db: &Database, cs: &ConstraintSet) {
 // Streaming enumerator (code-keyed)
 // ---------------------------------------------------------------------------
 
-/// Lazily-built unary hash indexes `code → tuple ids` per
-/// `(relation, attribute)`, read straight off the dictionary-encoded
-/// columns (building one never hashes a [`Value`]).
-#[derive(Default)]
-pub struct Indexes {
-    map: HashMap<(RelId, AttrId), HashMap<u32, SmallIdVec>>,
-}
-
-impl Indexes {
-    fn get(&mut self, db: &Database, rel: RelId, attr: AttrId) -> &HashMap<u32, SmallIdVec> {
-        self.map.entry((rel, attr)).or_insert_with(|| {
-            let ids = db.ids_of(rel);
-            let mut idx: HashMap<u32, SmallIdVec> =
-                HashMap::with_capacity(db.dictionary(rel, attr).len());
-            for (&id, &code) in ids.iter().zip(db.codes(rel, attr)) {
-                idx.entry(code).or_default().push(id);
-            }
-            idx
-        })
-    }
-}
-
 /// Invokes `cb` on each violation (sorted distinct tuple-id set) of `dc`.
 /// Binary symmetric DCs report each unordered pair exactly once; other
 /// shapes may repeat a set — callers dedup.
 pub fn for_each_violation(
     db: &Database,
     dc: &DenialConstraint,
-    indexes: &mut Indexes,
     cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
 ) {
     match dc.arity() {
@@ -495,7 +464,7 @@ pub fn for_each_violation(
             let _ = enumerate_binary(db, dc, None, cb);
         }
         _ => {
-            let _ = enumerate_generic(db, dc, indexes, cb);
+            let _ = enumerate_generic(db, dc, cb);
         }
     }
 }
@@ -537,7 +506,6 @@ pub fn for_each_violation_sharded(
     db: &Database,
     dc: &DenialConstraint,
     scope: ShardScope<'_>,
-    indexes: &mut Indexes,
     cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
 ) {
     match dc.arity() {
@@ -553,7 +521,7 @@ pub fn for_each_violation_sharded(
             // relations, so only the outermost variable is sharded.
             let ids = db.ids_of(dc.atoms[0].rel);
             for &pos in scope.probe {
-                if enumerate_fixed(db, dc, 0, ids[pos as usize], indexes, cb).is_break() {
+                if enumerate_fixed(db, dc, 0, ids[pos as usize], cb).is_break() {
                     return;
                 }
             }
@@ -913,160 +881,196 @@ fn enumerate_binary(
     ControlFlow::Continue(())
 }
 
+/// Binding plan of the backtracking index join: the order tuple
+/// variables are bound in, the predicates checked at each level, and the
+/// equality link each level probes its candidates through.
+struct JoinPlan<'a> {
+    /// `order[level]` is the variable bound at `level`.
+    order: Vec<usize>,
+    /// Predicates whose last variable (in binding order) is bound at each
+    /// level; constant-only predicates sit at level 0.
+    by_level: Vec<Vec<&'a Predicate>>,
+    /// Per level, `(attr of the new variable, earlier variable, its attr)`
+    /// of an equality predicate linking the level to an already bound
+    /// variable: candidates come from that column's postings bucket.
+    /// `None` scans the whole relation.
+    probes: Vec<Option<(AttrId, usize, AttrId)>>,
+}
+
+/// The equality links `(u, a, v, b)` of `p` (`t_u[a] = t_v[b]`, `u ≠ v`),
+/// in both orientations.
+fn eq_links(p: &Predicate) -> Option<[(usize, AttrId, usize, AttrId); 2]> {
+    match (p.op, &p.lhs, &p.rhs) {
+        (CmpOp::Eq, Operand::Attr { var: u, attr: a }, Operand::Attr { var: v, attr: b })
+            if u != v =>
+        {
+            Some([(*u, *a, *v, *b), (*v, *b, *u, *a)])
+        }
+        _ => None,
+    }
+}
+
+/// Plans the join with variable `first` bound at level 0 — the pinned
+/// atom of a delta probe, or atom 0 of a full enumeration. Each later
+/// level binds the lowest-numbered unbound variable that an equality
+/// predicate links to a bound one (so it probes a postings bucket), and
+/// only when none is linked the lowest-numbered unbound variable (a scan).
+fn plan_join(dc: &DenialConstraint, first: usize) -> JoinPlan<'_> {
+    let n = dc.arity();
+    let linked = |bound: &[usize], var: usize| {
+        dc.predicates.iter().filter_map(eq_links).any(|links| {
+            links
+                .iter()
+                .any(|&(u, _, v, _)| u == var && bound.contains(&v))
+        })
+    };
+    let mut order = vec![first];
+    while order.len() < n {
+        let unbound = (0..n).filter(|v| !order.contains(v));
+        let next = unbound
+            .clone()
+            .find(|&v| linked(&order, v))
+            .or_else(|| unbound.min())
+            .expect("an unbound variable remains");
+        order.push(next);
+    }
+    let mut level_of = vec![0; n];
+    for (level, &var) in order.iter().enumerate() {
+        level_of[var] = level;
+    }
+    let mut by_level: Vec<Vec<&Predicate>> = vec![Vec::new(); n];
+    for p in &dc.predicates {
+        by_level[p.vars().map(|v| level_of[v]).max().unwrap_or(0)].push(p);
+    }
+    let probes = (0..n)
+        .map(|level| {
+            by_level[level]
+                .iter()
+                .filter_map(|p| eq_links(p))
+                .flatten()
+                .find(|&(u, _, v, _)| u == order[level] && level_of[v] < level)
+                .map(|(_, here, v, there)| (here, v, there))
+        })
+        .collect();
+    JoinPlan {
+        order,
+        by_level,
+        probes,
+    }
+}
+
+/// State of one backtracking index join over the database's postings.
+struct Join<'a, 'c> {
+    db: &'a Database,
+    dc: &'a DenialConstraint,
+    plan: JoinPlan<'a>,
+    /// Tuples bound so far, in binding order.
+    ids: Vec<TupleId>,
+    /// Bound rows indexed by variable (unbound variables hold an empty
+    /// row no predicate of a reached level reads).
+    rows: Vec<&'a [Value]>,
+    /// Candidates visited at levels ≥ 1 (bucket entries or scanned rows).
+    visited: u64,
+    cb: &'c mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
+}
+
+impl<'a, 'c> Join<'a, 'c> {
+    fn new(
+        db: &'a Database,
+        dc: &'a DenialConstraint,
+        first: usize,
+        cb: &'c mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
+    ) -> Self {
+        Join {
+            db,
+            dc,
+            plan: plan_join(dc, first),
+            ids: Vec::with_capacity(dc.arity()),
+            rows: vec![&[]; dc.arity()],
+            visited: 0,
+            cb,
+        }
+    }
+
+    /// Binds `f` at `level`, checks the level's predicates, and recurses.
+    fn bind(&mut self, level: usize, f: FactRef<'a>) -> ControlFlow<()> {
+        let var = self.plan.order[level];
+        if f.rel != self.dc.atoms[var].rel {
+            return ControlFlow::Continue(());
+        }
+        self.rows[var] = f.values;
+        if !self.plan.by_level[level].iter().all(|p| p.eval(&self.rows)) {
+            return ControlFlow::Continue(());
+        }
+        self.ids.push(f.id);
+        let result = self.recurse(level + 1);
+        self.ids.pop();
+        result
+    }
+
+    /// Enumerates the candidates of `level`: the postings bucket of the
+    /// bound value its equality link names, else the whole relation.
+    fn recurse(&mut self, level: usize) -> ControlFlow<()> {
+        if level == self.plan.order.len() {
+            let set = binding_set(&self.ids);
+            return (self.cb)(&set);
+        }
+        let db = self.db;
+        let rel = self.dc.atoms[self.plan.order[level]].rel;
+        match self.plan.probes[level] {
+            Some((attr, var, bound_attr)) => {
+                // The bound value translated into this column's dictionary:
+                // a miss means no candidate anywhere in the relation.
+                let value = &self.rows[var][bound_attr.idx()];
+                let Some(code) = db.dictionary(rel, attr).code(value) else {
+                    return ControlFlow::Continue(());
+                };
+                let bucket = db.postings(rel, attr).get(code);
+                self.visited += bucket.len() as u64;
+                for &tid in bucket {
+                    let f = db.fact(tid).expect("postings list live tuples");
+                    self.bind(level, f)?;
+                }
+            }
+            None => {
+                self.visited += db.relation_len(rel) as u64;
+                for f in db.scan(rel) {
+                    self.bind(level, f)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
 /// Backtracking index join for DCs with three or more tuple variables.
 fn enumerate_generic(
     db: &Database,
     dc: &DenialConstraint,
-    indexes: &mut Indexes,
     cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let n = dc.arity();
-    // Predicates become checkable once their maximum variable is bound.
-    let mut by_level: Vec<Vec<&Predicate>> = vec![Vec::new(); n];
-    for p in &dc.predicates {
-        let level = p.max_var().unwrap_or(0);
-        by_level[level].push(p);
-    }
-    let mut ids: Vec<TupleId> = Vec::with_capacity(n);
-    let mut rows: Vec<*const [Value]> = Vec::with_capacity(n);
-    recurse(db, dc, &by_level, indexes, &mut ids, &mut rows, None, cb)
+    Join::new(db, dc, 0, cb).recurse(0)
 }
 
-/// Same join, with atom `fixed_atom` pinned to tuple `fixed_id`.
+/// Same join, with atom `fixed_atom` pinned to tuple `fixed_id` and bound
+/// first, so every later level that an equality predicate links back to
+/// the pinned tuple probes a postings bucket instead of scanning. The
+/// candidates visited are added to `engine_pinned_candidates_total` once
+/// per call.
 fn enumerate_fixed(
     db: &Database,
     dc: &DenialConstraint,
     fixed_atom: usize,
     fixed_id: TupleId,
-    indexes: &mut Indexes,
     cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let n = dc.arity();
-    let mut by_level: Vec<Vec<&Predicate>> = vec![Vec::new(); n];
-    for p in &dc.predicates {
-        by_level[p.max_var().unwrap_or(0)].push(p);
-    }
-    let mut ids: Vec<TupleId> = Vec::with_capacity(n);
-    let mut rows: Vec<*const [Value]> = Vec::with_capacity(n);
-    recurse(
-        db,
-        dc,
-        &by_level,
-        indexes,
-        &mut ids,
-        &mut rows,
-        Some((fixed_atom, fixed_id)),
-        cb,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recurse(
-    db: &Database,
-    dc: &DenialConstraint,
-    by_level: &[Vec<&Predicate>],
-    indexes: &mut Indexes,
-    ids: &mut Vec<TupleId>,
-    rows: &mut Vec<*const [Value]>,
-    fixed: Option<(usize, TupleId)>,
-    cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    let level = ids.len();
-    if level == dc.arity() {
-        let set = binding_set(ids);
-        return cb(&set);
-    }
-    let rel = dc.atoms[level].rel;
-
-    // SAFETY: raw pointers in `rows` refer to rows of `db`, which is borrowed
-    // immutably for the whole enumeration; we only read them.
-    let view = |rows: &[*const [Value]]| -> Vec<&[Value]> {
-        rows.iter().map(|&p| unsafe { &*p }).collect()
+    let Some(f) = db.fact(fixed_id) else {
+        return ControlFlow::Continue(());
     };
-
-    let check_level = |binding: &[&[Value]]| by_level[level].iter().all(|p| p.eval(binding));
-
-    let try_candidate = |tid: TupleId,
-                         ids: &mut Vec<TupleId>,
-                         rows: &mut Vec<*const [Value]>,
-                         indexes: &mut Indexes,
-                         cb: &mut dyn FnMut(&[TupleId]) -> ControlFlow<()>|
-     -> ControlFlow<()> {
-        let Some(f) = db.fact(tid) else {
-            return ControlFlow::Continue(());
-        };
-        if f.rel != rel {
-            return ControlFlow::Continue(());
-        }
-        ids.push(tid);
-        rows.push(f.values as *const [Value]);
-        let binding = view(rows);
-        // by_level guarantees only bound vars are touched.
-        let ok = check_level(&binding);
-        let result = if ok {
-            recurse(db, dc, by_level, indexes, ids, rows, fixed, cb)
-        } else {
-            ControlFlow::Continue(())
-        };
-        ids.pop();
-        rows.pop();
-        result
-    };
-
-    if let Some((fa, fid)) = fixed {
-        if fa == level {
-            return try_candidate(fid, ids, rows, indexes, cb);
-        }
-    }
-
-    // Pick an equality predicate linking this level to a bound one to probe
-    // the code-keyed index instead of scanning. The bound value is
-    // translated into this column's dictionary: a miss means no candidate
-    // anywhere in the relation.
-    let mut probe: Option<(AttrId, Option<u32>)> = None;
-    for p in &by_level[level] {
-        if p.op != CmpOp::Eq {
-            continue;
-        }
-        if let (Operand::Attr { var: v1, attr: a1 }, Operand::Attr { var: v2, attr: a2 }) =
-            (&p.lhs, &p.rhs)
-        {
-            let (here, there) = if *v1 == level && *v2 < level {
-                (*a1, (*v2, *a2))
-            } else if *v2 == level && *v1 < level {
-                (*a2, (*v1, *a1))
-            } else {
-                continue;
-            };
-            let bound_row = unsafe { &*rows[there.0] };
-            let code = db.dictionary(rel, here).code(&bound_row[there.1.idx()]);
-            probe = Some((here, code));
-            break;
-        }
-    }
-
-    match probe {
-        Some((_, None)) => {
-            // The bound value was never stored in this column: no match.
-        }
-        Some((attr, Some(code))) => {
-            let candidates: SmallIdVec = indexes
-                .get(db, rel, attr)
-                .get(&code)
-                .cloned()
-                .unwrap_or_default();
-            for &tid in candidates.iter() {
-                try_candidate(tid, ids, rows, indexes, cb)?;
-            }
-        }
-        None => {
-            let all: Vec<TupleId> = db.ids_of(rel).to_vec();
-            for tid in all {
-                try_candidate(tid, ids, rows, indexes, cb)?;
-            }
-        }
-    }
-    ControlFlow::Continue(())
+    let mut join = Join::new(db, dc, fixed_atom, cb);
+    let result = join.bind(0, f);
+    inconsist_obs::counter!("engine_pinned_candidates_total").add(join.visited);
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,7 +1086,8 @@ fn recurse(
 pub mod value_keyed {
     use super::*;
 
-    /// Value-keyed unary hash indexes (the pre-encoding [`Indexes`]).
+    /// Value-keyed unary hash indexes, rebuilt per call (the pre-encoding
+    /// counterpart of [`Database::postings`]).
     #[derive(Default)]
     pub struct ValueIndexes {
         map: HashMap<(RelId, AttrId), HashMap<Value, Vec<TupleId>>>,
@@ -1892,9 +1897,8 @@ mod tests {
     /// Collects the deduped violation sets of one DC via a callback-driven
     /// enumeration (shared by the sharding tests below).
     fn collect_full(db: &Database, dc: &DenialConstraint) -> HashSet<ViolationSet> {
-        let mut indexes = Indexes::default();
         let mut seen = HashSet::new();
-        for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+        for_each_violation(db, dc, &mut |set: &[TupleId]| {
             seen.insert(set.to_vec().into_boxed_slice());
             ControlFlow::Continue(())
         });
@@ -1907,8 +1911,7 @@ mod tests {
         scope: ShardScope<'_>,
         into: &mut HashSet<ViolationSet>,
     ) {
-        let mut indexes = Indexes::default();
-        for_each_violation_sharded(db, dc, scope, &mut indexes, &mut |set: &[TupleId]| {
+        for_each_violation_sharded(db, dc, scope, &mut |set: &[TupleId]| {
             into.insert(set.to_vec().into_boxed_slice());
             ControlFlow::Continue(())
         });

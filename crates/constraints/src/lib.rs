@@ -62,13 +62,12 @@ pub mod parallel;
 pub mod parse;
 pub mod predicate;
 pub mod set;
-pub mod smallvec;
 
 pub use dc::{Atom, DcDisplay, DenialConstraint};
 pub use egd::{Egd, EgdAtom};
 pub use engine::{
     filter_minimal, is_consistent, minimal_inconsistent_subsets, raw_violations_involving_per_dc,
-    violations_involving, violations_per_dc, DcViolations, Indexes, MiResult, ViolationSet,
+    violations_involving, violations_per_dc, DcViolations, MiResult, ViolationSet,
 };
 pub use fd::Fd;
 pub use ind::{ind_min_repair, Ind};
@@ -79,4 +78,3 @@ pub use parallel::{
 pub use parse::parse_dc;
 pub use predicate::{CmpOp, Operand, Predicate};
 pub use set::{ConstraintSet, Provenance};
-pub use smallvec::{SmallIdVec, SmallVec};

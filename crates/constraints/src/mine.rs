@@ -534,7 +534,6 @@ fn mine_space(db: &Database, rel: RelId, cfg: &MinerConfig, two_tuple: bool) -> 
     // `ε = 0` DC genuinely holds — sampling can otherwise miss rare pairs.
     let full_pairs = if two_tuple { n * (n - 1) / 2 } else { n };
     let full_threshold = (cfg.epsilon * full_pairs as f64).floor() as usize;
-    let mut indexes = engine::Indexes::default();
     let mut seen: HashSet<Vec<(u16, u8, u16, bool)>> = HashSet::new();
     let mut out = Vec::new();
     for (set, _sample_violations) in ctx.found {
@@ -548,7 +547,7 @@ fn mine_space(db: &Database, rel: RelId, cfg: &MinerConfig, two_tuple: bool) -> 
         }
         let dc = to_dc(rel, &mined, &format!("cand_{}", out.len()), db.schema());
         let mut distinct: HashSet<crate::ViolationSet> = HashSet::new();
-        engine::for_each_violation(db, &dc, &mut indexes, &mut |v: &[_]| {
+        engine::for_each_violation(db, &dc, &mut |v: &[_]| {
             distinct.insert(v.to_vec().into_boxed_slice());
             if distinct.len() > full_threshold {
                 std::ops::ControlFlow::Break(())

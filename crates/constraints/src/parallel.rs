@@ -9,7 +9,7 @@
 //! 1. **Constraints.** The constraints of `Σ` are distributed over a
 //!    crossbeam thread scope with work stealing (an atomic cursor over the
 //!    work-unit list), each worker running the same streaming enumerator
-//!    as the sequential path with its own hash indexes. This matches
+//!    as the sequential path. This matches
 //!    workloads like the experiment datasets, which carry 3–13 DCs of
 //!    wildly different join costs (Fig. 3): dynamic stealing beats static
 //!    splitting.
@@ -67,9 +67,10 @@
 //! `complete = false`, and a shard interrupted mid-enumeration never
 //! reports its partial set as complete).
 //!
-//! Workers run the code-keyed joins of [`crate::engine`] (each with its own
-//! lazily built code indexes); the shared per-column rank tables are warmed
-//! once up front so no worker contends on the rebuild lock.
+//! Workers run the code-keyed joins of [`crate::engine`], sharing the
+//! database's column postings (the first worker to probe a column builds
+//! its map; the others wait on it); the shared per-column rank tables are
+//! warmed once up front so no worker contends on the rebuild lock.
 
 use crate::dc::DenialConstraint;
 use crate::engine::{self, MiResult, ShardScope, ViolationSet};
@@ -273,7 +274,6 @@ pub fn minimal_inconsistent_subsets_par_with(
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| {
-                let mut indexes = engine::Indexes::default();
                 let mut local: HashSet<ViolationSet> = HashSet::new();
                 loop {
                     let u = cursor.fetch_add(1, Ordering::Relaxed);
@@ -291,20 +291,14 @@ pub fn minimal_inconsistent_subsets_par_with(
                         ControlFlow::Continue(())
                     };
                     match &plan.partitions[dc_idx as usize] {
-                        None => engine::for_each_violation(db, dc, &mut indexes, &mut record),
+                        None => engine::for_each_violation(db, dc, &mut record),
                         Some(part) => {
                             let probe = part.shards[shard_idx as usize].as_slice();
                             let scope = ShardScope {
                                 probe,
                                 build: part.co_partitioned.then_some(probe),
                             };
-                            engine::for_each_violation_sharded(
-                                db,
-                                dc,
-                                scope,
-                                &mut indexes,
-                                &mut record,
-                            );
+                            engine::for_each_violation_sharded(db, dc, scope, &mut record);
                         }
                     }
                 }

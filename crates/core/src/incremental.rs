@@ -18,7 +18,10 @@
 //!   anti-monotonic, no new violation can appear: the update is a pure
 //!   index removal, `O(k)` for `k` incident bindings.
 //! * **insert** `⟨+f⟩` — every new violation involves the new tuple; one
-//!   pinned-tuple enumeration (`O(|D|)` with the hash indexes) finds them.
+//!   pinned-tuple enumeration finds them, `O(matches)`: each join level
+//!   reads the postings bucket of the pinned tuple's key
+//!   ([`Database::postings`](inconsist_relational::Database::postings)),
+//!   which the database keeps in sync across edits.
 //! * **update** `⟨i.A ← c⟩` — treated as delete-then-insert on the same
 //!   identifier: remove the incident bindings, apply the update, re-probe.
 //!
@@ -283,10 +286,9 @@ impl IncrementalIndex {
     ) -> Result<Self, MeasureError> {
         let mut per_dc: Vec<HashSet<ViolationSet>> = vec![HashSet::new(); cs.len()];
         let mut budget = limit.unwrap_or(usize::MAX);
-        let mut indexes = engine::Indexes::default();
         for (i, dc) in cs.dcs().iter().enumerate() {
             let mut truncated = false;
-            engine::for_each_violation(&db, dc, &mut indexes, &mut |set: &[TupleId]| {
+            engine::for_each_violation(&db, dc, &mut |set: &[TupleId]| {
                 if budget == 0 {
                     truncated = true;
                     return ControlFlow::Break(());
@@ -1096,13 +1098,20 @@ impl IncrementalIndex {
     }
 
     /// Internal consistency check used by tests: rebuilds from scratch and
-    /// cross-validates the raw binding sets, the maintained component
+    /// cross-validates the database's built postings, the raw binding
+    /// sets, the maintained component
     /// structure and every cached aggregate (per-component minimal sets,
     /// `I_P` shares, solved cover values, per-DC minimal counts, and the
     /// memoized totals and top-k ranking).
     /// Expensive; not for production loops.
     #[doc(hidden)]
     pub fn self_check(&self) -> bool {
+        // The oracle below enumerates over a clone of `self.db`, which
+        // carries the built postings along: they must equal a rebuild from
+        // the code columns, or a corrupt map would vouch for itself.
+        if !self.db.postings_consistent() {
+            return false;
+        }
         let fresh = match Self::build(self.db.clone(), self.cs.clone()) {
             Ok(fresh) => fresh,
             Err(_) => return false,
@@ -1821,6 +1830,81 @@ mod tests {
             dissolves > 5,
             "only {dissolves} dissolving writes on a clean index"
         );
+    }
+
+    /// Random ops over two DCs whose delta probes pin atom 1: an
+    /// asymmetric eq-keyed self-join (`t.K = t'.K ∧ t.A < t'.A`) and a
+    /// cross-relation FK denial whose atom 1 is the parent relation. A
+    /// pinned probe binds its atom first and reaches atom 0 through the
+    /// postings; after every op the index must equal the batch engine.
+    #[test]
+    fn atom_one_probes_match_batch_on_random_sequences() {
+        use inconsist_constraints::{Atom, DenialConstraint, Predicate};
+        let mut s = Schema::new();
+        let cols = [("K", ValueKind::Int), ("A", ValueKind::Int)];
+        let child = s.add_relation(relation("child", &cols).unwrap()).unwrap();
+        let parent = s.add_relation(relation("parent", &cols).unwrap()).unwrap();
+        let s = Arc::new(s);
+        let (k, a) = (AttrId(0), AttrId(1));
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_dc(
+            build::binary(
+                "asym",
+                child,
+                vec![build::tt(k, CmpOp::Eq, k), build::tt(a, CmpOp::Lt, a)],
+                &s,
+            )
+            .unwrap(),
+        );
+        cs.add_dc(
+            DenialConstraint::new(
+                "fk",
+                vec![Atom { rel: child }, Atom { rel: parent }],
+                vec![
+                    Predicate::attr_attr(0, k, CmpOp::Eq, 1, k),
+                    Predicate::attr_attr(0, a, CmpOp::Lt, 1, a),
+                ],
+                &s,
+            )
+            .unwrap(),
+        );
+        assert!(!cs.dcs()[0].is_symmetric());
+        let mut rng = StdRng::seed_from_u64(25);
+        let fact = |rng: &mut StdRng| {
+            let rel = if rng.gen_bool(0.6) { child } else { parent };
+            Fact::new(
+                rel,
+                [
+                    Value::int(rng.gen_range(0..4)),
+                    Value::int(rng.gen_range(0..5)),
+                ],
+            )
+        };
+        for _ in 0..4 {
+            let mut db = Database::new(Arc::clone(&s));
+            for _ in 0..14 {
+                db.insert(fact(&mut rng)).unwrap();
+            }
+            let mut idx = IncrementalIndex::build(db, cs.clone()).unwrap();
+            for _ in 0..30 {
+                let ids: Vec<TupleId> = idx.db().ids().collect();
+                let pick = ids[rng.gen_range(0..ids.len())];
+                match rng.gen_range(0..3) {
+                    0 => {
+                        idx.insert(fact(&mut rng)).unwrap();
+                    }
+                    1 if ids.len() > 4 => {
+                        idx.delete(pick);
+                    }
+                    _ => {
+                        let attr = AttrId(rng.gen_range(0..2));
+                        idx.update(pick, attr, Value::int(rng.gen_range(0..5)))
+                            .unwrap();
+                    }
+                }
+                assert_matches_scratch(&mut idx);
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * a greedy hill-climbing *upper bound* for larger inputs.
 
 use crate::repair::fresh_value;
-use inconsist_constraints::{engine, ConstraintSet, Indexes};
+use inconsist_constraints::{engine, ConstraintSet};
 use inconsist_relational::{ActiveDomain, AttrId, Database, RelId, TupleId, Value, ValueKind};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -84,10 +84,9 @@ enum SearchResult {
 }
 
 fn first_violation(cs: &ConstraintSet, db: &Database) -> Option<Vec<TupleId>> {
-    let mut indexes = Indexes::default();
     let mut found: Option<Vec<TupleId>> = None;
     for dc in cs.dcs() {
-        engine::for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+        engine::for_each_violation(db, dc, &mut |set: &[TupleId]| {
             found = Some(set.to_vec());
             ControlFlow::Break(())
         });

@@ -30,7 +30,7 @@
 
 use crate::noise::CellEdit;
 use inconsist_constraints::dc::{build, Atom};
-use inconsist_constraints::engine::{self, Indexes};
+use inconsist_constraints::engine;
 use inconsist_constraints::{CmpOp, ConstraintSet, DenialConstraint, Predicate};
 use inconsist_relational::{
     relation, AttrId, Database, Fact, RelId, Schema, TupleId, Value, ValueKind,
@@ -524,9 +524,8 @@ fn edit(sc: &mut Scenario, out: &mut Injection, t: TupleId, a: AttrId, new: Valu
 /// [`dirty`](Injection::dirty) set equals this exactly.
 pub fn enumerate_dirty(db: &Database, cs: &ConstraintSet) -> BTreeSet<TupleId> {
     let mut union: HashSet<Box<[TupleId]>> = HashSet::new();
-    let mut indexes = Indexes::default();
     for dc in cs.dcs() {
-        engine::for_each_violation(db, dc, &mut indexes, &mut |set: &[TupleId]| {
+        engine::for_each_violation(db, dc, &mut |set: &[TupleId]| {
             union.insert(set.to_vec().into_boxed_slice());
             ControlFlow::Continue(())
         });

@@ -14,14 +14,24 @@
 //! compares on these dense integer codes instead of hashing [`Value`]s.
 //! The mirrors are maintained through every mutation, so they are always
 //! aligned with [`Database::scan`] order.
+//!
+//! On top of the code columns sit the equality-join indexes of the
+//! violation engine: per column, a lazily built [`Postings`] map
+//! `code → ids of the tuples holding it` ([`Database::postings`]). A
+//! column's postings are built on its first probe — through `&self`, so
+//! concurrent readers may build them — and from then on the same
+//! insert/delete/update hooks that keep the code columns in sync keep the
+//! postings in sync too. A probe therefore costs the bucket it reads, not
+//! the relation; columns that are never probed never pay.
 
 use crate::dictionary::Dictionary;
 use crate::schema::{AttrId, RelId, RelationSchema, Schema};
+use crate::smallvec::SmallIdVec;
 use crate::value::Value;
 use crate::RelationalError;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Stable record identifier, unique across all relations of one database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,15 +89,75 @@ impl FactRef<'_> {
     }
 }
 
+/// Equality postings of one code column: `code → ids of the tuples whose
+/// value at the column has that code`, each bucket in ascending id order.
+///
+/// Built by [`Database::postings`] on a column's first probe and then
+/// maintained by every mutation of the database. Buckets are kept sorted
+/// so a maintained map equals a fresh build from the code columns exactly
+/// (and enumeration order depends on the data, not on its edit history);
+/// codes no live tuple carries have no bucket.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Postings {
+    buckets: HashMap<u32, SmallIdVec>,
+}
+
+impl Postings {
+    /// Postings of a code column given its ids in scan order.
+    fn build(ids: &[TupleId], codes: &[u32]) -> Self {
+        // Pushing in ascending id order leaves every bucket sorted.
+        let mut entries: Vec<(TupleId, u32)> =
+            ids.iter().copied().zip(codes.iter().copied()).collect();
+        entries.sort_unstable();
+        let mut buckets: HashMap<u32, SmallIdVec> = HashMap::new();
+        for (id, code) in entries {
+            buckets.entry(code).or_default().push(id);
+        }
+        Postings { buckets }
+    }
+
+    /// Ids of the tuples carrying `code`, ascending (empty when none).
+    pub fn get(&self, code: u32) -> &[TupleId] {
+        self.buckets.get(&code).map_or(&[], SmallIdVec::as_slice)
+    }
+
+    fn insert(&mut self, code: u32, id: TupleId) {
+        let bucket = self.buckets.entry(code).or_default();
+        let at = bucket
+            .as_slice()
+            .binary_search(&id)
+            .expect_err("a tuple sits in one bucket of a column once");
+        bucket.insert(at, id);
+    }
+
+    fn remove(&mut self, code: u32, id: TupleId) {
+        let bucket = self
+            .buckets
+            .get_mut(&code)
+            .expect("postings bucket of a live tuple");
+        let at = bucket
+            .as_slice()
+            .binary_search(&id)
+            .expect("tuple listed under its code");
+        bucket.remove(at);
+        if bucket.is_empty() {
+            self.buckets.remove(&code);
+        }
+    }
+}
+
 /// Dense storage for one relation: parallel id/row vectors plus the
 /// dictionary-encoded columnar mirror (one `Vec<u32>` of codes per
-/// attribute, aligned with `rows`).
+/// attribute, aligned with `rows`) and each column's lazily built
+/// [`Postings`].
 #[derive(Clone, Debug)]
 struct RelationStore {
     ids: Vec<TupleId>,
     rows: Vec<Box<[Value]>>,
     pos: HashMap<TupleId, u32>,
     cols: Vec<Vec<u32>>,
+    /// One cell per column; a built cell is maintained by every mutation.
+    postings: Vec<OnceLock<Postings>>,
 }
 
 impl RelationStore {
@@ -97,6 +167,7 @@ impl RelationStore {
             rows: Vec::new(),
             pos: HashMap::new(),
             cols: vec![Vec::new(); arity],
+            postings: (0..arity).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -105,8 +176,11 @@ impl RelationStore {
         self.pos.insert(id, self.ids.len() as u32);
         self.ids.push(id);
         self.rows.push(row);
-        for (col, code) in self.cols.iter_mut().zip(codes) {
+        for ((col, postings), code) in self.cols.iter_mut().zip(&mut self.postings).zip(codes) {
             col.push(code);
+            if let Some(p) = postings.get_mut() {
+                p.insert(code, id);
+            }
         }
     }
 
@@ -114,8 +188,11 @@ impl RelationStore {
         let at = self.pos.remove(&id)? as usize;
         let row = self.rows.swap_remove(at);
         self.ids.swap_remove(at);
-        for col in &mut self.cols {
-            col.swap_remove(at);
+        for (col, postings) in self.cols.iter_mut().zip(&mut self.postings) {
+            let code = col.swap_remove(at);
+            if let Some(p) = postings.get_mut() {
+                p.remove(code, id);
+            }
         }
         if at < self.ids.len() {
             self.pos.insert(self.ids[at], at as u32);
@@ -134,7 +211,21 @@ impl RelationStore {
 
     fn set_code(&mut self, id: TupleId, attr: usize, code: u32) {
         let i = *self.pos.get(&id).expect("caller checked presence") as usize;
-        self.cols[attr][i] = code;
+        let old = std::mem::replace(&mut self.cols[attr][i], code);
+        if old != code {
+            if let Some(p) = self.postings[attr].get_mut() {
+                p.remove(old, id);
+                p.insert(code, id);
+            }
+        }
+    }
+
+    fn postings(&self, attr: usize) -> &Postings {
+        self.postings[attr].get_or_init(|| {
+            inconsist_obs::counter!("engine_postings_entries_built_total")
+                .add(self.ids.len() as u64);
+            Postings::build(&self.ids, &self.cols[attr])
+        })
     }
 }
 
@@ -338,6 +429,30 @@ impl Database {
     /// (parallel to [`Database::codes`]).
     pub fn ids_of(&self, rel: RelId) -> &[TupleId] {
         &self.stores[rel.0 as usize].ids
+    }
+
+    /// The equality postings `code → tuple ids` of `(rel, attr)`: the
+    /// index the violation engine probes a join partner's bucket in.
+    ///
+    /// Built on the column's first call — through `&self`, so concurrent
+    /// readers may race to it and exactly one builds (each entry built is
+    /// counted in the `engine_postings_entries_built_total` metric) — and
+    /// maintained by every later insert, delete and update, so later calls
+    /// cost nothing. Columns never probed are never indexed.
+    pub fn postings(&self, rel: RelId, attr: AttrId) -> &Postings {
+        self.stores[rel.0 as usize].postings(attr.idx())
+    }
+
+    /// Whether every postings map built so far equals a fresh build from
+    /// the code columns (the invariant the mutation hooks maintain). A
+    /// check for tests and self-checks; costs a rebuild of each map.
+    pub fn postings_consistent(&self) -> bool {
+        self.stores.iter().all(|store| {
+            store.postings.iter().zip(&store.cols).all(|(cell, col)| {
+                cell.get()
+                    .is_none_or(|p| *p == Postings::build(&store.ids, col))
+            })
+        })
     }
 
     /// The value dictionary of `(rel, attr)`.
@@ -702,6 +817,101 @@ mod tests {
         let t3 = db.insert(fact2(r, 5, 10)).unwrap();
         assert_eq!(db.code_at(t3, AttrId(1)), db.code_at(t0, AttrId(1)));
         assert_columns_in_sync(&db);
+    }
+
+    /// splitmix64: the seeded op stream of the postings test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Asserts each built postings map equals a rebuild (so it holds no
+    /// stray bucket) and lists exactly the live tuples of each code,
+    /// ascending — the latter derived from a scan, independently of the
+    /// build.
+    fn assert_postings_exact(db: &Database, rel: RelId, built: &[AttrId]) {
+        assert!(db.postings_consistent(), "maintained != rebuilt");
+        for &attr in built {
+            let mut expected: HashMap<u32, Vec<TupleId>> = HashMap::new();
+            for f in db.scan(rel) {
+                let code = db.code_at(f.id, attr).unwrap();
+                expected.entry(code).or_default().push(f.id);
+            }
+            let postings = db.postings(rel, attr);
+            for (code, mut ids) in expected {
+                ids.sort();
+                assert_eq!(postings.get(code), ids.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn postings_track_random_ops_and_clones() {
+        let (mut db, r) = db_r2();
+        let (a, b) = (AttrId(0), AttrId(1));
+        let mut rng = 0x0005_eed5_u64;
+        for _ in 0..60 {
+            let (x, y) = (next(&mut rng) % 6, next(&mut rng) % 9);
+            db.insert(fact2(r, x as i64, y as i64)).unwrap();
+        }
+        // Column A is probed before op 0, column B midway; B stays unbuilt
+        // (and unmaintained) until then.
+        assert_eq!(db.postings(r, a).get(u32::MAX), &[] as &[TupleId]);
+        let mut built = vec![a];
+        for step in 0..2000 {
+            if step == 1000 {
+                let _ = db.postings(r, b);
+                built.push(b);
+            }
+            let live = db.ids_of(r).to_vec();
+            let pick = live
+                .get(next(&mut rng) as usize % live.len().max(1))
+                .copied();
+            let v = Value::int((next(&mut rng) % 8) as i64);
+            match (next(&mut rng) % 3, pick) {
+                (0, _) | (_, None) => {
+                    let w = Value::int((next(&mut rng) % 8) as i64);
+                    db.insert(Fact::new(r, [v, w])).unwrap();
+                }
+                (1, Some(t)) => {
+                    db.delete(t).unwrap();
+                }
+                (_, Some(t)) => {
+                    let attr = if next(&mut rng).is_multiple_of(2) {
+                        a
+                    } else {
+                        b
+                    };
+                    db.update(t, attr, v).unwrap();
+                }
+            }
+            assert_postings_exact(&db, r, &built);
+        }
+        // A clone carries the built maps along, and the two copies are
+        // maintained independently from then on.
+        let mut copy = db.clone();
+        assert_postings_exact(&copy, r, &built);
+        let t = copy.ids_of(r)[0];
+        copy.update(t, a, Value::int(100)).unwrap();
+        assert_postings_exact(&copy, r, &built);
+        assert_postings_exact(&db, r, &built);
+        assert_ne!(db.postings(r, a), copy.postings(r, a));
+    }
+
+    #[test]
+    fn postings_consistency_check_sees_a_corrupt_map() {
+        let (mut db, r) = db_r2();
+        for i in 0..10 {
+            db.insert(fact2(r, i % 3, i)).unwrap();
+        }
+        let _ = db.postings(r, AttrId(0));
+        assert!(db.postings_consistent());
+        let cell = &mut db.stores[r.0 as usize].postings[0];
+        cell.get_mut().unwrap().buckets.clear();
+        assert!(!db.postings_consistent());
     }
 
     #[test]

@@ -18,12 +18,14 @@ mod database;
 mod dictionary;
 mod domain;
 mod schema;
+mod smallvec;
 mod value;
 
-pub use database::{Database, Fact, FactRef, ShardView, TupleId};
+pub use database::{Database, Fact, FactRef, Postings, ShardView, TupleId};
 pub use dictionary::Dictionary;
 pub use domain::{ActiveDomain, DomainCache};
 pub use schema::{relation, AttrId, Attribute, RelId, RelationSchema, Schema};
+pub use smallvec::{InlineItem, SmallVec};
 pub use value::{Value, ValueKind};
 
 use std::fmt;

@@ -1,15 +1,16 @@
 //! A small-buffer vector for index buckets.
 //!
-//! The hash indexes of the violation engine map a dictionary code to the
-//! tuples (or dense scan positions) carrying that value. On real data most
-//! codes identify a handful of tuples (keys are near-unique), so a heap
-//! `Vec` per bucket wastes an allocation and a pointer chase for the
-//! common case. This is the usual `smallvec` trick (the crates.io crate is
+//! The column postings of [`crate::Database::postings`] and the binary
+//! hash join of the violation engine map a dictionary code to the tuples
+//! (or dense scan positions) carrying that value. On real data most codes
+//! identify a handful of tuples (keys are near-unique), so a heap `Vec`
+//! per bucket wastes an allocation and a pointer chase for the common
+//! case. This is the usual `smallvec` trick (the crates.io crate is
 //! unavailable in this build environment), specialized to the two `u32`-
-//! sized item types the engine stores: up to [`SmallVec::INLINE`] items
-//! live inside the map entry itself, spilling to a heap `Vec` beyond that.
+//! sized item types stored: up to [`SmallVec::INLINE`] items live inside
+//! the map entry itself, spilling to a heap `Vec` beyond that.
 
-use inconsist_relational::TupleId;
+use crate::database::TupleId;
 
 /// Items storable inline: `Copy` with a filler value for unoccupied slots.
 pub trait InlineItem: Copy {
@@ -45,7 +46,7 @@ pub enum SmallVec<T: InlineItem> {
     Heap(Vec<T>),
 }
 
-/// Bucket of tuple identifiers (the unary index payload).
+/// Bucket of tuple identifiers (the postings payload).
 pub type SmallIdVec = SmallVec<TupleId>;
 
 impl<T: InlineItem> SmallVec<T> {
@@ -91,6 +92,40 @@ impl<T: InlineItem> SmallVec<T> {
         }
     }
 
+    /// Inserts `item` at `index`, shifting later items right (panics when
+    /// `index > len`, like [`Vec::insert`]).
+    pub fn insert(&mut self, index: usize, item: T) {
+        let len = self.len();
+        assert!(index <= len, "insert index {index} out of bounds ({len})");
+        self.push(item);
+        let items = self.as_mut_slice();
+        items[index..].rotate_right(1);
+    }
+
+    /// Removes and returns the item at `index`, shifting later items left
+    /// (panics when out of bounds, like [`Vec::remove`]). A spilled vector
+    /// stays on the heap.
+    pub fn remove(&mut self, index: usize) -> T {
+        match self {
+            SmallVec::Inline { len, buf } => {
+                assert!(index < *len as usize, "remove index {index} out of bounds");
+                let item = buf[index];
+                buf[index..*len as usize].rotate_left(1);
+                *len -= 1;
+                buf[*len as usize] = T::FILLER;
+                item
+            }
+            SmallVec::Heap(v) => v.remove(index),
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            SmallVec::Inline { len, buf } => &mut buf[..*len as usize],
+            SmallVec::Heap(v) => v,
+        }
+    }
+
     /// The items as a slice.
     pub fn as_slice(&self) -> &[T] {
         match self {
@@ -104,6 +139,16 @@ impl<T: InlineItem> SmallVec<T> {
         self.as_slice().iter()
     }
 }
+
+/// Equality of the items, whatever their storage: a heap vector shrunk
+/// back to a few items equals the inline vector holding the same ones.
+impl<T: InlineItem + PartialEq> PartialEq for SmallVec<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: InlineItem + Eq> Eq for SmallVec<T> {}
 
 impl<T: InlineItem> Default for SmallVec<T> {
     fn default() -> Self {
@@ -140,6 +185,33 @@ mod tests {
             .collect();
         assert_eq!(v.as_slice(), expected.as_slice());
         assert_eq!(v.len(), SmallIdVec::INLINE + 1);
+    }
+
+    #[test]
+    fn insert_and_remove_keep_order_across_the_spill() {
+        let mut v = SmallIdVec::new();
+        for i in [1, 3, 5] {
+            v.push(TupleId(i));
+        }
+        v.insert(1, TupleId(2));
+        v.insert(0, TupleId(0));
+        v.insert(5, TupleId(6));
+        v.insert(4, TupleId(4));
+        let ids: Vec<u32> = v.iter().map(|t| t.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6]);
+        assert!(matches!(v, SmallVec::Heap(_)));
+        assert_eq!(v.remove(0), TupleId(0));
+        assert_eq!(v.remove(5), TupleId(6));
+        let ids: Vec<u32> = v.iter().map(|t| t.0).collect();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+
+        let mut w = SmallVec::<u32>::new();
+        w.push(7);
+        w.push(9);
+        assert_eq!(w.remove(0), 7);
+        assert_eq!(w.as_slice(), &[9]);
+        assert_eq!(w.remove(0), 9);
+        assert!(w.is_empty());
     }
 
     #[test]

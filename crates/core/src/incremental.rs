@@ -54,8 +54,9 @@
 //! [`crate::measures`], which re-enumerate the violations from scratch.
 //! [`ReadStats`] counts filter runs, cache hits and cover solves so tests
 //! can assert that clean components are never re-processed. `I_MI^dc` is
-//! cached per constraint and invalidated only for the constraints the
-//! delta tags as touched.
+//! outside this scheme: it is cached per constraint, and a read after a
+//! write re-filters the whole binding set of every constraint the delta
+//! touched.
 //!
 //! # Reader/writer split
 //!
@@ -73,20 +74,36 @@
 //! *optimistic read → upgrade on miss*: try under the read lock, and only
 //! on `None` take the write lock, `warm`, and answer exclusively.
 //!
-//! Clean reads fold once per index state. The first read that finds
-//! every component clean — shared or exclusive — sums `I_MI`, `I_P`,
-//! `I_R` and `I_R^lin` in one ascending-order pass over the component
-//! caches and stores the result in a `OnceLock` that concurrent `&self`
-//! readers may fill. Every later read of that state is a field read, so
-//! a dashboard polling a clean index pays `O(1)` per measure instead of
-//! `O(#components)`. The ranked per-tuple scores behind
-//! [`try_top_k_tuples`](IncrementalIndex::try_top_k_tuples) are memoized
-//! the same way, so a clean top-`k` costs `O(k)`. A memo is only filled
-//! while no component is dirty, and every `&mut` path that changes a clean
-//! component's cache (a structural delta, a stored `I_R`/`I_R^lin` value)
-//! drops both memos; the exclusive readers keep their fill/solve steps and
-//! then read the same memo, so there is one fold and the values are
-//! bit-identical on every path.
+//! # A read after a write costs its dirty components
+//!
+//! Every write keeps three structures up to date, so that no read has to
+//! look at the clean components one by one:
+//!
+//! * an explicit **dirty set** — the live components without a cache,
+//!   filled where a delta drops a cache. The filter, cover and LP steps
+//!   walk it (and the matching "no `I_R` / no `I_R^lin` yet" sets), never
+//!   the component list;
+//! * the clean caches in a map **ordered by [`CompId`]**. Ids come from a
+//!   monotonic counter, so a new component lands at the end and nothing
+//!   is ever sorted;
+//! * one **rank set** of every scored tuple, keyed `(cbm desc, cim desc,
+//!   rim desc, tuple asc)`. A component's scores enter it when its cache
+//!   is filled and leave it when the component goes dirty, so a top-`k`
+//!   read is the first `k` entries.
+//!
+//! `I_MI` and `I_P` are exact integer sums maintained by delta. `I_R` and
+//! `I_R^lin` are floating-point sums whose value depends on the order of
+//! addition, so each is refolded from `0.0` in one ascending pass over
+//! the cached values — once per index state: the first read that finds
+//! every component solved (shared or exclusive) stores the sum in a
+//! `OnceLock` that concurrent `&self` readers may fill, and every later
+//! read of that state is a field read. A structural delta or a newly
+//! stored component value drops the memo. The exclusive readers run
+//! their fill/solve steps and then read the same memo, so there is one
+//! fold and the values are bit-identical on every path.
+//! `incremental_components_visited_total` and
+//! `incremental_tuples_rescored_total` in [`inconsist_obs::global`] count
+//! this work.
 //!
 //! # Parallel dirty-component solves
 //!
@@ -120,9 +137,10 @@ use inconsist_solver::{
 };
 
 pub use inconsist_solver::TupleScores;
-use std::collections::{HashMap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{self, AtomicUsize};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -188,37 +206,57 @@ pub struct AnytimeValue {
 struct CompCache {
     /// The component's minimal inconsistent subsets.
     minimal: Vec<ViolationSet>,
-    /// Distinct tuples across `minimal` (the component's `I_P` share).
-    tuple_count: usize,
+    /// Per-tuple scores of the tuples in `minimal`, sorted by tuple id;
+    /// its length is the component's `I_P` share.
+    scores: Vec<RankKey>,
     /// Solved `I_R` value, tagged with the step budget it was solved under.
     ir: Option<(u64, f64)>,
     /// Solved `I_R^lin` value.
     ir_lin: Option<f64>,
 }
 
-/// The component-sum measures of one index state, folded once in
-/// ascending component order from `0.0` (the order and identity every
-/// reader used before, so memoized values are bit-identical).
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Totals {
-    /// `Σ |minimal|` (`I_MI`).
-    mi: usize,
-    /// `Σ tuple_count` (`I_P`).
-    p: usize,
-    /// `Σ ir` with the one step budget every component was solved under
-    /// (`None` budget: there are no components, so any budget answers
-    /// `0.0`); `None` unless every component holds a value under it.
-    ir: Option<(Option<u64>, f64)>,
-    /// `Σ ir_lin`; `None` unless every component holds one.
-    ir_lin: Option<f64>,
+/// The top-k order on tuple scores: `(cbm desc, cim desc, rim desc, tuple
+/// asc)`. The scores are never NaN, so `total_cmp` makes this a total
+/// order and every top-k cut is deterministic.
+fn rank_order(a: &TupleScores, b: &TupleScores) -> Ordering {
+    b.cbm
+        .total_cmp(&a.cbm)
+        .then(b.cim.total_cmp(&a.cim))
+        .then(b.rim.total_cmp(&a.rim))
+        .then(a.tuple.cmp(&b.tuple))
 }
 
-impl Totals {
-    /// `I_R` under `budget`, if every component was solved under it.
-    fn i_r(&self, budget: u64) -> Option<f64> {
-        match self.ir {
-            Some((b, v)) if b.is_none_or(|b| b == budget) => Some(v),
-            _ => None,
+/// One scored tuple packed into 24 bytes, whose derived order is
+/// [`rank_order`]: the rank set and every component's score list hold
+/// these, and [`TupleScores`] are decoded on the way out. It relies on
+/// what [`component_tuple_scores`] produces: `cim` and `rim` are positive,
+/// so their bit patterns order like the values; `pim` is 1; `cbm` counts
+/// minimal subsets held in memory, far below `2^32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct RankKey {
+    cbm: Reverse<u32>,
+    cim: Reverse<u64>,
+    rim: Reverse<u64>,
+    tuple: TupleId,
+}
+
+impl RankKey {
+    fn new(s: &TupleScores) -> RankKey {
+        RankKey {
+            cbm: Reverse(s.cbm as u32),
+            cim: Reverse(s.cim.to_bits()),
+            rim: Reverse(s.rim.to_bits()),
+            tuple: s.tuple,
+        }
+    }
+
+    fn scores(self) -> TupleScores {
+        TupleScores {
+            tuple: self.tuple,
+            cbm: f64::from(self.cbm.0),
+            cim: f64::from_bits(self.cim.0),
+            pim: 1.0,
+            rim: f64::from_bits(self.rim.0),
         }
     }
 }
@@ -258,21 +296,37 @@ pub struct IncrementalIndex {
     /// edges (one ref per `(dc, set)` pair), component ids stable while a
     /// component is untouched.
     graph: DynamicConflictGraph,
-    /// Clean components' cached measures; a component is dirty iff absent.
-    comp_cache: HashMap<CompId, CompCache>,
+    /// Clean components' cached measures in ascending id order; a
+    /// component is dirty iff absent.
+    comp_cache: BTreeMap<CompId, CompCache>,
+    /// Live components without a cache entry.
+    dirty: BTreeSet<CompId>,
+    /// Clean components without an `I_R` value.
+    ir_pending: BTreeSet<CompId>,
+    /// Clean components without an `I_R^lin` value.
+    lin_pending: BTreeSet<CompId>,
+    /// How many clean components hold an `I_R` value, per step budget.
+    ir_budgets: BTreeMap<u64, usize>,
+    /// `Σ |minimal|` over the clean components (`I_MI` once none is dirty).
+    mi_sum: usize,
+    /// `Σ |scores|` over the clean components (`I_P` once none is dirty).
+    p_sum: usize,
+    /// Every clean component's tuple scores in top-k order.
+    ranked: BTreeSet<RankKey>,
     /// Per-constraint minimal-violation counts (`I_MI^dc` terms),
     /// invalidated only for constraints whose binding set changed.
     dc_min_cache: Vec<Option<usize>>,
     /// Thread budget for dirty-component cover/LP solves (1 = sequential).
     solve_threads: usize,
     stats: ReadStats,
-    /// [`Totals`] of the current state, filled by the first read that
-    /// finds every component clean (possibly a shared `&self` read) and
-    /// reset by [`invalidate_memos`](Self::invalidate_memos) whenever a
-    /// component cache changes.
-    totals: OnceLock<Totals>,
-    /// Every scored tuple in top-k order, memoized like `totals`.
-    ranked: OnceLock<Vec<TupleScores>>,
+    /// The ascending fold of every component's `I_R`, filled by the first
+    /// read that finds every component solved under one budget (possibly
+    /// a shared `&self` read); reset when the component set or a stored
+    /// `I_R` value changes.
+    ir_total: OnceLock<f64>,
+    /// The ascending fold of every component's `I_R^lin`, memoized the
+    /// same way.
+    lin_total: OnceLock<f64>,
 }
 
 impl IncrementalIndex {
@@ -309,12 +363,19 @@ impl IncrementalIndex {
             by_tuple: HashMap::new(),
             raw_count: 0,
             graph: DynamicConflictGraph::new(),
-            comp_cache: HashMap::new(),
+            comp_cache: BTreeMap::new(),
+            dirty: BTreeSet::new(),
+            ir_pending: BTreeSet::new(),
+            lin_pending: BTreeSet::new(),
+            ir_budgets: BTreeMap::new(),
+            mi_sum: 0,
+            p_sum: 0,
+            ranked: BTreeSet::new(),
             dc_min_cache: vec![None; dc_count],
             solve_threads: 1,
             stats: ReadStats::default(),
-            totals: OnceLock::new(),
-            ranked: OnceLock::new(),
+            ir_total: OnceLock::new(),
+            lin_total: OnceLock::new(),
         };
         idx.rebuild_inverted();
         Ok(idx)
@@ -325,12 +386,9 @@ impl IncrementalIndex {
         Self::build_with_limit(db, cs, None)
     }
 
+    /// Indexes the per-DC binding sets of a freshly built index: the
+    /// inverted index, the conflict graph, and every component dirty.
     fn rebuild_inverted(&mut self) {
-        self.by_tuple.clear();
-        self.raw_count = 0;
-        self.graph = DynamicConflictGraph::new();
-        self.comp_cache.clear();
-        self.invalidate_memos();
         for (i, sets) in self.per_dc.iter().enumerate() {
             for set in sets {
                 self.raw_count += 1;
@@ -340,6 +398,7 @@ impl IncrementalIndex {
                 self.graph.insert_edge(set);
             }
         }
+        self.dirty = self.graph.component_ids().collect();
     }
 
     /// The current database (read-only; mutate through the index so the
@@ -371,10 +430,7 @@ impl IncrementalIndex {
 
     /// Components whose caches were invalidated since the last read.
     pub fn dirty_component_count(&self) -> usize {
-        self.graph
-            .component_ids()
-            .filter(|c| !self.comp_cache.contains_key(c))
-            .count()
+        self.dirty.len()
     }
 
     /// The thread budget for dirty-component solves.
@@ -399,12 +455,55 @@ impl IncrementalIndex {
         self.stats = ReadStats::default();
     }
 
-    /// Drops the memoized [`Totals`] and top-k ranking; called by every
-    /// `&mut` path that changes a clean component's cache. (Filling a dirty component's cache needs no call: no memo is
-    /// filled while a component is dirty.)
-    fn invalidate_memos(&mut self) {
-        self.totals.take();
-        self.ranked.take();
+    /// Takes component `c`'s cache, if any, out of every maintained
+    /// aggregate: the integer sums, the rank set, the pending sets and
+    /// the budget counts. Both fold memos go either way: a component that
+    /// appears or disappears changes both folds. (Filling a dirty
+    /// component's cache drops nothing: no memo is filled while a
+    /// component is dirty; storing one component value drops that
+    /// value's memo.)
+    fn drop_cache(&mut self, c: CompId) {
+        self.ir_total.take();
+        self.lin_total.take();
+        let Some(cache) = self.comp_cache.remove(&c) else {
+            return;
+        };
+        self.mi_sum -= cache.minimal.len();
+        self.p_sum -= cache.scores.len();
+        for key in &cache.scores {
+            self.ranked.remove(key);
+        }
+        match cache.ir {
+            Some((b, _)) => self.uncount_budget(b),
+            None => {
+                self.ir_pending.remove(&c);
+            }
+        }
+        if cache.ir_lin.is_none() {
+            self.lin_pending.remove(&c);
+        }
+    }
+
+    /// A live component whose edge set changed (or a fresh one): its
+    /// cache goes, and it joins the dirty set.
+    fn mark_dirty(&mut self, c: CompId) {
+        self.drop_cache(c);
+        self.dirty.insert(c);
+    }
+
+    /// A component id that no longer exists (dissolved, split away or
+    /// merged into another).
+    fn mark_dead(&mut self, c: CompId) {
+        self.drop_cache(c);
+        self.dirty.remove(&c);
+    }
+
+    fn uncount_budget(&mut self, budget: u64) {
+        let n = self.ir_budgets.get_mut(&budget).expect("counted budget");
+        *n -= 1;
+        if *n == 0 {
+            self.ir_budgets.remove(&budget);
+        }
     }
 
     // -- mutations ---------------------------------------------------------
@@ -434,14 +533,14 @@ impl IncrementalIndex {
             }
         }
         // One graph ref per removed `(dc, set)` pair; components whose
-        // distinct edge set actually changed come back as dirty.
+        // distinct edge set actually changed come back as dirty, split
+        // parts come back with fresh ids.
         if let Some(removal) = self.graph.remove_edges(removed.iter().map(|s| s.as_ref())) {
-            let structural = !removal.touched.is_empty() || !removal.dead.is_empty();
-            for c in removal.touched.iter().chain(removal.dead.iter()) {
-                self.comp_cache.remove(c);
+            for c in removal.touched.into_iter().chain(removal.created) {
+                self.mark_dirty(c);
             }
-            if structural {
-                self.invalidate_memos();
+            for c in removal.dead {
+                self.mark_dead(c);
             }
         }
     }
@@ -461,11 +560,10 @@ impl IncrementalIndex {
                 }
                 let ins = self.graph.insert_edge(&set);
                 if ins.structural {
-                    self.comp_cache.remove(&ins.comp);
-                    for c in &ins.merged {
-                        self.comp_cache.remove(c);
+                    self.mark_dirty(ins.comp);
+                    for c in ins.merged {
+                        self.mark_dead(c);
                     }
-                    self.invalidate_memos();
                 }
             }
         }
@@ -534,45 +632,59 @@ impl IncrementalIndex {
         }
     }
 
-    /// Live component ids in deterministic (ascending) order.
-    fn sorted_components(&self) -> Vec<CompId> {
-        let mut ids: Vec<CompId> = self.graph.component_ids().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Fills the minimal-subset cache of every dirty component (one
-    /// component-local [`engine::filter_minimal`] run each).
-    fn ensure_components(&mut self) -> Vec<CompId> {
-        let ids = self.sorted_components();
-        for &c in &ids {
-            self.ensure_component(c);
+    /// component-local [`engine::filter_minimal`] run each); the clean
+    /// ones are not visited.
+    fn ensure_components(&mut self) {
+        self.stats.filter_cache_hits += self.comp_cache.len() as u64;
+        let mut fresh: Vec<RankKey> = Vec::new();
+        while let Some(c) = self.dirty.pop_first() {
+            self.fill_component(c);
+            fresh.extend_from_slice(&self.comp_cache[&c].scores);
         }
-        ids
+        // More new keys than ranked ones (a cold fill): one sorted bulk
+        // build and merge beats an insert per key.
+        if fresh.len() > self.ranked.len() {
+            self.ranked.append(&mut fresh.into_iter().collect());
+        } else {
+            self.ranked.extend(fresh);
+        }
     }
 
     /// Fills one component's minimal-subset cache if dirty.
     fn ensure_component(&mut self, c: CompId) {
-        if self.comp_cache.contains_key(&c) {
+        if self.dirty.remove(&c) {
+            self.fill_component(c);
+            self.ranked
+                .extend(self.comp_cache[&c].scores.iter().copied());
+        } else {
             self.stats.filter_cache_hits += 1;
-            return;
         }
+    }
+
+    /// Filters and scores one dirty component (already taken out of the
+    /// dirty set) and adds it to every maintained aggregate but the rank
+    /// set, which the caller extends.
+    fn fill_component(&mut self, c: CompId) {
         let _span = inconsist_obs::span!("index.filter_minimal");
         let sets: HashSet<ViolationSet> = self.graph.component_sets(c).into_iter().collect();
         let minimal = engine::filter_minimal(sets);
+        let scores: Vec<RankKey> = component_tuple_scores(&minimal)
+            .iter()
+            .map(RankKey::new)
+            .collect();
         self.stats.filter_runs += 1;
-        let tuple_count = {
-            let mut tuples: HashSet<TupleId> = HashSet::new();
-            for s in &minimal {
-                tuples.extend(s.iter().copied());
-            }
-            tuples.len()
-        };
+        inconsist_obs::counter!("incremental_components_visited_total").inc();
+        inconsist_obs::counter!("incremental_tuples_rescored_total").add(scores.len() as u64);
+        self.mi_sum += minimal.len();
+        self.p_sum += scores.len();
+        self.ir_pending.insert(c);
+        self.lin_pending.insert(c);
         self.comp_cache.insert(
             c,
             CompCache {
                 minimal,
-                tuple_count,
+                scores,
                 ir: None,
                 ir_lin: None,
             },
@@ -584,10 +696,11 @@ impl IncrementalIndex {
     /// caches (dirty components are re-filtered first). Not memoized: a
     /// listing for tests and tooling, not a serving read.
     pub fn minimal_subsets(&mut self) -> Vec<ViolationSet> {
-        let ids = self.ensure_components();
-        let mut all: Vec<ViolationSet> = ids
-            .iter()
-            .flat_map(|c| self.comp_cache[c].minimal.iter().cloned())
+        self.ensure_components();
+        let mut all: Vec<ViolationSet> = self
+            .comp_cache
+            .values()
+            .flat_map(|cache| cache.minimal.iter().cloned())
             .collect();
         // Same presentation order as `filter_minimal`.
         all.sort_by_key(|s| (s.len(), s.first().copied()));
@@ -597,14 +710,14 @@ impl IncrementalIndex {
     /// `I_MI`: `|MI_Σ(D)|`.
     pub fn i_mi(&mut self) -> f64 {
         self.ensure_components();
-        self.totals().expect("components just filled").mi as f64
+        self.mi_sum as f64
     }
 
     /// `I_P`: `|∪ MI_Σ(D)|`. Components partition the participating
     /// tuples, so the global union is the sum of the per-component counts.
     pub fn i_p(&mut self) -> f64 {
         self.ensure_components();
-        self.totals().expect("components just filled").p as f64
+        self.p_sum as f64
     }
 
     /// `I_MI^dc`: per-constraint minimal violation count (§5.3 semantics —
@@ -657,7 +770,7 @@ impl IncrementalIndex {
                         scope.spawn(|_| {
                             let mut out = Vec::new();
                             loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                let i = next.fetch_add(1, atomic::Ordering::Relaxed);
                                 if i >= jobs.len() {
                                     break;
                                 }
@@ -684,63 +797,90 @@ impl IncrementalIndex {
             .collect()
     }
 
-    /// Fills the `I_R` cache of every component in `ids` that lacks a value
-    /// solved under `budget`, fanning independent solves across the thread
-    /// budget.
-    fn solve_dirty_covers(&mut self, ids: &[CompId], budget: u64) -> Result<(), MeasureError> {
-        let dirty: Vec<CompId> = ids
+    /// Stores component `c`'s `I_R` value solved under `budget`.
+    fn set_ir(&mut self, c: CompId, budget: u64, value: f64) {
+        let cache = self.comp_cache.get_mut(&c).expect("ensured");
+        match cache.ir.replace((budget, value)) {
+            Some((old, _)) => self.uncount_budget(old),
+            None => {
+                self.ir_pending.remove(&c);
+            }
+        }
+        *self.ir_budgets.entry(budget).or_default() += 1;
+        self.ir_total.take();
+    }
+
+    /// Stores component `c`'s `I_R^lin` value.
+    fn set_lin(&mut self, c: CompId, value: f64) {
+        self.comp_cache.get_mut(&c).expect("ensured").ir_lin = Some(value);
+        self.lin_pending.remove(&c);
+        self.lin_total.take();
+    }
+
+    /// The clean components that lack an `I_R` value solved under
+    /// `budget`, ascending: the pending set, unless some component holds
+    /// a value solved under another budget (a read with a changed budget,
+    /// which re-solves every component and so may scan them all).
+    fn ir_jobs(&self, budget: u64) -> Vec<CompId> {
+        if self.ir_budgets.keys().all(|&b| b == budget) {
+            return self.ir_pending.iter().copied().collect();
+        }
+        self.comp_cache
             .iter()
-            .copied()
-            .filter(|c| !matches!(self.comp_cache[c].ir, Some((b, _)) if b == budget))
-            .collect();
-        self.stats.cover_cache_hits += (ids.len() - dirty.len()) as u64;
-        self.stats.cover_solves += dirty.len() as u64;
-        if dirty.is_empty() {
+            .filter(|(_, cache)| !matches!(cache.ir, Some((b, _)) if b == budget))
+            .map(|(&c, _)| c)
+            .collect()
+    }
+
+    /// Fills the `I_R` cache of every clean component that lacks a value
+    /// solved under `budget`, fanning independent solves across the
+    /// thread budget.
+    fn solve_dirty_covers(&mut self, budget: u64) -> Result<(), MeasureError> {
+        let jobs = self.ir_jobs(budget);
+        self.stats.cover_cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
+        self.stats.cover_solves += jobs.len() as u64;
+        if jobs.is_empty() {
             return Ok(());
         }
         let _span = inconsist_obs::span!("solve.dirty_component");
+        inconsist_obs::counter!("incremental_components_visited_total").add(jobs.len() as u64);
         // Borrow the cached minimal sets in place — the scoped workers
         // (and the sequential path) never need owned copies.
         let values = {
-            let jobs: Vec<&[ViolationSet]> = dirty
+            let minimal: Vec<&[ViolationSet]> = jobs
                 .iter()
                 .map(|c| self.comp_cache[c].minimal.as_slice())
                 .collect();
-            self.solve_jobs(&jobs, |graph, node_sets| {
+            self.solve_jobs(&minimal, |graph, node_sets| {
                 component_min_repair(graph, node_sets, budget)
             })?
         };
-        for (c, value) in dirty.iter().zip(values) {
-            self.comp_cache.get_mut(c).expect("ensured").ir = Some((budget, value));
+        for (c, value) in jobs.into_iter().zip(values) {
+            self.set_ir(c, budget, value);
         }
-        self.invalidate_memos();
         Ok(())
     }
 
-    /// Fills the `I_R^lin` cache of every component in `ids` that lacks one.
-    fn solve_dirty_lins(&mut self, ids: &[CompId]) -> Result<(), MeasureError> {
-        let dirty: Vec<CompId> = ids
-            .iter()
-            .copied()
-            .filter(|c| self.comp_cache[c].ir_lin.is_none())
-            .collect();
-        self.stats.lin_cache_hits += (ids.len() - dirty.len()) as u64;
-        self.stats.lin_solves += dirty.len() as u64;
-        if dirty.is_empty() {
+    /// Fills the `I_R^lin` cache of every clean component that lacks one.
+    fn solve_dirty_lins(&mut self) -> Result<(), MeasureError> {
+        let jobs: Vec<CompId> = self.lin_pending.iter().copied().collect();
+        self.stats.lin_cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
+        self.stats.lin_solves += jobs.len() as u64;
+        if jobs.is_empty() {
             return Ok(());
         }
         let _span = inconsist_obs::span!("solve.lp");
+        inconsist_obs::counter!("incremental_components_visited_total").add(jobs.len() as u64);
         let values = {
-            let jobs: Vec<&[ViolationSet]> = dirty
+            let minimal: Vec<&[ViolationSet]> = jobs
                 .iter()
                 .map(|c| self.comp_cache[c].minimal.as_slice())
                 .collect();
-            self.solve_jobs(&jobs, component_min_repair_lin)?
+            self.solve_jobs(&minimal, component_min_repair_lin)?
         };
-        for (c, value) in dirty.iter().zip(values) {
-            self.comp_cache.get_mut(c).expect("ensured").ir_lin = Some(value);
+        for (c, value) in jobs.into_iter().zip(values) {
+            self.set_lin(c, value);
         }
-        self.invalidate_memos();
         Ok(())
     }
 
@@ -749,24 +889,18 @@ impl IncrementalIndex {
     /// under the thread budget), never the self-join, then reads the
     /// memoized ascending component-order sum.
     pub fn i_r(&mut self, options: &MeasureOptions) -> MeasureResult {
-        let ids = self.ensure_components();
-        self.solve_dirty_covers(&ids, options.vc_budget)?;
-        Ok(self
-            .totals()
-            .and_then(|t| t.i_r(options.vc_budget))
-            .expect("every component just solved"))
+        self.ensure_components();
+        self.solve_dirty_covers(options.vc_budget)?;
+        Ok(self.try_i_r(options).expect("every component just solved"))
     }
 
     /// `I_R^lin`: the LP relaxation (Fig. 2) over the maintained
     /// violations, solved per dirty component (in parallel under the
     /// thread budget) and summed in ascending component order.
     pub fn i_r_lin(&mut self) -> MeasureResult {
-        let ids = self.ensure_components();
-        self.solve_dirty_lins(&ids)?;
-        Ok(self
-            .totals()
-            .and_then(|t| t.ir_lin)
-            .expect("every component just solved"))
+        self.ensure_components();
+        self.solve_dirty_lins()?;
+        Ok(self.try_i_r_lin().expect("every component just solved"))
     }
 
     // -- deadline-bounded (anytime) reads ----------------------------------
@@ -785,7 +919,8 @@ impl IncrementalIndex {
         deadline: Option<Instant>,
     ) -> AnytimeValue {
         let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        let ids = self.ensure_components();
+        self.ensure_components();
+        let ids: Vec<CompId> = self.comp_cache.keys().copied().collect();
         let mut out = AnytimeValue {
             value: 0.0,
             upper: 0.0,
@@ -820,8 +955,7 @@ impl IncrementalIndex {
             };
             match solved {
                 Some(v) => {
-                    self.comp_cache.get_mut(c).expect("ensured").ir = Some((options.vc_budget, v));
-                    self.invalidate_memos();
+                    self.set_ir(*c, options.vc_budget, v);
                     out.value += v;
                     out.upper += v;
                     out.solved += 1;
@@ -844,7 +978,8 @@ impl IncrementalIndex {
     /// bounds and the result is marked partial.
     pub fn i_r_lin_anytime(&mut self, deadline: Option<Instant>) -> AnytimeValue {
         let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        let ids = self.ensure_components();
+        self.ensure_components();
+        let ids: Vec<CompId> = self.comp_cache.keys().copied().collect();
         let mut out = AnytimeValue {
             value: 0.0,
             upper: 0.0,
@@ -874,8 +1009,7 @@ impl IncrementalIndex {
             };
             match solved {
                 Some(v) => {
-                    self.comp_cache.get_mut(c).expect("ensured").ir_lin = Some(v);
-                    self.invalidate_memos();
+                    self.set_lin(*c, v);
                     out.value += v;
                     out.upper += v;
                     out.solved += 1;
@@ -893,71 +1027,46 @@ impl IncrementalIndex {
 
     // -- optimistic `&self` reads ------------------------------------------
 
-    /// One ascending-order pass over the component caches; `None` when
-    /// any component is dirty.
-    fn fold_totals(&self) -> Option<Totals> {
-        // Fewer cache entries than live components: some component is
-        // dirty, no need to sort the ids to find out.
-        if self.comp_cache.len() < self.graph.component_count() {
-            return None;
-        }
-        let mut t = Totals {
-            mi: 0,
-            p: 0,
-            ir: Some((None, 0.0)),
-            ir_lin: Some(0.0),
-        };
-        // Explicit `0.0` starts: f64's `Sum` identity is -0.0, which would
-        // leak a negative zero on consistent databases.
-        for c in self.sorted_components() {
-            let cache = self.comp_cache.get(&c)?;
-            t.mi += cache.minimal.len();
-            t.p += cache.tuple_count;
-            t.ir = match (t.ir, cache.ir) {
-                (Some((b, sum)), Some((cb, v))) if b.is_none_or(|b| b == cb) => {
-                    Some((Some(cb), sum + v))
-                }
-                _ => None,
-            };
-            t.ir_lin = t.ir_lin.zip(cache.ir_lin).map(|(sum, v)| sum + v);
-        }
-        Some(t)
-    }
-
-    /// The component-sum measures of the current state: folded by the
-    /// first read that finds every component clean, then answered from
-    /// the memo until a `&mut` path changes a component cache. `None`
-    /// when any component is dirty.
-    fn totals(&self) -> Option<Totals> {
-        if let Some(t) = self.totals.get() {
-            return Some(*t);
-        }
-        let t = self.fold_totals()?;
-        Some(*self.totals.get_or_init(|| t))
-    }
-
     /// `I_MI` from caches only: `Some` iff no mutation dirtied state since
     /// the caches were last filled (see [`warm`](Self::warm)).
     pub fn try_i_mi(&self) -> Option<f64> {
-        self.totals().map(|t| t.mi as f64)
+        self.dirty.is_empty().then_some(self.mi_sum as f64)
     }
 
     /// `I_P` from caches only; `None` when any component is dirty.
     pub fn try_i_p(&self) -> Option<f64> {
-        self.totals().map(|t| t.p as f64)
+        self.dirty.is_empty().then_some(self.p_sum as f64)
     }
 
     /// `I_R` from caches only: every component must hold a value solved
-    /// under exactly `options.vc_budget`. The sum is the same
+    /// under exactly `options.vc_budget`. The sum is the same memoized
     /// ascending-order fold [`i_r`](Self::i_r) reads, so the result is
     /// bit-identical to it.
     pub fn try_i_r(&self, options: &MeasureOptions) -> Option<f64> {
-        self.totals()?.i_r(options.vc_budget)
+        let solved = self.dirty.is_empty()
+            && self.ir_pending.is_empty()
+            && self.ir_budgets.keys().all(|&b| b == options.vc_budget);
+        solved.then(|| {
+            *self.ir_total.get_or_init(|| {
+                // Explicit `0.0` start: f64's `Sum` identity is -0.0,
+                // which would leak a negative zero on consistent data.
+                self.comp_cache
+                    .values()
+                    .fold(0.0, |sum, cache| sum + cache.ir.expect("solved").1)
+            })
+        })
     }
 
-    /// `I_R^lin` from caches only (ascending-order sum).
+    /// `I_R^lin` from caches only (the memoized ascending-order sum).
     pub fn try_i_r_lin(&self) -> Option<f64> {
-        self.totals()?.ir_lin
+        let solved = self.dirty.is_empty() && self.lin_pending.is_empty();
+        solved.then(|| {
+            *self.lin_total.get_or_init(|| {
+                self.comp_cache
+                    .values()
+                    .fold(0.0, |sum, cache| sum + cache.ir_lin.expect("solved"))
+            })
+        })
     }
 
     /// `I_MI^dc` from caches only; `None` when any constraint's count was
@@ -978,9 +1087,9 @@ impl IncrementalIndex {
     /// solves across the thread budget).
     pub fn warm(&mut self, options: &MeasureOptions) -> Result<(), MeasureError> {
         self.i_mi_by_dc();
-        let ids = self.ensure_components();
-        self.solve_dirty_covers(&ids, options.vc_budget)?;
-        self.solve_dirty_lins(&ids)
+        self.ensure_components();
+        self.solve_dirty_covers(options.vc_budget)?;
+        self.solve_dirty_lins()
     }
 
     /// Tuples ranked by how many raw bindings they currently appear in —
@@ -999,17 +1108,10 @@ impl IncrementalIndex {
 
     // -- per-tuple responsibility measures ---------------------------------
 
-    /// Inconsistency ranking: `(cbm desc, cim desc, rim desc, tuple asc)`.
-    /// The scores are never NaN, so `total_cmp` makes this a total order
-    /// and the top-k cut below is deterministic.
+    /// Sorts scores into the top-k order `(cbm desc, cim desc, rim desc,
+    /// tuple asc)` — the order of the maintained rank set.
     fn rank_tuple_scores(scores: &mut [TupleScores]) {
-        scores.sort_by(|a, b| {
-            b.cbm
-                .total_cmp(&a.cbm)
-                .then(b.cim.total_cmp(&a.cim))
-                .then(b.rim.total_cmp(&a.rim))
-                .then(a.tuple.cmp(&b.tuple))
-        });
+        scores.sort_by(rank_order);
     }
 
     /// Per-tuple responsibility scores ([`TupleScores`]) of every tuple
@@ -1039,30 +1141,26 @@ impl IncrementalIndex {
     /// iff no mutation dirtied state since the caches were last filled.
     /// Bit-identical to the exclusive path.
     pub fn try_tuple_measures(&self) -> Option<Vec<TupleScores>> {
-        self.totals()?; // every component clean
-        let mut out: Vec<TupleScores> = Vec::new();
-        for c in &self.sorted_components() {
-            out.extend(component_tuple_scores(&self.comp_cache[c].minimal));
+        if !self.dirty.is_empty() {
+            return None;
         }
+        let mut out: Vec<TupleScores> = self
+            .comp_cache
+            .values()
+            .flat_map(|cache| cache.scores.iter().map(|key| key.scores()))
+            .collect();
         // Components partition the scored tuples; one sort merges the
         // per-component (already sorted) runs.
         out.sort_by_key(|s| s.tuple);
         Some(out)
     }
 
-    /// [`top_k_tuples`](Self::top_k_tuples) from caches only. The full
-    /// ranking is scored and sorted once per index state; later calls
-    /// copy its first `k` entries.
+    /// [`top_k_tuples`](Self::top_k_tuples) from caches only: the first
+    /// `k` entries of the maintained rank set, `O(k)`.
     pub fn try_top_k_tuples(&self, k: usize) -> Option<Vec<TupleScores>> {
-        let ranked = match self.ranked.get() {
-            Some(ranked) => ranked,
-            None => {
-                let mut all = self.try_tuple_measures()?;
-                Self::rank_tuple_scores(&mut all);
-                self.ranked.get_or_init(|| all)
-            }
-        };
-        Some(ranked[..k.min(ranked.len())].to_vec())
+        self.dirty
+            .is_empty()
+            .then(|| self.ranked.iter().take(k).map(|key| key.scores()).collect())
     }
 
     /// The responsibility scores of one tuple: `None` when the tuple is
@@ -1087,10 +1185,11 @@ impl IncrementalIndex {
             return Some(zero);
         };
         self.ensure_component(c);
+        let scores = &self.comp_cache[&c].scores;
         Some(
-            component_tuple_scores(&self.comp_cache[&c].minimal)
-                .into_iter()
-                .find(|s| s.tuple == t)
+            scores
+                .binary_search_by_key(&t, |key| key.tuple)
+                .map(|i| scores[i].scores())
                 // In the graph but only via non-minimal sets: still free at
                 // the minimal level.
                 .unwrap_or(zero),
@@ -1099,10 +1198,10 @@ impl IncrementalIndex {
 
     /// Internal consistency check used by tests: rebuilds from scratch and
     /// cross-validates the database's built postings, the raw binding
-    /// sets, the maintained component
-    /// structure and every cached aggregate (per-component minimal sets,
-    /// `I_P` shares, solved cover values, per-DC minimal counts, and the
-    /// memoized totals and top-k ranking).
+    /// sets, the maintained component structure and every cached
+    /// aggregate: per-component minimal sets and scores, solved cover
+    /// values, per-DC minimal counts, the dirty and pending sets, the
+    /// integer sums, the rank set and the memoized folds.
     /// Expensive; not for production loops.
     #[doc(hidden)]
     pub fn self_check(&self) -> bool {
@@ -1143,11 +1242,9 @@ impl IncrementalIndex {
             if cached != expected {
                 return false;
             }
-            let mut tuples: HashSet<TupleId> = HashSet::new();
-            for s in &minimal {
-                tuples.extend(s.iter().copied());
-            }
-            if cache.tuple_count != tuples.len() {
+            // Bit-exact round trip through the packed keys.
+            let scores = cache.scores.iter().map(|key| key.scores());
+            if !scores.eq(component_tuple_scores(&minimal)) {
                 return false;
             }
             let graph = ConflictGraph::from_subsets(&self.db, &minimal);
@@ -1173,18 +1270,64 @@ impl IncrementalIndex {
                 }
             }
         }
-        // Filled memos must equal a fresh fold of the current caches.
-        if let Some(memo) = self.totals.get() {
-            if self.fold_totals() != Some(*memo) {
+        // The dirty set is exactly the live components without a cache
+        // (a cache of a dead component failed above).
+        let dirty: BTreeSet<CompId> = self
+            .graph
+            .component_ids()
+            .filter(|c| !self.comp_cache.contains_key(c))
+            .collect();
+        if dirty != self.dirty {
+            return false;
+        }
+        // The pending sets, budget counts and integer sums equal a fresh
+        // pass over the caches.
+        let pending = |unsolved: fn(&CompCache) -> bool| -> BTreeSet<CompId> {
+            self.comp_cache
+                .iter()
+                .filter(|(_, cache)| unsolved(cache))
+                .map(|(&c, _)| c)
+                .collect()
+        };
+        let mut budgets: BTreeMap<u64, usize> = BTreeMap::new();
+        for (b, _) in self.comp_cache.values().filter_map(|cache| cache.ir) {
+            *budgets.entry(b).or_default() += 1;
+        }
+        if pending(|cache| cache.ir.is_none()) != self.ir_pending
+            || pending(|cache| cache.ir_lin.is_none()) != self.lin_pending
+            || budgets != self.ir_budgets
+        {
+            return false;
+        }
+        let mi: usize = self.comp_cache.values().map(|c| c.minimal.len()).sum();
+        let p: usize = self.comp_cache.values().map(|c| c.scores.len()).sum();
+        if (mi, p) != (self.mi_sum, self.p_sum) {
+            return false;
+        }
+        // The rank set equals a re-rank of the per-component scores.
+        let mut all: Vec<TupleScores> = self
+            .comp_cache
+            .values()
+            .flat_map(|cache| cache.scores.iter().map(|key| key.scores()))
+            .collect();
+        Self::rank_tuple_scores(&mut all);
+        if !self.ranked.iter().map(|key| key.scores()).eq(all) {
+            return false;
+        }
+        // Filled memos must equal a fresh ascending fold, bit for bit.
+        let fold = |value: fn(&CompCache) -> Option<f64>| {
+            self.comp_cache
+                .values()
+                .try_fold(0.0, |sum: f64, cache| Some(sum + value(cache)?))
+                .map(f64::to_bits)
+        };
+        if let Some(memo) = self.ir_total.get() {
+            if fold(|cache| cache.ir.map(|(_, v)| v)) != Some(memo.to_bits()) {
                 return false;
             }
         }
-        if let Some(memo) = self.ranked.get() {
-            let mut fresh = self.try_tuple_measures();
-            if let Some(all) = fresh.as_mut() {
-                Self::rank_tuple_scores(all);
-            }
-            if fresh.as_ref() != Some(memo) {
+        if let Some(memo) = self.lin_total.get() {
+            if fold(|cache| cache.ir_lin) != Some(memo.to_bits()) {
                 return false;
             }
         }
@@ -1830,6 +1973,93 @@ mod tests {
             dissolves > 5,
             "only {dissolves} dissolving writes on a clean index"
         );
+    }
+
+    /// The maintained rank set against a from-scratch re-rank after every
+    /// op of random sequences that merge and split components: every
+    /// top-`k` cut (shared and exclusive) and the full score listing.
+    #[test]
+    fn maintained_ranking_matches_rerank_on_random_sequences() {
+        let (s, r) = setup();
+        // A dense value range, so inserts bridge components and deletes
+        // and updates cut them apart.
+        let random_fact = |rng: &mut StdRng| {
+            fact3(
+                r,
+                rng.gen_range(0..5),
+                rng.gen_range(0..5),
+                rng.gen_range(0..3),
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(26);
+        let (mut merges, mut splits, mut shared_hits) = (0, 0, 0);
+        for _ in 0..12 {
+            let mut db = Database::new(Arc::clone(&s));
+            for _ in 0..10 {
+                db.insert(random_fact(&mut rng)).unwrap();
+            }
+            let mut idx = IncrementalIndex::build(db, two_fd_cs(&s, r)).unwrap();
+            for _ in 0..40 {
+                let before = idx.component_count();
+                let ids: Vec<TupleId> = idx.db().ids().collect();
+                match rng.gen_range(0..3) {
+                    0 => {
+                        idx.insert(random_fact(&mut rng)).unwrap();
+                    }
+                    1 if ids.len() > 3 => {
+                        idx.delete(ids[rng.gen_range(0..ids.len())]);
+                    }
+                    _ if !ids.is_empty() => {
+                        let t = ids[rng.gen_range(0..ids.len())];
+                        let a = AttrId(rng.gen_range(0..3));
+                        idx.update(t, a, Value::int(rng.gen_range(0..5))).unwrap();
+                    }
+                    _ => {}
+                }
+                let after = idx.component_count();
+                merges += usize::from(after < before);
+                splits += usize::from(after > before);
+                let batch = component_tuple_scores(
+                    &engine::minimal_inconsistent_subsets(idx.db(), idx.constraints(), None)
+                        .subsets,
+                );
+                let mut scratch =
+                    IncrementalIndex::build(idx.db().clone(), idx.constraints().clone()).unwrap();
+                scratch.ensure_components();
+                let mut ranked = scratch.try_tuple_measures().unwrap();
+                assert_eq!(ranked, batch);
+                IncrementalIndex::rank_tuple_scores(&mut ranked);
+                let ks = [0, 1, 10, ranked.len() + 1];
+                // Shared first: refuses while dirty, else already exact.
+                if idx.dirty_component_count() == 0 {
+                    shared_hits += 1;
+                    for k in ks {
+                        assert_eq!(
+                            idx.try_top_k_tuples(k).unwrap(),
+                            ranked[..k.min(ranked.len())]
+                        );
+                    }
+                } else {
+                    assert!(idx.try_top_k_tuples(1).is_none());
+                    assert!(idx.try_tuple_measures().is_none());
+                }
+                for k in ks {
+                    assert_eq!(idx.top_k_tuples(k), ranked[..k.min(ranked.len())]);
+                    assert_eq!(
+                        idx.try_top_k_tuples(k).unwrap(),
+                        ranked[..k.min(ranked.len())]
+                    );
+                }
+                assert_eq!(idx.tuple_measures(), batch);
+                assert_eq!(idx.try_tuple_measures().unwrap(), batch);
+                assert!(idx.self_check(), "rank set diverged");
+            }
+        }
+        assert!(
+            merges > 20 && splits > 20,
+            "{merges} merges, {splits} splits"
+        );
+        assert!(shared_hits > 20, "only {shared_hits} clean shared reads");
     }
 
     /// Random ops over two DCs whose delta probes pin atom 1: an

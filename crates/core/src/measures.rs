@@ -19,10 +19,14 @@
 //! Intractable measures (`I_MC`, `I'_MC`, `I_R`) carry step budgets; a
 //! `Timeout` result mirrors the paper's 24-hour cutoffs. Quadratic conflict
 //! materialization is capped by `violation_limit`; hitting the cap yields a
-//! `Truncated` error rather than a silently wrong number.
+//! `Truncated` error rather than a silently wrong number. `|MC_Σ(D)|` is
+//! counted as an exact `u128`; a count past `u128::MAX` yields an
+//! `Overflow` error, never a wrapped value.
 
 use inconsist_constraints::{engine, ConstraintSet, MiResult};
-use inconsist_graph::{count_maximal_consistent_subsets, count_mis_if_cograph, ConflictGraph};
+use inconsist_graph::{
+    count_maximal_consistent_subsets, count_mis_if_cograph, ConflictGraph, CountError,
+};
 use inconsist_relational::Database;
 use inconsist_solver::{
     covering_lp, fractional_vertex_cover, min_weight_hitting_set, min_weight_vertex_cover,
@@ -36,6 +40,17 @@ pub enum MeasureError {
     Timeout,
     /// The violation cap was hit; the conflict set is incomplete.
     Truncated,
+    /// An exact count (`|MC_Σ(D)|`) exceeds `u128::MAX`.
+    Overflow,
+}
+
+impl From<CountError> for MeasureError {
+    fn from(e: CountError) -> Self {
+        match e {
+            CountError::Budget => MeasureError::Timeout,
+            CountError::Overflow => MeasureError::Overflow,
+        }
+    }
 }
 
 impl fmt::Display for MeasureError {
@@ -43,6 +58,7 @@ impl fmt::Display for MeasureError {
         match self {
             MeasureError::Timeout => write!(f, "timeout (budget exhausted)"),
             MeasureError::Truncated => write!(f, "truncated (violation cap hit)"),
+            MeasureError::Overflow => write!(f, "overflow (count exceeds u128)"),
         }
     }
 }
@@ -194,13 +210,9 @@ fn count_mc(
     let self_inc = graph.excluded_count();
     // Tractable class first (P4-free conflict graphs, [40]); Bron–Kerbosch
     // with the step budget otherwise.
-    if let Some(count) = count_mis_if_cograph(&graph) {
-        return Ok((count, self_inc));
-    }
-    match count_maximal_consistent_subsets(&graph, opts.mis_budget) {
-        Some(count) => Ok((count, self_inc)),
-        None => Err(MeasureError::Timeout),
-    }
+    let count = count_mis_if_cograph(&graph)
+        .unwrap_or_else(|| count_maximal_consistent_subsets(&graph, opts.mis_budget))?;
+    Ok((count, self_inc))
 }
 
 impl InconsistencyMeasure for MaximalConsistentSubsets {
@@ -229,7 +241,10 @@ impl InconsistencyMeasure for MaximalConsistentSubsetsWithSelf {
 
     fn eval(&self, cs: &ConstraintSet, db: &Database) -> MeasureResult {
         let (count, self_inc) = count_mc(cs, db, &self.options)?;
-        Ok((count + self_inc as u128).saturating_sub(1) as f64)
+        let with_self = count
+            .checked_add(self_inc as u128)
+            .ok_or(MeasureError::Overflow)?;
+        Ok(with_self.saturating_sub(1) as f64)
     }
 }
 
@@ -602,5 +617,40 @@ mod tests {
             repaired.delete(t).unwrap();
         }
         assert!(engine::is_consistent(&repaired, &cs));
+    }
+
+    /// `k` disjoint FD pairs (`A → B`, 2k tuples): `|MC_Σ(D)| = 2^k`.
+    fn disjoint_pairs(k: i64) -> (ConstraintSet, Database) {
+        let (s, r) = setup();
+        let mut db = Database::new(Arc::clone(&s));
+        for i in 0..k {
+            insert3(&mut db, r, i, 0, 0);
+            insert3(&mut db, r, i, 1, 0);
+        }
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
+        (cs, db)
+    }
+
+    #[test]
+    fn i_mc_is_exact_to_u128_and_overflow_past_it() {
+        let opts = MeasureOptions::default();
+        let mc = MaximalConsistentSubsets { options: opts };
+        let with_self = MaximalConsistentSubsetsWithSelf { options: opts };
+        let (cs, db) = disjoint_pairs(127);
+        let expected = ((1u128 << 127) - 1) as f64;
+        assert_eq!(mc.eval(&cs, &db), Ok(expected));
+        assert_eq!(with_self.eval(&cs, &db), Ok(expected));
+        for k in [128, 200] {
+            let (cs, db) = disjoint_pairs(k);
+            // Past `u128::MAX`: a typed error, never a wrapped `0.0` and
+            // never a timeout.
+            assert_eq!(mc.eval(&cs, &db), Err(MeasureError::Overflow), "k = {k}");
+            assert_eq!(
+                with_self.eval(&cs, &db),
+                Err(MeasureError::Overflow),
+                "k = {k}"
+            );
+        }
     }
 }

@@ -107,13 +107,18 @@ impl MeasureSuite {
             (Err(MeasureError::Timeout), Err(MeasureError::Timeout))
         } else {
             let count = count_mis_if_cograph(&graph)
-                .or_else(|| count_maximal_consistent_subsets(&graph, self.options.mis_budget));
+                .unwrap_or_else(|| {
+                    count_maximal_consistent_subsets(&graph, self.options.mis_budget)
+                })
+                .map_err(MeasureError::from);
             match count {
-                Some(c) => (
+                Ok(c) => (
                     Ok(c.saturating_sub(1) as f64),
-                    Ok((c + graph.excluded_count() as u128).saturating_sub(1) as f64),
+                    c.checked_add(graph.excluded_count() as u128)
+                        .map(|w| w.saturating_sub(1) as f64)
+                        .ok_or(MeasureError::Overflow),
                 ),
-                None => (Err(MeasureError::Timeout), Err(MeasureError::Timeout)),
+                Err(e) => (Err(e), Err(e)),
             }
         };
 

@@ -15,6 +15,7 @@
 //!   cannot cross a join).
 
 use crate::conflict::ConflictGraph;
+use crate::mis::CountError;
 
 /// The modular decomposition tree of a cograph.
 #[derive(Clone, Debug)]
@@ -36,12 +37,17 @@ impl Cotree {
         }
     }
 
-    /// Number of maximal independent sets of the represented graph.
-    pub fn count_mis(&self) -> u128 {
+    /// Number of maximal independent sets of the represented graph;
+    /// `None` when it exceeds `u128::MAX` (checked, never wrapped).
+    pub fn count_mis(&self) -> Option<u128> {
         match self {
-            Cotree::Leaf(_) => 1,
-            Cotree::Union(cs) => cs.iter().map(Cotree::count_mis).product(),
-            Cotree::Join(cs) => cs.iter().map(Cotree::count_mis).sum(),
+            Cotree::Leaf(_) => Some(1),
+            Cotree::Union(cs) => cs
+                .iter()
+                .try_fold(1u128, |acc, c| acc.checked_mul(c.count_mis()?)),
+            Cotree::Join(cs) => cs
+                .iter()
+                .try_fold(0u128, |acc, c| acc.checked_add(c.count_mis()?)),
         }
     }
 }
@@ -64,13 +70,14 @@ pub fn cotree(g: &ConflictGraph) -> Option<Cotree> {
 }
 
 /// Counts `|MC_Σ(D)|` through the cotree; `None` when `g`'s core is not a
-/// cograph. The empty cotree (no conflicting node) counts 1 — the database
-/// itself is the single maximal consistent subset.
-pub fn count_mis_if_cograph(g: &ConflictGraph) -> Option<u128> {
+/// cograph, `Some(Err(CountError::Overflow))` when the count exceeds
+/// `u128::MAX`. The empty cotree (no conflicting node) counts 1 — the
+/// database itself is the single maximal consistent subset.
+pub fn count_mis_if_cograph(g: &ConflictGraph) -> Option<Result<u128, CountError>> {
     let tree = cotree(g)?;
     Some(match &tree {
-        Cotree::Union(cs) if cs.is_empty() => 1,
-        t => t.count_mis(),
+        Cotree::Union(cs) if cs.is_empty() => Ok(1),
+        t => t.count_mis().ok_or(CountError::Overflow),
     })
 }
 
@@ -183,10 +190,10 @@ mod tests {
         // key group with two distinct RHS values.
         let g = graph(5, &[&[0, 2], &[0, 3], &[0, 4], &[1, 2], &[1, 3], &[1, 4]]);
         // MIS: each part → 2.
-        assert_eq!(count_mis_if_cograph(&g), Some(2));
+        assert_eq!(count_mis_if_cograph(&g), Some(Ok(2)));
         assert_eq!(
             count_maximal_consistent_subsets(&g, 1 << 20),
-            Some(2),
+            Ok(2),
             "BK agrees"
         );
     }
@@ -194,7 +201,7 @@ mod tests {
     #[test]
     fn triangle_counts_three() {
         let g = graph(3, &[&[0, 1], &[1, 2], &[0, 2]]);
-        assert_eq!(count_mis_if_cograph(&g), Some(3));
+        assert_eq!(count_mis_if_cograph(&g), Some(Ok(3)));
     }
 
     #[test]
@@ -202,13 +209,32 @@ mod tests {
         let g = graph(4, &[&[0, 1], &[2, 3]]);
         let t = cotree(&g).unwrap();
         assert!(matches!(t, Cotree::Union(_)));
-        assert_eq!(t.count_mis(), 4);
+        assert_eq!(t.count_mis(), Some(4));
     }
 
     #[test]
     fn empty_core_counts_one() {
         let g = graph(3, &[&[0]]); // single excluded node
-        assert_eq!(count_mis_if_cograph(&g), Some(1));
+        assert_eq!(count_mis_if_cograph(&g), Some(Ok(1)));
+    }
+
+    #[test]
+    fn products_past_u128_are_overflow() {
+        // k disjoint edges: a union of k joins, 2^k maximal independent
+        // sets — exact at k = 127, one past `u128::MAX` at k = 128.
+        let pairs = |k: u32| {
+            let edges: Vec<Vec<u32>> = (0..k).map(|i| vec![2 * i, 2 * i + 1]).collect();
+            let refs: Vec<&[u32]> = edges.iter().map(|e| e.as_slice()).collect();
+            graph(2 * k as usize, &refs)
+        };
+        assert_eq!(count_mis_if_cograph(&pairs(127)), Some(Ok(1 << 127)));
+        for k in [128, 200] {
+            assert_eq!(
+                count_mis_if_cograph(&pairs(k)),
+                Some(Err(CountError::Overflow)),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]
@@ -280,7 +306,7 @@ mod tests {
                 dp.is_some(),
                 "random cotree must be a cograph (trial {trial})"
             );
-            assert_eq!(dp.unwrap(), bk.unwrap(), "trial {trial}");
+            assert_eq!(dp.unwrap(), bk, "trial {trial}");
         }
     }
 }

@@ -29,4 +29,4 @@ pub use bitset::BitSet;
 pub use cograph::{cotree, count_mis_if_cograph, Cotree};
 pub use conflict::ConflictGraph;
 pub use dynamic::{CompId, DynamicConflictGraph, EdgeInsert, EdgeRemoval};
-pub use mis::{count_maximal_consistent_subsets, enumerate_maximal_independent_sets};
+pub use mis::{count_maximal_consistent_subsets, enumerate_maximal_independent_sets, CountError};

@@ -6,7 +6,9 @@
 //! restricted to non-self-inconsistent nodes). Counting maximal independent
 //! sets is #P-complete in general (§5.1), which the paper's experiments
 //! surface as 24-hour timeouts — we surface it as a *step budget*: every
-//! routine returns `None` once its budget is exhausted.
+//! counting routine fails with [`CountError::Budget`] once its budget is
+//! exhausted. Counts are exact `u128`s; a count past `u128::MAX` fails
+//! with [`CountError::Overflow`] instead of wrapping.
 //!
 //! Algorithm: connected-component decomposition (counts multiply), then
 //! Bron–Kerbosch with pivoting run on the complement graph (maximal cliques
@@ -16,23 +18,36 @@
 use crate::bitset::BitSet;
 use crate::conflict::ConflictGraph;
 
+/// Why a maximal-consistent-subset count has no value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CountError {
+    /// The step budget ran out (the measure is then reported as a
+    /// timeout, as in the paper).
+    Budget,
+    /// The exact count exceeds `u128::MAX`.
+    Overflow,
+}
+
 /// Counts maximal consistent subsets `|MC_Σ(D)|` of the database whose
-/// conflict graph is `g`. Returns `None` if `budget` recursion steps are
-/// exhausted (the measure is then reported as a timeout, as in the paper).
-pub fn count_maximal_consistent_subsets(g: &ConflictGraph, budget: u64) -> Option<u128> {
+/// conflict graph is `g`, failing once `budget` recursion steps are
+/// exhausted or the count leaves `u128`.
+pub fn count_maximal_consistent_subsets(
+    g: &ConflictGraph,
+    budget: u64,
+) -> Result<u128, CountError> {
     let keep: Vec<u32> = (0..g.n() as u32).filter(|&v| !g.is_excluded(v)).collect();
     let (core, _) = g.induced(&keep);
     if !core.is_plain_graph() {
-        return count_hyper(&core, budget);
+        return count_hyper(&core, budget).ok_or(CountError::Budget);
     }
     let mut budget = budget;
     let mut total: u128 = 1;
     for comp in core.components() {
         let (sub, _) = core.induced(&comp);
         let c = bk_count_component(&sub, &mut budget)?;
-        total = total.checked_mul(c)?;
+        total = total.checked_mul(c).ok_or(CountError::Overflow)?;
     }
-    Some(total)
+    Ok(total)
 }
 
 /// Enumerates the maximal independent sets of a *plain* conflict graph
@@ -73,13 +88,13 @@ fn complement_adjacency(g: &ConflictGraph) -> Vec<BitSet> {
         .collect()
 }
 
-fn bk_count_component(g: &ConflictGraph, budget: &mut u64) -> Option<u128> {
+fn bk_count_component(g: &ConflictGraph, budget: &mut u64) -> Result<u128, CountError> {
     let n = g.n();
     if n == 0 {
-        return Some(1);
+        return Ok(1);
     }
     if g.edge_count() == 0 {
-        return Some(1); // the whole component is the unique MIS
+        return Ok(1); // the whole component is the unique MIS
     }
     let comp_adj = complement_adjacency(g);
     let p = BitSet::full(n);
@@ -88,13 +103,18 @@ fn bk_count_component(g: &ConflictGraph, budget: &mut u64) -> Option<u128> {
 }
 
 /// Bron–Kerbosch with pivoting, counting only.
-fn bk_count(comp_adj: &[BitSet], p: BitSet, x: BitSet, budget: &mut u64) -> Option<u128> {
+fn bk_count(
+    comp_adj: &[BitSet],
+    p: BitSet,
+    x: BitSet,
+    budget: &mut u64,
+) -> Result<u128, CountError> {
     if *budget == 0 {
-        return None;
+        return Err(CountError::Budget);
     }
     *budget -= 1;
     if p.is_empty() {
-        return Some(if x.is_empty() { 1 } else { 0 });
+        return Ok(if x.is_empty() { 1 } else { 0 });
     }
     // Pivot: vertex of P ∪ X with most complement-neighbors in P.
     let pivot = p
@@ -111,11 +131,13 @@ fn bk_count(comp_adj: &[BitSet], p: BitSet, x: BitSet, budget: &mut u64) -> Opti
     for v in candidates.iter() {
         let np = p.intersection(&comp_adj[v]);
         let nx = x.intersection(&comp_adj[v]);
-        total = total.checked_add(bk_count(comp_adj, np, nx, budget)?)?;
+        total = total
+            .checked_add(bk_count(comp_adj, np, nx, budget)?)
+            .ok_or(CountError::Overflow)?;
         p.remove(v);
         x.insert(v);
     }
-    Some(total)
+    Ok(total)
 }
 
 fn bk_enumerate(
@@ -244,14 +266,14 @@ mod tests {
     #[test]
     fn triangle_has_three_mis() {
         let g = graph(3, &[&[0, 1], &[1, 2], &[0, 2]]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(3));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(3));
     }
 
     #[test]
     fn path_of_four_nodes() {
         // P4 (not a cograph): MIS are {0,2},{0,3},{1,3} → 3.
         let g = graph(4, &[&[0, 1], &[1, 2], &[2, 3]]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(3));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(3));
         assert_eq!(brute_force(&g), 3);
     }
 
@@ -259,24 +281,24 @@ mod tests {
     fn components_multiply() {
         // Two disjoint edges: 2 × 2 = 4 MIS.
         let g = graph(4, &[&[0, 1], &[2, 3]]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(4));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(4));
     }
 
     #[test]
     fn excluded_nodes_are_dropped() {
         // Node 0 self-inconsistent; remaining edge {1,2} → 2 MIS.
         let g = graph(3, &[&[0], &[0, 1], &[1, 2]]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(2));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(2));
     }
 
     #[test]
     fn empty_graph_counts_one() {
         let g = graph(3, &[]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(1));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(1));
     }
 
     #[test]
-    fn budget_exhaustion_returns_none() {
+    fn budget_exhaustion_is_a_budget_error() {
         let g = graph(
             12,
             &[
@@ -294,8 +316,11 @@ mod tests {
                 &[0, 11],
             ],
         );
-        assert_eq!(count_maximal_consistent_subsets(&g, 2), None);
-        assert!(count_maximal_consistent_subsets(&g, 1 << 20).is_some());
+        assert_eq!(
+            count_maximal_consistent_subsets(&g, 2),
+            Err(CountError::Budget)
+        );
+        assert!(count_maximal_consistent_subsets(&g, 1 << 20).is_ok());
     }
 
     #[test]
@@ -319,8 +344,30 @@ mod tests {
             let g = graph(n, &refs);
             assert_eq!(
                 count_maximal_consistent_subsets(&g, 1 << 24),
-                Some(brute_force(&g)),
+                Ok(brute_force(&g)),
                 "trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn counts_past_u128_are_overflow_not_budget() {
+        // k disjoint edges: 2^k maximal independent sets, exact up to
+        // k = 127 and one past `u128::MAX` at k = 128.
+        let pairs = |k: u32| {
+            let edges: Vec<Vec<u32>> = (0..k).map(|i| vec![2 * i, 2 * i + 1]).collect();
+            let refs: Vec<&[u32]> = edges.iter().map(|e| e.as_slice()).collect();
+            graph(2 * k as usize, &refs)
+        };
+        assert_eq!(
+            count_maximal_consistent_subsets(&pairs(127), 1 << 20),
+            Ok(1 << 127)
+        );
+        for k in [128, 200] {
+            assert_eq!(
+                count_maximal_consistent_subsets(&pairs(k), 1 << 20),
+                Err(CountError::Overflow),
+                "k = {k}"
             );
         }
     }
@@ -351,13 +398,13 @@ mod tests {
         // Single hyperedge {0,1,2}: maximal independent sets are the three
         // 2-element subsets.
         let g = graph(3, &[&[0, 1, 2]]);
-        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Some(3));
+        assert_eq!(count_maximal_consistent_subsets(&g, 1 << 20), Ok(3));
         // Mixed: hyperedge {0,1,2} + edge {0,3}:
         // independent maximal sets: {0,1},{0,2},{1,2,3}... check by hand:
         // {0,1}: add 2 → hyperedge? {0,1,2} yes; add 3 → edge {0,3}. ✓
         // {0,2}: add 1 → hyper; add 3 → edge. ✓
         // {1,2,3}: add 0 → hyper and edge. ✓
         let g2 = graph(4, &[&[0, 1, 2], &[0, 3]]);
-        assert_eq!(count_maximal_consistent_subsets(&g2, 1 << 20), Some(3));
+        assert_eq!(count_maximal_consistent_subsets(&g2, 1 << 20), Ok(3));
     }
 }

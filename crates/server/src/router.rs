@@ -822,4 +822,40 @@ mod tests {
         let (resp, _) = route(&reg, &counters, "{{{{");
         assert_eq!(resp.get("kind").and_then(Json::as_str), Some("protocol"));
     }
+
+    #[test]
+    fn i_mc_past_u128_is_a_typed_measure_error() {
+        let reg = Registry::new(1);
+        let counters = ServerCounters::default();
+        // k disjoint FD pairs: |MC| = 2^k, one past `u128::MAX` at 128.
+        let i_mc = |k: usize| {
+            let name = format!("pairs{k}");
+            let rows: String = (0..k).map(|i| format!("{i},0\\n{i},1\\n")).collect();
+            let create = format!(
+                "{{\"cmd\":\"create\",\"session\":\"{name}\",\"csv\":\"A,C\\n{rows}\",\
+                 \"dc\":\"fd: t.A = t'.A & t.C != t'.C\\n\"}}"
+            );
+            let (created, _) = route(&reg, &counters, &create);
+            assert_eq!(created.get("raw").and_then(Json::as_f64), Some(k as f64));
+            let measure =
+                format!("{{\"cmd\":\"measure\",\"session\":\"{name}\",\"measures\":[\"I_MC\"]}}");
+            route(&reg, &counters, &measure).0
+        };
+        let exact = i_mc(127);
+        assert_eq!(
+            exact
+                .get("values")
+                .and_then(|v| v.get("I_MC"))
+                .and_then(Json::as_f64),
+            Some(((1u128 << 127) - 1) as f64),
+            "{exact}"
+        );
+        for k in [128, 200] {
+            let resp = i_mc(k);
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(resp.get("kind").and_then(Json::as_str), Some("measure"));
+            let message = resp.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(message.contains("overflow"), "k = {k}: {resp}");
+        }
+    }
 }

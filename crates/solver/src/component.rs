@@ -81,25 +81,24 @@ pub struct TupleScores {
 pub fn component_tuple_scores<S: AsRef<[inconsist_relational::TupleId]>>(
     minimal: &[S],
 ) -> Vec<TupleScores> {
-    use std::collections::BTreeMap;
-    let mut sizes: BTreeMap<inconsist_relational::TupleId, Vec<usize>> = BTreeMap::new();
-    for s in minimal {
-        let s = s.as_ref();
-        for &t in s {
-            sizes.entry(t).or_default().push(s.len());
-        }
-    }
+    // One flat `(tuple, |S|)` list: sorting it groups each tuple's sizes
+    // in ascending order, without a map or a list per tuple.
+    let mut sizes: Vec<(inconsist_relational::TupleId, usize)> = minimal
+        .iter()
+        .flat_map(|s| {
+            let s = s.as_ref();
+            s.iter().map(move |&t| (t, s.len()))
+        })
+        .collect();
+    sizes.sort_unstable();
     sizes
-        .into_iter()
-        .map(|(tuple, mut ks)| {
-            ks.sort_unstable();
-            TupleScores {
-                tuple,
-                cbm: ks.len() as f64,
-                cim: ks.iter().fold(0.0, |acc, &k| acc + 1.0 / k as f64),
-                pim: 1.0,
-                rim: 1.0 / ks[0] as f64,
-            }
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|ks| TupleScores {
+            tuple: ks[0].0,
+            cbm: ks.len() as f64,
+            cim: ks.iter().fold(0.0, |acc, &(_, k)| acc + 1.0 / k as f64),
+            pim: 1.0,
+            rim: 1.0 / ks[0].1 as f64,
         })
         .collect()
 }

@@ -116,6 +116,15 @@
 //! sequential path: each component's solve is deterministic in isolation
 //! and the final sum is always taken in ascending component order.
 //!
+//! Blocking and deadline reads share this one solve loop. A blocking read
+//! ([`i_r`](IncrementalIndex::i_r)) turns a component left unsolved (its
+//! step budget ran out) into [`MeasureError::Timeout`]; a deadline read
+//! ([`i_r_anytime`](IncrementalIndex::i_r_anytime)) stops handing out
+//! components once the deadline passes and folds the polynomial bounds of
+//! the unsolved ones. Either way every value solved is cached, and a
+//! component that runs out of steps does not stop the others from being
+//! solved.
+//!
 //! The index owns the database, so every mutation flows through
 //! [`Database::insert`]/[`Database::delete`]/[`Database::update`] and keeps
 //! the dictionary-encoded columnar mirrors in sync as a side effect; the
@@ -184,9 +193,10 @@ pub struct ReadStats {
 /// When every component solved exactly, `partial` is `false` and `value`
 /// is the same number the blocking read would return. When the deadline
 /// (or step budget) expired mid-read, `partial` is `true`, `value` is a
-/// certified *lower* bound (exactly-solved components plus the LP bound
-/// of the rest) and `upper` carries the matching upper bound (greedy
-/// repairs for the unsolved components). Partial values are never cached.
+/// certified *lower* bound (exactly-solved components plus, for `I_R`,
+/// the LP bound of the rest) and `upper` carries the matching upper bound
+/// (greedy repairs for the unsolved components). Partial values are never
+/// cached.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnytimeValue {
     /// The measure value; a lower bound when `partial`.
@@ -195,10 +205,24 @@ pub struct AnytimeValue {
     pub upper: f64,
     /// Whether any component was answered with bounds instead of exactly.
     pub partial: bool,
-    /// Components answered exactly (from cache or a completed solve).
-    pub solved: usize,
-    /// Components degraded to an `[LP, greedy]` interval.
-    pub degraded: usize,
+}
+
+/// The per-component solve behind a read: the exact cover of `I_R` under
+/// a step budget, or the LP relaxation of `I_R^lin`.
+#[derive(Clone, Copy, Debug)]
+enum Solve {
+    Cover(u64),
+    Lin,
+}
+
+impl Solve {
+    /// The component's stored value for this solve, if any.
+    fn cached(self, cache: &CompCache) -> Option<f64> {
+        match self {
+            Solve::Cover(budget) => cache.ir.filter(|&(b, _)| b == budget).map(|(_, v)| v),
+            Solve::Lin => cache.ir_lin,
+        }
+    }
 }
 
 /// Per-component measure cache; present iff the component is *clean*.
@@ -739,149 +763,197 @@ impl IncrementalIndex {
                     let c = engine::filter_minimal(self.per_dc[i].clone()).len();
                     self.dc_min_cache[i] = Some(c);
                     self.stats.filter_runs += 1;
+                    inconsist_obs::counter!("incremental_dc_bindings_refiltered_total")
+                        .add(self.per_dc[i].len() as u64);
                     c
                 }
             })
             .collect()
     }
 
-    /// Runs one independent cover/LP solve per job — sequentially, or over
-    /// a crossbeam scope when the thread budget and job count allow. Job
-    /// `i`'s result lands in slot `i`, so the output is independent of
-    /// scheduling; a `None` from the solver (budget exhausted) becomes
-    /// [`MeasureError::Timeout`].
-    fn solve_jobs<F>(&self, jobs: &[&[ViolationSet]], solve: F) -> Result<Vec<f64>, MeasureError>
-    where
-        F: Fn(&ConflictGraph, &[Vec<usize>]) -> Option<f64> + Sync,
-    {
-        let run_one = |minimal: &[ViolationSet]| {
-            let graph = ConflictGraph::from_subsets(&self.db, minimal);
-            let node_sets = node_index_sets(&graph, minimal);
-            solve(&graph, &node_sets)
+    /// The clean components without a `kind` value, ascending: the
+    /// pending set, unless some component holds an `I_R` value solved
+    /// under another budget (a read with a changed budget, which
+    /// re-solves every component and so may scan them all).
+    fn pending(&self, kind: Solve) -> Vec<CompId> {
+        match kind {
+            Solve::Cover(budget) if self.ir_budgets.keys().any(|&b| b != budget) => self
+                .comp_cache
+                .iter()
+                .filter(|(_, cache)| kind.cached(cache).is_none())
+                .map(|(&c, _)| c)
+                .collect(),
+            Solve::Cover(_) => self.ir_pending.iter().copied().collect(),
+            Solve::Lin => self.lin_pending.iter().copied().collect(),
+        }
+    }
+
+    /// The one solve loop: solves `kind` on every clean component that
+    /// lacks a value — sequentially, or over a crossbeam scope when the
+    /// thread budget and job count allow — and stores the values found.
+    /// Job `i`'s result lands in slot `i`, so the outcome is independent
+    /// of scheduling. Workers take no new component once `deadline` has
+    /// passed, and a cover solve stops at the deadline or its step
+    /// budget. Returns the components left unsolved, ascending.
+    fn solve_pending(&mut self, kind: Solve, deadline: Option<Instant>) -> Vec<CompId> {
+        let jobs = self.pending(kind);
+        let (cache_hits, solves) = match kind {
+            Solve::Cover(_) => (
+                &mut self.stats.cover_cache_hits,
+                &mut self.stats.cover_solves,
+            ),
+            Solve::Lin => (&mut self.stats.lin_cache_hits, &mut self.stats.lin_solves),
         };
-        let raw: Vec<Option<f64>> = if self.solve_threads <= 1 || jobs.len() <= 1 {
-            jobs.iter().map(|m| run_one(m)).collect()
-        } else {
+        *cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
+        if jobs.is_empty() {
+            return jobs;
+        }
+        let _span = match kind {
+            Solve::Cover(_) => inconsist_obs::span!("solve.dirty_component"),
+            Solve::Lin => inconsist_obs::span!("solve.lp"),
+        };
+        let mut slots: Vec<Option<f64>> = vec![None; jobs.len()];
+        let attempted = {
+            // Borrow the cached minimal sets in place: the scoped workers
+            // never need owned copies.
+            let minimal: Vec<&[ViolationSet]> = jobs
+                .iter()
+                .map(|c| self.comp_cache[c].minimal.as_slice())
+                .collect();
+            let db = &self.db;
             let next = AtomicUsize::new(0);
+            let work = || {
+                let mut out = Vec::new();
+                while deadline.is_none_or(|d| Instant::now() < d) {
+                    let i = next.fetch_add(1, atomic::Ordering::Relaxed);
+                    let Some(&m) = minimal.get(i) else { break };
+                    let graph = ConflictGraph::from_subsets(db, m);
+                    let node_sets = node_index_sets(&graph, m);
+                    let value = match kind {
+                        Solve::Cover(steps) => {
+                            let mut budget = Budget::with_deadline(steps, deadline);
+                            component_min_repair_with(&graph, &node_sets, &mut budget)
+                        }
+                        Solve::Lin => component_min_repair_lin(&graph, &node_sets),
+                    };
+                    out.push((i, value));
+                }
+                out
+            };
             let workers = self.solve_threads.min(jobs.len());
-            let chunks: Vec<Vec<(usize, Option<f64>)>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, atomic::Ordering::Relaxed);
-                                if i >= jobs.len() {
-                                    break;
-                                }
-                                out.push((i, run_one(jobs[i])));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("solver worker panicked"))
-                    .collect()
+            let done: Vec<(usize, Option<f64>)> = if workers <= 1 {
+                work()
+            } else {
+                crossbeam::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|_| work())).collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("solver worker panicked"))
+                        .collect()
+                })
+                .expect("crossbeam scope propagates panics")
+            };
+            for &(i, value) in &done {
+                slots[i] = value;
+            }
+            done.len() as u64
+        };
+        *solves += attempted;
+        inconsist_obs::counter!("incremental_components_visited_total").add(attempted);
+        let mut unsolved = Vec::new();
+        for (c, slot) in jobs.into_iter().zip(slots) {
+            let Some(value) = slot else {
+                unsolved.push(c);
+                continue;
+            };
+            let cache = self.comp_cache.get_mut(&c).expect("clean component");
+            match kind {
+                Solve::Cover(budget) => {
+                    match cache.ir.replace((budget, value)) {
+                        Some((old, _)) => self.uncount_budget(old),
+                        None => {
+                            self.ir_pending.remove(&c);
+                        }
+                    }
+                    *self.ir_budgets.entry(budget).or_default() += 1;
+                    self.ir_total.take();
+                }
+                Solve::Lin => {
+                    cache.ir_lin = Some(value);
+                    self.lin_pending.remove(&c);
+                    self.lin_total.take();
+                }
+            }
+        }
+        unsolved
+    }
+
+    /// The ascending fold of every component's `kind` value, memoized per
+    /// index state: `Some` iff no component is dirty and every one holds
+    /// a value. A `&self` read, so concurrent shared readers may fill it.
+    fn total(&self, kind: Solve) -> Option<f64> {
+        let (solved, memo) = match kind {
+            Solve::Cover(budget) => (
+                self.ir_pending.is_empty() && self.ir_budgets.keys().all(|&b| b == budget),
+                &self.ir_total,
+            ),
+            Solve::Lin => (self.lin_pending.is_empty(), &self.lin_total),
+        };
+        (self.dirty.is_empty() && solved).then(|| {
+            *memo.get_or_init(|| {
+                // Explicit `0.0` start: f64's `Sum` identity is -0.0,
+                // which would leak a negative zero on consistent data.
+                self.comp_cache
+                    .values()
+                    .fold(0.0, |sum, cache| sum + kind.cached(cache).expect("solved"))
             })
-            .expect("crossbeam scope propagates panics");
-            let mut raw = vec![None; jobs.len()];
-            for (i, v) in chunks.into_iter().flatten() {
-                raw[i] = v;
+        })
+    }
+
+    /// The blocking read: solves every dirty component, then reads the
+    /// memoized total; a step budget that runs out is
+    /// [`MeasureError::Timeout`].
+    fn exact(&mut self, kind: Solve) -> MeasureResult {
+        self.ensure_components();
+        if !self.solve_pending(kind, None).is_empty() {
+            return Err(MeasureError::Timeout);
+        }
+        Ok(self.total(kind).expect("every component just solved"))
+    }
+
+    /// The deadline read: the same solves, and the components left
+    /// unsolved contribute their polynomial bounds — `[LP, greedy]` for
+    /// `I_R`, `[0, greedy]` for `I_R^lin` — to an ascending fold.
+    fn anytime(&mut self, kind: Solve, deadline: Option<Instant>) -> AnytimeValue {
+        self.ensure_components();
+        if self.solve_pending(kind, deadline).is_empty() {
+            let value = self.total(kind).expect("every component just solved");
+            return AnytimeValue {
+                value,
+                upper: value,
+                partial: false,
+            };
+        }
+        let (mut value, mut upper) = (0.0, 0.0);
+        for cache in self.comp_cache.values() {
+            if let Some(v) = kind.cached(cache) {
+                value += v;
+                upper += v;
+                continue;
             }
-            raw
-        };
-        raw.into_iter()
-            .map(|v| v.ok_or(MeasureError::Timeout))
-            .collect()
-    }
-
-    /// Stores component `c`'s `I_R` value solved under `budget`.
-    fn set_ir(&mut self, c: CompId, budget: u64, value: f64) {
-        let cache = self.comp_cache.get_mut(&c).expect("ensured");
-        match cache.ir.replace((budget, value)) {
-            Some((old, _)) => self.uncount_budget(old),
-            None => {
-                self.ir_pending.remove(&c);
+            let graph = ConflictGraph::from_subsets(&self.db, &cache.minimal);
+            let node_sets = node_index_sets(&graph, &cache.minimal);
+            let (lp, greedy) = component_repair_bounds(&graph, &node_sets);
+            if let Solve::Cover(_) = kind {
+                value += lp;
             }
+            upper += greedy;
         }
-        *self.ir_budgets.entry(budget).or_default() += 1;
-        self.ir_total.take();
-    }
-
-    /// Stores component `c`'s `I_R^lin` value.
-    fn set_lin(&mut self, c: CompId, value: f64) {
-        self.comp_cache.get_mut(&c).expect("ensured").ir_lin = Some(value);
-        self.lin_pending.remove(&c);
-        self.lin_total.take();
-    }
-
-    /// The clean components that lack an `I_R` value solved under
-    /// `budget`, ascending: the pending set, unless some component holds
-    /// a value solved under another budget (a read with a changed budget,
-    /// which re-solves every component and so may scan them all).
-    fn ir_jobs(&self, budget: u64) -> Vec<CompId> {
-        if self.ir_budgets.keys().all(|&b| b == budget) {
-            return self.ir_pending.iter().copied().collect();
+        AnytimeValue {
+            value,
+            upper,
+            partial: true,
         }
-        self.comp_cache
-            .iter()
-            .filter(|(_, cache)| !matches!(cache.ir, Some((b, _)) if b == budget))
-            .map(|(&c, _)| c)
-            .collect()
-    }
-
-    /// Fills the `I_R` cache of every clean component that lacks a value
-    /// solved under `budget`, fanning independent solves across the
-    /// thread budget.
-    fn solve_dirty_covers(&mut self, budget: u64) -> Result<(), MeasureError> {
-        let jobs = self.ir_jobs(budget);
-        self.stats.cover_cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
-        self.stats.cover_solves += jobs.len() as u64;
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let _span = inconsist_obs::span!("solve.dirty_component");
-        inconsist_obs::counter!("incremental_components_visited_total").add(jobs.len() as u64);
-        // Borrow the cached minimal sets in place — the scoped workers
-        // (and the sequential path) never need owned copies.
-        let values = {
-            let minimal: Vec<&[ViolationSet]> = jobs
-                .iter()
-                .map(|c| self.comp_cache[c].minimal.as_slice())
-                .collect();
-            self.solve_jobs(&minimal, |graph, node_sets| {
-                component_min_repair(graph, node_sets, budget)
-            })?
-        };
-        for (c, value) in jobs.into_iter().zip(values) {
-            self.set_ir(c, budget, value);
-        }
-        Ok(())
-    }
-
-    /// Fills the `I_R^lin` cache of every clean component that lacks one.
-    fn solve_dirty_lins(&mut self) -> Result<(), MeasureError> {
-        let jobs: Vec<CompId> = self.lin_pending.iter().copied().collect();
-        self.stats.lin_cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
-        self.stats.lin_solves += jobs.len() as u64;
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        let _span = inconsist_obs::span!("solve.lp");
-        inconsist_obs::counter!("incremental_components_visited_total").add(jobs.len() as u64);
-        let values = {
-            let minimal: Vec<&[ViolationSet]> = jobs
-                .iter()
-                .map(|c| self.comp_cache[c].minimal.as_slice())
-                .collect();
-            self.solve_jobs(&minimal, component_min_repair_lin)?
-        };
-        for (c, value) in jobs.into_iter().zip(values) {
-            self.set_lin(c, value);
-        }
-        Ok(())
     }
 
     /// `I_R` (deletions): exact minimum-cost repair over the maintained
@@ -889,140 +961,39 @@ impl IncrementalIndex {
     /// under the thread budget), never the self-join, then reads the
     /// memoized ascending component-order sum.
     pub fn i_r(&mut self, options: &MeasureOptions) -> MeasureResult {
-        self.ensure_components();
-        self.solve_dirty_covers(options.vc_budget)?;
-        Ok(self.try_i_r(options).expect("every component just solved"))
+        self.exact(Solve::Cover(options.vc_budget))
     }
 
     /// `I_R^lin`: the LP relaxation (Fig. 2) over the maintained
     /// violations, solved per dirty component (in parallel under the
     /// thread budget) and summed in ascending component order.
     pub fn i_r_lin(&mut self) -> MeasureResult {
-        self.ensure_components();
-        self.solve_dirty_lins()?;
-        Ok(self.try_i_r_lin().expect("every component just solved"))
+        self.exact(Solve::Lin)
     }
 
     // -- deadline-bounded (anytime) reads ----------------------------------
 
-    /// `I_R` under a wall-clock deadline: solves dirty components exactly
-    /// (ascending component order, sequential so the deadline stays
-    /// authoritative) until the deadline or per-component step budget runs
-    /// out, then degrades the remaining components to their polynomial
-    /// `[LP, greedy]` bounds instead of failing. Exact per-component
-    /// results are cached as usual; bounds never are. With `deadline:
-    /// None` this still degrades (rather than erroring) on step-budget
-    /// exhaustion.
+    /// `I_R` under a wall-clock deadline: solves dirty components exactly,
+    /// through the same fan-out as [`i_r`](Self::i_r), until the deadline
+    /// or a component's step budget runs out; the components left
+    /// unsolved degrade to their polynomial `[LP, greedy]` bounds instead
+    /// of failing. Exact per-component results are cached as usual;
+    /// bounds never are. With `deadline: None` this still degrades
+    /// (rather than erroring) on step-budget exhaustion.
     pub fn i_r_anytime(
         &mut self,
         options: &MeasureOptions,
         deadline: Option<Instant>,
     ) -> AnytimeValue {
-        let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        self.ensure_components();
-        let ids: Vec<CompId> = self.comp_cache.keys().copied().collect();
-        let mut out = AnytimeValue {
-            value: 0.0,
-            upper: 0.0,
-            partial: false,
-            solved: 0,
-            degraded: 0,
-        };
-        for c in &ids {
-            if let Some((b, v)) = self.comp_cache[c].ir {
-                if b == options.vc_budget {
-                    self.stats.cover_cache_hits += 1;
-                    out.value += v;
-                    out.upper += v;
-                    out.solved += 1;
-                    continue;
-                }
-            }
-            let (graph, node_sets) = {
-                let minimal = self.comp_cache[c].minimal.as_slice();
-                let graph = ConflictGraph::from_subsets(&self.db, minimal);
-                let node_sets = node_index_sets(&graph, minimal);
-                (graph, node_sets)
-            };
-            let solved = if out.partial || expired(&deadline) {
-                // Once degraded, stay degraded: later exact solves could
-                // not produce a total anyway, and bounds are cheap.
-                None
-            } else {
-                self.stats.cover_solves += 1;
-                let mut budget = Budget::with_deadline(options.vc_budget, deadline);
-                component_min_repair_with(&graph, &node_sets, &mut budget)
-            };
-            match solved {
-                Some(v) => {
-                    self.set_ir(*c, options.vc_budget, v);
-                    out.value += v;
-                    out.upper += v;
-                    out.solved += 1;
-                }
-                None => {
-                    let (lower, upper) = component_repair_bounds(&graph, &node_sets);
-                    out.value += lower;
-                    out.upper += upper;
-                    out.partial = true;
-                    out.degraded += 1;
-                }
-            }
-        }
-        out
+        self.anytime(Solve::Cover(options.vc_budget), deadline)
     }
 
-    /// `I_R^lin` under a wall-clock deadline: per-component LP solves in
-    /// ascending order with the deadline checked between components; once
-    /// it expires, the remaining components contribute `[0, greedy]`
-    /// bounds and the result is marked partial.
+    /// `I_R^lin` under a wall-clock deadline: per-component LP solves
+    /// with the deadline checked before each; the components left
+    /// unsolved contribute `[0, greedy]` bounds and the result is marked
+    /// partial.
     pub fn i_r_lin_anytime(&mut self, deadline: Option<Instant>) -> AnytimeValue {
-        let expired = |d: &Option<Instant>| matches!(d, Some(d) if Instant::now() >= *d);
-        self.ensure_components();
-        let ids: Vec<CompId> = self.comp_cache.keys().copied().collect();
-        let mut out = AnytimeValue {
-            value: 0.0,
-            upper: 0.0,
-            partial: false,
-            solved: 0,
-            degraded: 0,
-        };
-        for c in &ids {
-            if let Some(v) = self.comp_cache[c].ir_lin {
-                self.stats.lin_cache_hits += 1;
-                out.value += v;
-                out.upper += v;
-                out.solved += 1;
-                continue;
-            }
-            let (graph, node_sets) = {
-                let minimal = self.comp_cache[c].minimal.as_slice();
-                let graph = ConflictGraph::from_subsets(&self.db, minimal);
-                let node_sets = node_index_sets(&graph, minimal);
-                (graph, node_sets)
-            };
-            let solved = if out.partial || expired(&deadline) {
-                None
-            } else {
-                self.stats.lin_solves += 1;
-                component_min_repair_lin(&graph, &node_sets)
-            };
-            match solved {
-                Some(v) => {
-                    self.set_lin(*c, v);
-                    out.value += v;
-                    out.upper += v;
-                    out.solved += 1;
-                }
-                None => {
-                    let (_, upper) = component_repair_bounds(&graph, &node_sets);
-                    out.upper += upper;
-                    out.partial = true;
-                    out.degraded += 1;
-                }
-            }
-        }
-        out
+        self.anytime(Solve::Lin, deadline)
     }
 
     // -- optimistic `&self` reads ------------------------------------------
@@ -1043,30 +1014,12 @@ impl IncrementalIndex {
     /// ascending-order fold [`i_r`](Self::i_r) reads, so the result is
     /// bit-identical to it.
     pub fn try_i_r(&self, options: &MeasureOptions) -> Option<f64> {
-        let solved = self.dirty.is_empty()
-            && self.ir_pending.is_empty()
-            && self.ir_budgets.keys().all(|&b| b == options.vc_budget);
-        solved.then(|| {
-            *self.ir_total.get_or_init(|| {
-                // Explicit `0.0` start: f64's `Sum` identity is -0.0,
-                // which would leak a negative zero on consistent data.
-                self.comp_cache
-                    .values()
-                    .fold(0.0, |sum, cache| sum + cache.ir.expect("solved").1)
-            })
-        })
+        self.total(Solve::Cover(options.vc_budget))
     }
 
     /// `I_R^lin` from caches only (the memoized ascending-order sum).
     pub fn try_i_r_lin(&self) -> Option<f64> {
-        let solved = self.dirty.is_empty() && self.lin_pending.is_empty();
-        solved.then(|| {
-            *self.lin_total.get_or_init(|| {
-                self.comp_cache
-                    .values()
-                    .fold(0.0, |sum, cache| sum + cache.ir_lin.expect("solved"))
-            })
-        })
+        self.total(Solve::Lin)
     }
 
     /// `I_MI^dc` from caches only; `None` when any constraint's count was
@@ -1087,9 +1040,8 @@ impl IncrementalIndex {
     /// solves across the thread budget).
     pub fn warm(&mut self, options: &MeasureOptions) -> Result<(), MeasureError> {
         self.i_mi_by_dc();
-        self.ensure_components();
-        self.solve_dirty_covers(options.vc_budget)?;
-        self.solve_dirty_lins()
+        self.exact(Solve::Cover(options.vc_budget))?;
+        self.exact(Solve::Lin).map(drop)
     }
 
     /// Tuples ranked by how many raw bindings they currently appear in —
@@ -1773,6 +1725,35 @@ mod tests {
         assert_eq!(seq.i_r_lin().unwrap(), par.i_r_lin().unwrap());
         assert_eq!(seq.i_mi(), par.i_mi());
         assert_eq!(seq.stats(), par.stats());
+        // The deadline readers fan out the same way and return the
+        // sequential bits.
+        for &t in firsts.iter().skip(5).take(5) {
+            seq.update(t, AttrId(1), Value::int(-7)).unwrap();
+            par.update(t, AttrId(1), Value::int(-7)).unwrap();
+        }
+        let (a, b) = (seq.i_r_anytime(&opts, None), par.i_r_anytime(&opts, None));
+        assert!(!a.partial && !b.partial);
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        let (a, b) = (seq.i_r_lin_anytime(None), par.i_r_lin_anytime(None));
+        assert!(!a.partial && !b.partial);
+        assert_eq!(a.value.to_bits(), b.value.to_bits());
+        assert_eq!(seq.stats(), par.stats());
+        // An expired deadline at 4 threads degrades the dirty components
+        // to bounds that hold the exact value.
+        for &t in firsts.iter().skip(10) {
+            par.update(t, AttrId(1), Value::int(-7)).unwrap();
+        }
+        let expired = Instant::now();
+        let ir = par.i_r_anytime(&opts, Some(expired));
+        let lin = par.i_r_lin_anytime(Some(expired));
+        assert!(ir.partial && lin.partial);
+        let exact = par.i_r(&opts).unwrap();
+        assert!(ir.value <= exact && exact <= ir.upper, "{ir:?} vs {exact}");
+        let exact = par.i_r_lin().unwrap();
+        assert!(
+            lin.value <= exact && exact <= lin.upper,
+            "{lin:?} vs {exact}"
+        );
         assert_matches_scratch(&mut par);
     }
 

@@ -14,9 +14,13 @@
 //!   witnesses both the hit rate and the actual overlap.
 //! * on a cache miss (some component was dirtied since the last warm
 //!   read) the reader upgrades: it drops the read lock, takes the
-//!   **write** lock, [`IncrementalIndex::warm`]s the precise dirty set
-//!   (fanning cover solves across the configured thread budget) and
-//!   answers exclusively.
+//!   **write** lock and answers exclusively, filling only the caches the
+//!   requested measures need — each on the dirty components alone, with
+//!   cover/LP solves fanned across the configured thread budget.
+//! * with a deadline, the same ladder only *tries* the read lock and
+//!   waits for the write lock until the deadline; solves that cannot
+//!   finish degrade to certified bounds (`partial`), and a write lock
+//!   that never comes serves the last full read (`stale`).
 //! * **writes** (`op`) always take the write lock, apply the delta
 //!   maintenance, and tag every applied operation with a session-global
 //!   sequence number — the serialization witness: replaying the ops of a
@@ -109,17 +113,9 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// The measure values most recently served by a *full* (non-partial)
-/// read, kept so deadline-bounded reads that cannot take a lock in time
-/// can degrade to a stale-but-coherent answer instead of failing.
-#[derive(Default)]
-struct LastServed {
-    /// Newest `op_seq` any recorded value was computed at.
-    seq: u64,
-    /// Measure name → (op_seq at computation, value).
-    values: HashMap<String, (u64, Json)>,
-    per_dc: Option<(u64, Json)>,
-}
+/// The stale rung's key for the last top-`k` ranking, stored as
+/// `{"k": k, "tuples": rows}` beside the measure keys.
+const RANKING: &str = "tuples";
 
 /// Appends entries to an object response (no-op on non-objects).
 fn push_entries(resp: Json, extra: Vec<(&'static str, Json)>) -> Json {
@@ -160,9 +156,11 @@ pub struct Session {
     /// the `Durability` behind the mutex), so `stats` and the metrics
     /// collector read them without contending for the I/O path.
     durable_metrics: Option<Arc<crate::durable::DurableMetrics>>,
-    /// Stale-read fallback for deadline-bounded reads. Lock order: taken
-    /// only while holding no index lock, or after the index lock.
-    last_served: Mutex<LastServed>,
+    /// The stale rung of deadline-bounded reads: key (a measure,
+    /// `per_dc` or [`RANKING`]) → the `op_seq` and value of its last full
+    /// read. Lock order: taken only while holding no index lock, or after
+    /// the index lock.
+    served: Mutex<HashMap<String, (u64, Json)>>,
     /// Op-token dedup cache. Taken only under the index write lock, which
     /// serializes writers — so check-and-insert is race-free.
     tokens: Mutex<TokenCache>,
@@ -220,7 +218,7 @@ impl Session {
             counters: SessionCounters::default(),
             durable,
             durable_metrics,
-            last_served: Mutex::new(LastServed::default()),
+            served: Mutex::new(HashMap::new()),
             tokens: Mutex::new(TokenCache::default()),
         })
     }
@@ -293,7 +291,7 @@ impl Session {
             counters,
             durable: Some(Mutex::new(durability)),
             durable_metrics,
-            last_served: Mutex::new(LastServed::default()),
+            served: Mutex::new(HashMap::new()),
             tokens: Mutex::new(TokenCache::default()),
         })
     }
@@ -586,48 +584,18 @@ impl Session {
         Ok(resp.get("seq").and_then(Json::as_f64).map(|s| s as u64))
     }
 
-    /// Reader path: optimistic shared read, upgraded to an exclusive
-    /// evaluation only when a cache miss forces it. The exclusive path
-    /// computes *only* the requested measures (each `&mut` reader fills
-    /// exactly the caches it needs), so a cheap request — say, `I_MI`
-    /// alone — never pays for an unrequested budgeted cover solve.
+    /// Reader path: the requested measures (plus the `per_dc` drilldown)
+    /// up the read ladder. The exclusive rung computes *only* the
+    /// requested measures (each `&mut` reader fills exactly the caches it
+    /// needs), so a cheap request — say, `I_MI` alone — never pays for an
+    /// unrequested budgeted cover solve.
     pub fn measure(
         &self,
         measures: &[String],
         per_dc: bool,
         opts: &MeasureOptions,
     ) -> Result<Json, ServerError> {
-        // Shared attempt: `&self` reads under the read lock.
-        {
-            let idx = self.index.read();
-            self.counters.reads_in_flight.inc();
-            let answer = self.try_shared(&idx, measures, per_dc, opts);
-            self.counters.reads_in_flight.dec();
-            if let Some(values) = answer? {
-                // op_seq only advances under the write lock, so it is
-                // stable while we hold the read lock.
-                let seq = self.counters.op_seq.get();
-                drop(idx);
-                self.counters.shared_reads.inc();
-                self.record_last_served(seq, &values);
-                return Ok(self.measure_response("shared", values));
-            }
-        }
-        // Upgrade: evaluate the requested measures exclusively.
-        let mut idx = self.index.write();
-        let mut values: Vec<(String, Json)> = Vec::with_capacity(measures.len() + 1);
-        for m in measures {
-            values.push((m.clone(), eval_exclusive(&mut idx, m, opts)?));
-        }
-        if per_dc {
-            let counts = idx.i_mi_by_dc();
-            values.push(("per_dc".into(), per_dc_json(&idx, counts)));
-        }
-        let seq = self.counters.op_seq.get();
-        drop(idx);
-        self.counters.exclusive_reads.inc();
-        self.record_last_served(seq, &values);
-        Ok(self.measure_response("exclusive", values))
+        self.read_measures(measures, per_dc, opts, None)
     }
 
     /// Deadline-bounded reader path. Same answer as
@@ -650,146 +618,163 @@ impl Session {
         opts: &MeasureOptions,
         deadline_ms: u64,
     ) -> Result<Json, ServerError> {
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-        // Optimistic shared attempt, non-blocking: a held write lock
-        // sends us straight to the timed upgrade below.
-        if let Some(idx) = self.index.try_read() {
-            self.counters.reads_in_flight.inc();
-            let answer = self.try_shared(&idx, measures, per_dc, opts);
-            self.counters.reads_in_flight.dec();
-            if let Some(values) = answer? {
-                let seq = self.counters.op_seq.get();
-                drop(idx);
-                self.counters.shared_reads.inc();
-                self.record_last_served(seq, &values);
-                return Ok(self.measure_response("shared", values));
-            }
+        self.read_measures(measures, per_dc, opts, Some(deadline_ms))
+    }
+
+    /// The one measure read behind [`measure`](Self::measure) and
+    /// [`measure_deadline`](Self::measure_deadline).
+    fn read_measures(
+        &self,
+        measures: &[String],
+        per_dc: bool,
+        opts: &MeasureOptions,
+        deadline_ms: Option<u64>,
+    ) -> Result<Json, ServerError> {
+        let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+        let mut keys = measures.to_vec();
+        if per_dc {
+            keys.push("per_dc".to_string());
         }
-        // Timed upgrade: wait for the write lock only as long as the
-        // deadline allows.
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if let Some(mut idx) = self.index.try_write_for(remaining) {
-            let mut values: Vec<(String, Json)> = Vec::with_capacity(measures.len() + 1);
-            let mut upper: Vec<(String, Json)> = Vec::new();
-            for m in measures {
-                match m.as_str() {
-                    "I_R" => {
-                        let v = idx.i_r_anytime(opts, Some(deadline));
-                        values.push((m.clone(), Json::Num(v.value)));
-                        if v.partial {
-                            upper.push((m.clone(), Json::Num(v.upper)));
-                        }
-                    }
-                    "I_R^lin" => {
-                        let v = idx.i_r_lin_anytime(Some(deadline));
-                        values.push((m.clone(), Json::Num(v.value)));
-                        if v.partial {
-                            upper.push((m.clone(), Json::Num(v.upper)));
-                        }
-                    }
-                    _ => values.push((m.clone(), eval_exclusive(&mut idx, m, opts)?)),
+        let read = self.ladder(
+            deadline,
+            |idx| {
+                let mut values = Vec::with_capacity(keys.len());
+                for k in &keys {
+                    let Some(v) = eval_shared(idx, k, opts)? else {
+                        return Ok(None);
+                    };
+                    values.push((k.clone(), v));
                 }
-            }
-            if per_dc {
-                let counts = idx.i_mi_by_dc();
-                values.push(("per_dc".into(), per_dc_json(&idx, counts)));
-            }
-            let seq = self.counters.op_seq.get();
-            drop(idx);
-            self.counters.exclusive_reads.inc();
-            let partial = !upper.is_empty();
-            if partial {
-                self.counters.partial_reads.inc();
-            } else {
-                // Partial lower bounds must never masquerade as served
-                // values, so only full reads refresh the stale cache.
-                self.record_last_served(seq, &values);
-            }
-            let mut resp = self.measure_response("exclusive", values);
-            if partial {
-                resp = push_entries(
-                    resp,
-                    vec![("partial", Json::Bool(true)), ("upper", Json::Obj(upper))],
-                );
-            }
-            return Ok(resp);
+                Ok(Some((values, Vec::new())))
+            },
+            |idx| {
+                let mut values = Vec::with_capacity(keys.len());
+                let mut upper = Vec::new();
+                for k in &keys {
+                    let bounded = match (k.as_str(), deadline) {
+                        ("I_R", Some(_)) => Some(idx.i_r_anytime(opts, deadline)),
+                        ("I_R^lin", Some(_)) => Some(idx.i_r_lin_anytime(deadline)),
+                        _ => None,
+                    };
+                    let v = match bounded {
+                        Some(v) => {
+                            if v.partial {
+                                upper.push((k.clone(), Json::Num(v.upper)));
+                            }
+                            Json::Num(v.value)
+                        }
+                        None => eval_exclusive(idx, k, opts)?,
+                    };
+                    values.push((k.clone(), v));
+                }
+                Ok((values, upper))
+            },
+        )?;
+        let Some((path, seq, (values, upper))) = read else {
+            let (as_of, values) = self.last_served(&keys, deadline_ms.unwrap_or(0))?;
+            return Ok(self.stale(self.measure_response("stale", values), as_of));
+        };
+        if upper.is_empty() {
+            self.record_last_served(seq, &values);
+            return Ok(self.measure_response(path, values));
         }
-        // The lock never came: serve the last fully-served values.
-        self.stale_fallback(measures, per_dc, deadline_ms)
+        // Partial lower bounds must never masquerade as served values, so
+        // only full reads refresh the stale cache.
+        self.counters.partial_reads.inc();
+        Ok(push_entries(
+            self.measure_response(path, values),
+            vec![("partial", Json::Bool(true)), ("upper", Json::Obj(upper))],
+        ))
     }
 
     /// Tuple-level reader path: the `k` most inconsistent tuples with
     /// their per-tuple responsibility scores (`cbm`/`cim`/`pim`/`rim`),
     /// ranked `(cbm, cim, rim)` descending with tuple-id tie-break.
     ///
-    /// Same lock ladder as [`measure`](Self::measure): optimistic shared
-    /// read from the component caches, exclusive upgrade on a miss. With
-    /// a deadline, the shared attempt is non-blocking, the upgrade waits
-    /// only as long as the deadline allows, and a lock that never comes
-    /// degrades to the last ranking served for the same `k` (tagged
-    /// `stale:true` with `as_of_seq`) — or fails with `kind:"deadline"`
-    /// when no top-`k` was ever served.
+    /// Same ladder as [`measure`](Self::measure). A lock that never comes
+    /// within the deadline degrades to the first `k` rows of the last
+    /// ranking served (tagged `stale:true` with `as_of_seq`) when that
+    /// ranking holds them — it asked for at least `k` rows, or came back
+    /// with fewer rows than it asked for — and fails with
+    /// `kind:"deadline"` otherwise.
     pub fn tuple_measures(&self, k: usize, deadline_ms: Option<u64>) -> Result<Json, ServerError> {
         let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let key = format!("tuples@{k}");
-        // Shared attempt: cache-only `&self` read (non-blocking when a
-        // deadline is set — a held write lock goes straight to the
-        // upgrade below).
-        let shared = match deadline {
+        let read = self.ladder(
+            deadline,
+            |idx| Ok(idx.try_top_k_tuples(k)),
+            |idx| Ok(idx.top_k_tuples(k)),
+        )?;
+        if let Some((path, seq, top)) = read {
+            let tuples = tuple_scores_json(&top);
+            // One ranking is kept, whatever `k` asked for it.
+            let ranking = Json::obj([("k", Json::Num(k as f64)), ("tuples", tuples.clone())]);
+            self.record_last_served(seq, &[(RANKING.to_string(), ranking)]);
+            return Ok(self.tuple_response(path, k, tuples));
+        }
+        let ms = deadline_ms.unwrap_or(0);
+        let (as_of, last) = self.last_served(&[RANKING.to_string()], ms)?;
+        let ranking = &last[0].1;
+        let served_k = ranking.get("k").and_then(Json::as_f64).unwrap_or(0.0) as usize;
+        let rows = ranking
+            .get("tuples")
+            .and_then(Json::as_arr)
+            .unwrap_or_default();
+        if served_k < k && rows.len() == served_k {
+            return Err(ServerError::Deadline(format!(
+                "`{}` busy past the {ms}ms deadline and no top-{k} tuple ranking \
+                 was served",
+                self.name
+            )));
+        }
+        let rows = Json::Arr(rows[..k.min(rows.len())].to_vec());
+        Ok(self.stale(self.tuple_response("stale", k, rows), as_of))
+    }
+
+    /// The read ladder behind every reader: a `shared` attempt under the
+    /// read lock (cache-only `&self` reads; `Ok(None)` means some cache is
+    /// cold), then the `exclusive` evaluation under the write lock.
+    /// Without a deadline both rungs block. With one, the read lock is
+    /// only tried (a held write lock goes straight to the upgrade) and the
+    /// write lock is waited for only until the deadline. Returns the path
+    /// that answered, the `op_seq` the answer was computed at and the
+    /// answer — or `None` when the write lock never came.
+    fn ladder<T>(
+        &self,
+        deadline: Option<Instant>,
+        shared: impl FnOnce(&IncrementalIndex) -> Result<Option<T>, ServerError>,
+        exclusive: impl FnOnce(&mut IncrementalIndex) -> Result<T, ServerError>,
+    ) -> Result<Option<(&'static str, u64, T)>, ServerError> {
+        let read = match deadline {
             None => Some(self.index.read()),
             Some(_) => self.index.try_read(),
         };
-        if let Some(idx) = shared {
+        if let Some(idx) = read {
             self.counters.reads_in_flight.inc();
-            let answer = idx.try_top_k_tuples(k);
+            let answer = shared(&idx);
             self.counters.reads_in_flight.dec();
-            if let Some(top) = answer {
+            if let Some(answer) = answer? {
+                // op_seq only advances under the write lock, so it is
+                // stable while we hold the read lock.
                 let seq = self.counters.op_seq.get();
                 drop(idx);
                 self.counters.shared_reads.inc();
-                let tuples = tuple_scores_json(&top);
-                self.record_last_served(seq, &[(key, tuples.clone())]);
-                return Ok(self.tuple_response("shared", k, tuples));
+                return Ok(Some(("shared", seq, answer)));
             }
         }
-        // Exclusive upgrade (timed when a deadline is set).
-        let locked = match deadline {
+        let write = match deadline {
             None => Some(self.index.write()),
             Some(d) => self
                 .index
                 .try_write_for(d.saturating_duration_since(Instant::now())),
         };
-        if let Some(mut idx) = locked {
-            let top = idx.top_k_tuples(k);
-            let seq = self.counters.op_seq.get();
-            drop(idx);
-            self.counters.exclusive_reads.inc();
-            let tuples = tuple_scores_json(&top);
-            self.record_last_served(seq, &[(key, tuples.clone())]);
-            return Ok(self.tuple_response("exclusive", k, tuples));
-        }
-        // The lock never came: serve the last ranking for this `k`.
-        let ms = deadline_ms.unwrap_or(0);
-        let last = self.last_served.lock();
-        match last.values.get(&key) {
-            Some((seq, v)) => {
-                let (seq, v) = (*seq, v.clone());
-                drop(last);
-                self.counters.stale_reads.inc();
-                Ok(push_entries(
-                    self.tuple_response("stale", k, v),
-                    vec![
-                        ("stale", Json::Bool(true)),
-                        ("as_of_seq", Json::Num(seq as f64)),
-                    ],
-                ))
-            }
-            None => Err(ServerError::Deadline(format!(
-                "`{}` busy past the {ms}ms deadline and a top-{k} tuple \
-                 ranking was never served",
-                self.name
-            ))),
-        }
+        let Some(mut idx) = write else {
+            return Ok(None);
+        };
+        let answer = exclusive(&mut idx)?;
+        let seq = self.counters.op_seq.get();
+        drop(idx);
+        self.counters.exclusive_reads.inc();
+        Ok(Some(("exclusive", seq, answer)))
     }
 
     fn tuple_response(&self, path: &'static str, k: usize, tuples: Json) -> Json {
@@ -802,99 +787,50 @@ impl Session {
         ])
     }
 
-    /// Answers from the last-served cache (tagged `stale:true`) or fails
-    /// with `kind:"deadline"` when a requested measure was never served.
-    fn stale_fallback(
+    /// The stale rung's lookup: the value last served under every key,
+    /// with the oldest `op_seq` among them (the current one for no keys),
+    /// or `kind:"deadline"` naming the first key never served.
+    fn last_served(
         &self,
-        measures: &[String],
-        per_dc: bool,
+        keys: &[String],
         deadline_ms: u64,
-    ) -> Result<Json, ServerError> {
-        let last = self.last_served.lock();
-        let mut values: Vec<(String, Json)> = Vec::with_capacity(measures.len() + 1);
-        // Every recorded seq is at most the current one, so an empty
-        // request answers as of now.
+    ) -> Result<(u64, Vec<(String, Json)>), ServerError> {
+        let served = self.served.lock();
         let mut as_of = self.counters.op_seq.get();
-        for m in measures {
-            match last.values.get(m) {
-                Some((seq, v)) => {
-                    as_of = as_of.min(*seq);
-                    values.push((m.clone(), v.clone()));
-                }
-                None => {
-                    return Err(ServerError::Deadline(format!(
-                        "`{}` busy past the {deadline_ms}ms deadline and `{m}` \
-                         has no previously served value",
-                        self.name
-                    )))
-                }
-            }
+        let mut values = Vec::with_capacity(keys.len());
+        for k in keys {
+            let Some((seq, v)) = served.get(k) else {
+                return Err(ServerError::Deadline(format!(
+                    "`{}` busy past the {deadline_ms}ms deadline and `{k}` has no \
+                     previously served value",
+                    self.name
+                )));
+            };
+            as_of = as_of.min(*seq);
+            values.push((k.clone(), v.clone()));
         }
-        if per_dc {
-            match &last.per_dc {
-                Some((seq, d)) => {
-                    as_of = as_of.min(*seq);
-                    values.push(("per_dc".into(), d.clone()));
-                }
-                None => {
-                    return Err(ServerError::Deadline(format!(
-                        "`{}` busy past the {deadline_ms}ms deadline and per_dc \
-                         has no previously served value",
-                        self.name
-                    )))
-                }
-            }
-        }
-        drop(last);
+        Ok((as_of, values))
+    }
+
+    /// Tags a response served from the stale rung.
+    fn stale(&self, resp: Json, as_of: u64) -> Json {
         self.counters.stale_reads.inc();
-        Ok(push_entries(
-            self.measure_response("stale", values),
+        push_entries(
+            resp,
             vec![
                 ("stale", Json::Bool(true)),
                 ("as_of_seq", Json::Num(as_of as f64)),
             ],
-        ))
+        )
     }
 
-    /// Records fully-served measure values for the stale-read fallback.
-    /// Each value is tagged with the `op_seq` it was computed at;
-    /// [`stale_fallback`](Self::stale_fallback) reports the oldest
-    /// contributing seq as `as_of_seq`.
+    /// Records fully-served values for the stale rung, each tagged with
+    /// the `op_seq` it was computed at.
     fn record_last_served(&self, seq: u64, values: &[(String, Json)]) {
-        let mut last = self.last_served.lock();
+        let mut served = self.served.lock();
         for (k, v) in values {
-            if k == "per_dc" {
-                last.per_dc = Some((seq, v.clone()));
-            } else {
-                last.values.insert(k.clone(), (seq, v.clone()));
-            }
+            served.insert(k.clone(), (seq, v.clone()));
         }
-        last.seq = last.seq.max(seq);
-    }
-
-    /// Tries to answer every requested measure from caches alone
-    /// (`Ok(None)` = some cache is cold, upgrade to the write lock).
-    fn try_shared(
-        &self,
-        idx: &IncrementalIndex,
-        measures: &[String],
-        per_dc: bool,
-        opts: &MeasureOptions,
-    ) -> Result<Option<Vec<(String, Json)>>, ServerError> {
-        let mut values: Vec<(String, Json)> = Vec::with_capacity(measures.len() + 1);
-        for m in measures {
-            match eval_shared(idx, m, opts)? {
-                Some(v) => values.push((m.clone(), v)),
-                None => return Ok(None),
-            }
-        }
-        if per_dc {
-            match idx.try_i_mi_by_dc() {
-                Some(counts) => values.push(("per_dc".into(), per_dc_json(idx, counts))),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(values))
     }
 
     fn measure_response(&self, path: &'static str, values: Vec<(String, Json)>) -> Json {
@@ -1084,13 +1020,15 @@ pub(crate) fn options_json(opts: &MeasureOptions) -> Json {
     ])
 }
 
-/// Evaluates one measure from caches only (`Ok(None)` = dirty, upgrade).
+/// Evaluates one measure (or the `per_dc` drilldown) from caches only
+/// (`Ok(None)` = dirty, upgrade).
 fn eval_shared(
     idx: &IncrementalIndex,
     name: &str,
     opts: &MeasureOptions,
 ) -> Result<Option<Json>, ServerError> {
     let value = match name {
+        "per_dc" => return Ok(idx.try_i_mi_by_dc().map(|counts| per_dc_json(idx, counts))),
         "I_d" => Some(idx.i_d()),
         "raw" => Some(idx.raw_violations() as f64),
         "components" => Some(idx.component_count() as f64),
@@ -1105,13 +1043,18 @@ fn eval_shared(
     Ok(value.map(Json::Num))
 }
 
-/// Evaluates one measure with the cache-filling (`&mut`) readers.
+/// Evaluates one measure (or the `per_dc` drilldown) with the
+/// cache-filling (`&mut`) readers.
 fn eval_exclusive(
     idx: &mut IncrementalIndex,
     name: &str,
     opts: &MeasureOptions,
 ) -> Result<Json, ServerError> {
     Ok(match name {
+        "per_dc" => {
+            let counts = idx.i_mi_by_dc();
+            per_dc_json(idx, counts)
+        }
         "I_d" => Json::Num(idx.i_d()),
         "raw" => Json::Num(idx.raw_violations() as f64),
         "components" => Json::Num(idx.component_count() as f64),
@@ -1945,6 +1888,90 @@ mod tests {
         let err = s
             .measure_deadline(&["I_P".to_string()], false, &opts, 1)
             .unwrap_err();
+        assert_eq!(err.kind(), "deadline");
+    }
+
+    #[test]
+    fn contended_deadline_per_dc_reads_fall_back_to_stale_counts() {
+        let (_reg, s) = registry_with_session();
+        let opts = MeasureOptions::default();
+        // Never served: nothing to fall back to.
+        {
+            let _writer = s.index.write();
+            let err = s.measure_deadline(&[], true, &opts, 1).unwrap_err();
+            assert_eq!(err.kind(), "deadline");
+        }
+        s.apply_ops("update 3 Pop 9").unwrap();
+        s.measure(&[], true, &opts).unwrap();
+        let _writer = s.index.write();
+        let resp = s.measure_deadline(&[], true, &opts, 1).unwrap();
+        assert_eq!(resp.get("stale").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp.get("as_of_seq").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(
+            resp.get("per_dc")
+                .and_then(|d| d.get("fd"))
+                .and_then(Json::as_f64),
+            Some(1.0)
+        );
+    }
+
+    #[test]
+    fn contended_deadline_tuple_reads_fall_back_to_the_last_ranking() {
+        let (_reg, s) = registry_with_session();
+        // No ranking was ever served: fail rather than invent one.
+        {
+            let _writer = s.index.write();
+            let err = s.tuple_measures(10, Some(1)).unwrap_err();
+            assert_eq!(err.kind(), "deadline");
+        }
+        s.apply_ops("update 3 Pop 9").unwrap();
+        let served = s.tuple_measures(10, None).unwrap();
+        let _writer = s.index.write();
+        let resp = s.tuple_measures(10, Some(1)).unwrap();
+        assert_eq!(resp.get("path").and_then(Json::as_str), Some("stale"));
+        assert_eq!(resp.get("stale").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp.get("as_of_seq").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(resp.get("tuples"), served.get("tuples"));
+        assert_eq!(s.counters().stale_reads.get(), 1);
+    }
+
+    #[test]
+    fn one_ranking_is_kept_and_serves_every_k_it_holds() {
+        let reg = Registry::new(1);
+        let csv =
+            "City,Country\nParis,FR\nParis,DE\nParis,IT\nLyon,FR\nLyon,DE\nNice,FR\nNice,ES\n";
+        let s = reg
+            .create(
+                "cities",
+                &Payload::Inline(csv.into()),
+                &Payload::Inline(DC.into()),
+                ReadMode::Component,
+            )
+            .unwrap();
+        let rows = |resp: &Json| resp.get("tuples").and_then(Json::as_arr).unwrap().to_vec();
+        // A client walking `k` leaves one stale entry, not one per `k`.
+        for k in 1..=200 {
+            s.tuple_measures(k, None).unwrap();
+        }
+        assert_eq!(s.served.lock().len(), 1);
+        let top10 = rows(&s.tuple_measures(10, None).unwrap());
+        assert_eq!(top10.len(), 7, "every scored tuple");
+        {
+            let _writer = s.index.write();
+            // The first 3 rows of the top-10 ranking.
+            let resp = s.tuple_measures(3, Some(1)).unwrap();
+            assert_eq!(resp.get("stale").and_then(Json::as_bool), Some(true));
+            assert_eq!(resp.get("as_of_seq").and_then(Json::as_f64), Some(0.0));
+            assert_eq!(rows(&resp), top10[..3]);
+            // The ranking came back short, so it is complete: it serves
+            // any larger `k` too.
+            assert_eq!(rows(&s.tuple_measures(50, Some(1)).unwrap()), top10);
+        }
+        // A top-2 ranking cannot answer a top-3 read.
+        s.tuple_measures(2, None).unwrap();
+        let _writer = s.index.write();
+        assert_eq!(rows(&s.tuple_measures(2, Some(1)).unwrap()), top10[..2]);
+        let err = s.tuple_measures(3, Some(1)).unwrap_err();
         assert_eq!(err.kind(), "deadline");
     }
 }

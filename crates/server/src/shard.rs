@@ -52,8 +52,7 @@ pub fn measure_all_local(
     detail: bool,
 ) -> Result<Json, ServerError> {
     let sessions = registry.all();
-    let mut totals: Vec<(String, f64)> = measures.iter().map(|m| (m.clone(), 0.0)).collect();
-    let mut per_session: Vec<(String, Json)> = Vec::with_capacity(sessions.len());
+    let mut rows: Vec<(String, Json)> = Vec::with_capacity(sessions.len());
     for session in &sessions {
         let opts = session.options();
         let response = session.measure(measures, false, &opts)?;
@@ -61,35 +60,24 @@ pub fn measure_all_local(
             .get("values")
             .ok_or_else(|| ServerError::Measure("measure response without `values`".into()))?;
         let mut row: Vec<(String, Json)> = Vec::with_capacity(measures.len());
-        for (name, total) in &mut totals {
+        for name in measures {
             let v = values.get(name).and_then(Json::as_f64).ok_or_else(|| {
                 ServerError::Measure(format!(
                     "session `{}` returned no numeric `{name}`",
                     session.name()
                 ))
             })?;
-            *total += v;
             row.push((name.clone(), Json::Num(v)));
         }
-        if detail {
-            per_session.push((session.name().to_string(), Json::Obj(row)));
-        }
+        rows.push((session.name().to_string(), Json::Obj(row)));
     }
     let mut entries = vec![
         ("ok".to_string(), Json::Bool(true)),
-        (
-            "values".to_string(),
-            Json::Obj(
-                totals
-                    .into_iter()
-                    .map(|(name, total)| (name, Json::Num(total)))
-                    .collect(),
-            ),
-        ),
+        ("values".to_string(), fold_sessions(measures, &mut rows)),
         ("sessions".to_string(), Json::Num(sessions.len() as f64)),
     ];
     if detail {
-        entries.push(("detail".to_string(), Json::Obj(per_session)));
+        entries.push(("detail".to_string(), Json::Obj(rows)));
     }
     Ok(Json::Obj(entries))
 }

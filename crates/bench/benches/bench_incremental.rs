@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use inconsist::constraints::{ConstraintSet, Fd};
-use inconsist::incremental::IncrementalIndex;
+use inconsist::incremental::{IncrementalIndex, Measure};
 use inconsist::measures::{
     InconsistencyMeasure, LinearMinimumRepair, MeasureOptions, MinimalInconsistentSubsets,
     MinimumRepair, ProblematicFacts,
@@ -170,62 +170,43 @@ fn long_trace(db: &Database, cs: &ConstraintSet, blocks: i64, steps: usize) -> V
     trace
 }
 
-/// Which measure a replay loop reads after every op.
-#[derive(Clone, Copy, Debug)]
-enum Read {
-    Mi,
-    P,
-    R,
-    RLin,
-    All,
-}
+/// The measures a replay loop reads after every op: one at a time, then
+/// all four together (`"all"` in the summary).
+const READS: [Measure; 4] = [Measure::Mi, Measure::P, Measure::R, Measure::RLin];
 
-impl Read {
-    fn name(self) -> &'static str {
-        match self {
-            Read::Mi => "I_MI",
-            Read::P => "I_P",
-            Read::R => "I_R",
-            Read::RLin => "I_R^lin",
-            Read::All => "all",
-        }
+/// A replay's row label: its one measure's name, or `all`.
+fn label(what: &[Measure]) -> &'static str {
+    match what {
+        [m] => m.name(),
+        _ => "all",
     }
 }
 
 /// Replays the trace on a fresh index, reading `what` after every op;
 /// returns the accumulated values (the identity witness).
-fn replay(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: Read) -> f64 {
+fn replay(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: &[Measure]) -> f64 {
     let opts = MeasureOptions::default();
     let mut idx = IncrementalIndex::build(db.clone(), cs.clone()).expect("build");
     let mut acc = 0.0;
     for op in trace {
         idx.apply(op);
-        acc += match what {
-            Read::Mi => idx.i_mi(),
-            Read::P => idx.i_p(),
-            Read::R => idx.i_r(&opts).expect("in budget"),
-            Read::RLin => idx.i_r_lin().expect("lp"),
-            Read::All => {
-                idx.i_mi()
-                    + idx.i_p()
-                    + idx.i_r(&opts).expect("in budget")
-                    + idx.i_r_lin().expect("lp")
-            }
-        };
+        for &m in what {
+            acc += idx.measure(m, &opts, None).expect("in budget").value;
+        }
     }
     acc
 }
 
 /// [`replay`] through the batch measures, which re-run the violation
 /// scan on every step: the definitional oracle for the index's reads.
-fn replay_batch(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: Read) -> f64 {
+fn replay_batch(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: Measure) -> f64 {
     let options = MeasureOptions::default();
     let measure: Box<dyn InconsistencyMeasure> = match what {
-        Read::Mi => Box::new(MinimalInconsistentSubsets { options }),
-        Read::P => Box::new(ProblematicFacts { options }),
-        Read::R => Box::new(MinimumRepair { options }),
-        Read::RLin => Box::new(LinearMinimumRepair { options }),
-        Read::All => unreachable!("checked one measure at a time"),
+        Measure::Mi => Box::new(MinimalInconsistentSubsets { options }),
+        Measure::P => Box::new(ProblematicFacts { options }),
+        Measure::R => Box::new(MinimumRepair { options }),
+        Measure::RLin => Box::new(LinearMinimumRepair { options }),
+        other => unreachable!("{} is not replayed", other.name()),
     };
     let mut db = db.clone();
     let mut acc = 0.0;
@@ -244,16 +225,16 @@ fn bench_component_reads(c: &mut Criterion) {
         let trace = long_trace(&db, &cs, blocks, 200);
         // The timing is only meaningful if the index answers what the
         // batch measures do (unit costs: all sums are exact).
-        for what in [Read::Mi, Read::P, Read::R, Read::RLin] {
+        for m in READS {
             assert_eq!(
-                replay(&db, &cs, &trace, what),
-                replay_batch(&db, &cs, &trace, what),
+                replay(&db, &cs, &trace, &[m]),
+                replay_batch(&db, &cs, &trace, m),
                 "index diverged from the batch measures on {} at blocks={blocks}",
-                what.name()
+                m.name()
             );
         }
         group.bench_with_input(BenchmarkId::new("component", blocks), &db, |b, db| {
-            b.iter(|| replay(db, &cs, &trace, Read::All))
+            b.iter(|| replay(db, &cs, &trace, &READS))
         });
     }
     group.finish();
@@ -262,7 +243,7 @@ fn bench_component_reads(c: &mut Criterion) {
 // -- machine-readable summary ----------------------------------------------
 
 /// Times one replay and returns ops/sec.
-fn ops_per_sec(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: Read) -> f64 {
+fn ops_per_sec(db: &Database, cs: &ConstraintSet, trace: &[RepairOp], what: &[Measure]) -> f64 {
     let start = Instant::now();
     let acc = replay(db, cs, trace, what);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
@@ -296,14 +277,14 @@ fn emit_json_summary(_c: &mut Criterion) {
     let (db, cs) = multi_component(blocks, per_block);
     let trace = long_trace(&db, &cs, blocks, steps);
     let mut entries = String::new();
-    for what in [Read::Mi, Read::P, Read::R, Read::RLin, Read::All] {
+    for what in READS.iter().map(std::slice::from_ref).chain([&READS[..]]) {
         let rate = ops_per_sec(&db, &cs, &trace, what);
         if !entries.is_empty() {
             entries.push_str(",\n");
         }
         entries.push_str(&format!(
             "    {{\"measure\": \"{}\", \"mode\": \"component\", \"ops_per_sec\": {rate:.1}}}",
-            what.name()
+            label(what)
         ));
     }
     let json = format!(

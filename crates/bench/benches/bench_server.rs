@@ -39,7 +39,7 @@
 //! `BENCH_SERVER_DURABLE_OPS` (default 600). `BENCH_SMOKE=1` shrinks all
 //! three for the CI smoke job (3 clients × 40 requests, 120 ops).
 
-use inconsist::incremental::{IncrementalIndex, ReadMode};
+use inconsist::incremental::{IncrementalIndex, Measure, ReadMode};
 use inconsist::measures::MeasureOptions;
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
@@ -212,15 +212,15 @@ fn session_stat(client: &mut Client, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("no {key} in {stats}"))
 }
 
-/// The measure vector asserted identical across crash recovery.
-fn session_measures(session: &Session) -> Vec<(String, f64)> {
-    let names: Vec<String> = ["I_d", "I_MI", "I_P", "I_R", "I_R^lin", "raw", "components"]
-        .iter()
-        .map(|m| m.to_string())
-        .collect();
-    let resp = session
-        .measure(&names, false, &MeasureOptions::default())
-        .expect("measure");
+/// The measures asserted identical across crash recovery and against
+/// the serialized replay.
+const CHECKED: [Measure; 7] = {
+    use Measure::*;
+    [Id, Mi, P, R, RLin, Raw, Components]
+};
+
+/// A measure response's `values`, in response order.
+fn values_of(resp: &Json) -> Vec<(String, f64)> {
     match resp.get("values") {
         Some(Json::Obj(entries)) => entries
             .iter()
@@ -228,6 +228,16 @@ fn session_measures(session: &Session) -> Vec<(String, f64)> {
             .collect(),
         other => panic!("no values: {other:?}"),
     }
+}
+
+/// The measure vector asserted identical across crash recovery.
+fn session_measures(session: &Session) -> Vec<(String, f64)> {
+    let names: Vec<String> = CHECKED.iter().map(|m| m.name().to_string()).collect();
+    values_of(
+        &session
+            .measure(&names, false, &MeasureOptions::default())
+            .expect("measure"),
+    )
 }
 
 fn stat_f64(stats: &Json, path: &[&str]) -> f64 {
@@ -843,22 +853,13 @@ fn main() {
     }
 
     // Final measures as served, then shut the server down.
-    let final_read = Json::parse(
-        &admin
-            .request(
-                "{\"cmd\":\"measure\",\"session\":\"bench\",\
-                 \"measures\":[\"I_d\",\"I_MI\",\"I_P\",\"I_R\",\"I_R^lin\",\"raw\",\"components\"]}",
-            )
-            .expect("final measure"),
-    )
-    .unwrap();
-    let served: Vec<(String, f64)> = match final_read.get("values") {
-        Some(Json::Obj(entries)) => entries
-            .iter()
-            .map(|(k, v)| (k.clone(), v.as_f64().expect("numeric")))
-            .collect(),
-        other => panic!("no values: {other:?}"),
-    };
+    let names = Json::Arr(CHECKED.iter().map(|m| Json::str(m.name())).collect());
+    let final_read = admin
+        .request(&format!(
+            "{{\"cmd\":\"measure\",\"session\":\"bench\",\"measures\":{names}}}"
+        ))
+        .expect("final measure");
+    let served = values_of(&Json::parse(&final_read).unwrap());
     // Observability: the gate's read-ladder and solve-latency numbers
     // come from the same `metrics` endpoint operators scrape, not from a
     // private tally.
@@ -910,15 +911,13 @@ fn main() {
         idx.apply(&ops[0]);
     }
     let opts = MeasureOptions::default();
-    let expected = vec![
-        ("I_d".to_string(), idx.i_d()),
-        ("I_MI".to_string(), idx.i_mi()),
-        ("I_P".to_string(), idx.i_p()),
-        ("I_R".to_string(), idx.i_r(&opts).expect("in budget")),
-        ("I_R^lin".to_string(), idx.i_r_lin().expect("lp")),
-        ("raw".to_string(), idx.raw_violations() as f64),
-        ("components".to_string(), idx.component_count() as f64),
-    ];
+    let expected: Vec<(String, f64)> = CHECKED
+        .iter()
+        .map(|&m| {
+            let v = idx.measure(m, &opts, None).expect("in budget");
+            (m.name().to_string(), v.value)
+        })
+        .collect();
     assert_eq!(
         served,
         expected,

@@ -10,7 +10,7 @@ use crate::csv::{load_csv, write_csv, LoadedCsv};
 use crate::dcfile::{parse_dc_file, write_dc_file};
 use crate::opsfile::{display_op, parse_ops_file};
 use inconsist::constraints::{mine_dcs, ConstraintSet, MinerConfig};
-use inconsist::incremental::{IncrementalIndex, ReadMode};
+use inconsist::incremental::{IncrementalIndex, Measure, ReadMode};
 use inconsist::measures::{minimum_repair_deletions, MeasureOptions};
 use inconsist::measures_ext::extension_measures;
 use inconsist::suite::MeasureSuite;
@@ -194,23 +194,13 @@ fn cmd_measure_ops(cli: &Cli, loaded: &LoadedCsv, cs: ConstraintSet) -> Result<S
         "step", "op", "I_MI", "I_P", "I_R", "I_R^lin"
     );
     let row = |step: String, op: String, idx: &mut IncrementalIndex| {
-        let ir = idx
-            .i_r(&opts)
-            .map(|v| format!("{v}"))
-            .unwrap_or_else(|e| format!("({e})"));
-        let lin = idx
-            .i_r_lin()
-            .map(|v| format!("{v:.2}"))
-            .unwrap_or_else(|e| format!("({e})"));
-        format!(
-            "{:>5} {:<24} {:>8} {:>8} {:>8} {:>10}\n",
-            step,
-            op,
-            idx.i_mi(),
-            idx.i_p(),
-            ir,
-            lin
-        )
+        let columns = [Measure::Mi, Measure::P, Measure::R, Measure::RLin];
+        let [mi, p, ir, lin] = columns.map(|m| match idx.measure(m, &opts, None) {
+            Ok(v) if m == Measure::RLin => format!("{:.2}", v.value),
+            Ok(v) => v.value.to_string(),
+            Err(e) => format!("({e})"),
+        });
+        format!("{step:>5} {op:<24} {mi:>8} {p:>8} {ir:>8} {lin:>10}\n")
     };
     out.push_str(&row("0".into(), "-".into(), &mut idx));
     for (i, op) in ops.iter().enumerate() {
@@ -365,22 +355,16 @@ fn cmd_progress(cli: &Cli) -> Result<String, String> {
     );
     let mut cost = 0.0;
     for step in 0..=max_steps {
-        let lin = idx.i_r_lin().map_err(|e| e.to_string())?;
-        let deleted = if step == 0 {
-            "-".to_string()
-        } else {
-            format!(
-                "#{}",
-                idx.hottest_tuples(1).first().map(|h| h.0 .0).unwrap_or(0)
-            )
-        };
+        let mut deleted = "-".to_string();
         if step > 0 {
             let Some(&(hot, _)) = idx.hottest_tuples(1).first() else {
                 break;
             };
+            deleted = format!("#{}", hot.0);
             cost += idx.db().cost_of(hot);
             idx.delete(hot);
         }
+        let lin = idx.i_r_lin().map_err(|e| e.to_string())?;
         let _ = writeln!(
             out,
             "{:>5} {:>10} {:>8} {:>8} {:>10.2}",
@@ -388,9 +372,8 @@ fn cmd_progress(cli: &Cli) -> Result<String, String> {
             deleted,
             idx.i_mi(),
             idx.i_p(),
-            idx.i_r_lin().unwrap_or(f64::NAN)
+            lin
         );
-        let _ = lin;
         if idx.is_consistent() {
             let _ = writeln!(
                 out,

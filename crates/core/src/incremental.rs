@@ -120,10 +120,10 @@
 //! ([`i_r`](IncrementalIndex::i_r)) turns a component left unsolved (its
 //! step budget ran out) into [`MeasureError::Timeout`]; a deadline read
 //! ([`i_r_anytime`](IncrementalIndex::i_r_anytime)) stops handing out
-//! components once the deadline passes and folds the polynomial bounds of
-//! the unsolved ones. Either way every value solved is cached, and a
-//! component that runs out of steps does not stop the others from being
-//! solved.
+//! components once the deadline passes and folds bounds for the unsolved
+//! ones, read off their cached minimal subsets and tuple costs. Either
+//! way every value solved is cached, and a component that runs out of
+//! steps does not stop the others from being solved.
 //!
 //! The index owns the database, so every mutation flows through
 //! [`Database::insert`]/[`Database::delete`]/[`Database::update`] and keeps
@@ -135,14 +135,16 @@
 //! from-scratch engine on random operation sequences, including sequences
 //! that force component merges and splits.
 
-use crate::measures::{MeasureError, MeasureOptions, MeasureResult};
+use crate::measures::{
+    InconsistencyMeasure, MaximalConsistentSubsets, MeasureError, MeasureOptions, MeasureResult,
+};
 use crate::repair::RepairOp;
 use inconsist_constraints::{engine, ConstraintSet, ViolationSet};
 use inconsist_graph::{CompId, ConflictGraph, DynamicConflictGraph};
 use inconsist_relational::{AttrId, Database, Fact, RelationalError, TupleId, Value};
 use inconsist_solver::{
     component_min_repair, component_min_repair_lin, component_min_repair_with,
-    component_repair_bounds, component_tuple_scores, node_index_sets, Budget,
+    component_tuple_scores, node_index_sets, Budget,
 };
 
 pub use inconsist_solver::TupleScores;
@@ -193,10 +195,10 @@ pub struct ReadStats {
 /// When every component solved exactly, `partial` is `false` and `value`
 /// is the same number the blocking read would return. When the deadline
 /// (or step budget) expired mid-read, `partial` is `true`, `value` is a
-/// certified *lower* bound (exactly-solved components plus, for `I_R`,
-/// the LP bound of the rest) and `upper` carries the matching upper bound
-/// (greedy repairs for the unsolved components). Partial values are never
-/// cached.
+/// certified *lower* bound and `upper` the matching upper bound: the
+/// exactly-solved components count their values, the unsolved ones a
+/// disjoint-packing lower bound and the cost of their problematic tuples.
+/// Partial values are never cached.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AnytimeValue {
     /// The measure value; a lower bound when `partial`.
@@ -205,6 +207,68 @@ pub struct AnytimeValue {
     pub upper: f64,
     /// Whether any component was answered with bounds instead of exactly.
     pub partial: bool,
+}
+
+/// One served measure: the paper's database measures, then two index
+/// counters served beside them. [`IncrementalIndex::try_measure`] and
+/// [`IncrementalIndex::measure`] evaluate each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Measure {
+    /// `I_d`: 1 iff inconsistent.
+    Id,
+    /// `I_MI`: minimal inconsistent subsets.
+    Mi,
+    /// `I_P`: problematic tuples.
+    P,
+    /// `I_MI^dc`: minimal violations counted per constraint.
+    MiDc,
+    /// `I_R`: minimum deletion repair cost.
+    R,
+    /// `I_R^lin`: the LP relaxation of `I_R`.
+    RLin,
+    /// `I_MC`: maximal consistent subsets, minus one.
+    Mc,
+    /// Raw falsifying bindings (not minimality-filtered).
+    Raw,
+    /// Live conflict-graph components.
+    Components,
+}
+
+impl Measure {
+    /// Every served measure, in roster (and declaration) order.
+    pub const ALL: [Measure; 9] = {
+        use Measure::*;
+        [Id, Mi, P, MiDc, R, RLin, Mc, Raw, Components]
+    };
+
+    /// The measure's wire name.
+    pub fn name(self) -> &'static str {
+        use Measure::*;
+        match self {
+            Id => "I_d",
+            Mi => "I_MI",
+            P => "I_P",
+            MiDc => "I_MI^dc",
+            R => "I_R",
+            RLin => "I_R^lin",
+            Mc => "I_MC",
+            Raw => "raw",
+            Components => "components",
+        }
+    }
+
+    /// The measure a wire name denotes, if any.
+    pub fn parse(name: &str) -> Option<Measure> {
+        Measure::ALL.into_iter().find(|m| m.name() == name)
+    }
+
+    /// Whether the measure is a sum over conflict-graph components, and
+    /// hence over databases. `I_d` and `I_MC` are not meaningful as a
+    /// cross-database sum; `I_MI^dc` is not aggregated either.
+    pub fn summable(self) -> bool {
+        use Measure::*;
+        matches!(self, Mi | P | R | RLin | Raw | Components)
+    }
 }
 
 /// The per-component solve behind a read: the exact cover of `I_R` under
@@ -237,6 +301,27 @@ struct CompCache {
     ir: Option<(u64, f64)>,
     /// Solved `I_R^lin` value.
     ir_lin: Option<f64>,
+}
+
+/// Bounds on one component's `I_R` and `I_R^lin` from its cached minimal
+/// subsets and tuple costs alone — no graph, LP or cover — for the
+/// components a deadline read leaves unsolved. Lower: a greedy packing of
+/// pairwise-disjoint minimal subsets, each counting its cheapest tuple;
+/// every repair, fractional or not, pays at least that much per packed
+/// subset. Upper: deleting every problematic tuple repairs the component.
+fn component_bounds(db: &Database, cache: &CompCache) -> (f64, f64) {
+    let costs: Vec<f64> = cache.scores.iter().map(|k| db.cost_of(k.tuple)).collect();
+    // `scores` is sorted by tuple and holds every minimal-subset tuple.
+    let at = |t: &TupleId| cache.scores.partition_point(|k| k.tuple < *t);
+    let (mut packed, mut lower) = (vec![false; costs.len()], 0.0);
+    for set in &cache.minimal {
+        if set.iter().all(|t| !packed[at(t)]) {
+            let each = set.iter().map(|t| costs[at(t)]);
+            lower += each.fold(f64::INFINITY, f64::min);
+            set.iter().for_each(|t| packed[at(t)] = true);
+        }
+    }
+    (lower, costs.iter().sum())
 }
 
 /// The top-k order on tuple scores: `(cbm desc, cim desc, rim desc, tuple
@@ -921,19 +1006,14 @@ impl IncrementalIndex {
         Ok(self.total(kind).expect("every component just solved"))
     }
 
-    /// The deadline read: the same solves, and the components left
-    /// unsolved contribute their polynomial bounds — `[LP, greedy]` for
-    /// `I_R`, `[0, greedy]` for `I_R^lin` — to an ascending fold.
+    /// The deadline read: the same solves, then the ascending fold of
+    /// [`total`](Self::total), in which the components left unsolved
+    /// contribute bounds read off their cached minimal subsets and tuple
+    /// costs alone (see [`component_bounds`]); for `I_R` a stored
+    /// `I_R^lin` raises the lower bound.
     fn anytime(&mut self, kind: Solve, deadline: Option<Instant>) -> AnytimeValue {
         self.ensure_components();
-        if self.solve_pending(kind, deadline).is_empty() {
-            let value = self.total(kind).expect("every component just solved");
-            return AnytimeValue {
-                value,
-                upper: value,
-                partial: false,
-            };
-        }
+        let partial = !self.solve_pending(kind, deadline).is_empty();
         let (mut value, mut upper) = (0.0, 0.0);
         for cache in self.comp_cache.values() {
             if let Some(v) = kind.cached(cache) {
@@ -941,18 +1021,17 @@ impl IncrementalIndex {
                 upper += v;
                 continue;
             }
-            let graph = ConflictGraph::from_subsets(&self.db, &cache.minimal);
-            let node_sets = node_index_sets(&graph, &cache.minimal);
-            let (lp, greedy) = component_repair_bounds(&graph, &node_sets);
-            if let Solve::Cover(_) = kind {
-                value += lp;
+            let (mut lower, high) = component_bounds(&self.db, cache);
+            if let (Solve::Cover(_), Some(lin)) = (kind, cache.ir_lin) {
+                lower = lower.max(lin.min(high));
             }
-            upper += greedy;
+            value += lower;
+            upper += high;
         }
         AnytimeValue {
             value,
             upper,
-            partial: true,
+            partial,
         }
     }
 
@@ -976,10 +1055,9 @@ impl IncrementalIndex {
     /// `I_R` under a wall-clock deadline: solves dirty components exactly,
     /// through the same fan-out as [`i_r`](Self::i_r), until the deadline
     /// or a component's step budget runs out; the components left
-    /// unsolved degrade to their polynomial `[LP, greedy]` bounds instead
-    /// of failing. Exact per-component results are cached as usual;
-    /// bounds never are. With `deadline: None` this still degrades
-    /// (rather than erroring) on step-budget exhaustion.
+    /// unsolved degrade to bounds (see [`AnytimeValue`]), which are never
+    /// cached. With `deadline: None` this still degrades (rather than
+    /// erroring) on step-budget exhaustion.
     pub fn i_r_anytime(
         &mut self,
         options: &MeasureOptions,
@@ -988,10 +1066,7 @@ impl IncrementalIndex {
         self.anytime(Solve::Cover(options.vc_budget), deadline)
     }
 
-    /// `I_R^lin` under a wall-clock deadline: per-component LP solves
-    /// with the deadline checked before each; the components left
-    /// unsolved contribute `[0, greedy]` bounds and the result is marked
-    /// partial.
+    /// `I_R^lin` under a wall-clock deadline, the same way.
     pub fn i_r_lin_anytime(&mut self, deadline: Option<Instant>) -> AnytimeValue {
         self.anytime(Solve::Lin, deadline)
     }
@@ -1032,6 +1107,55 @@ impl IncrementalIndex {
     /// Per-constraint minimal counts from caches only, in constraint order.
     pub fn try_i_mi_by_dc(&self) -> Option<Vec<usize>> {
         self.dc_min_cache.iter().copied().collect()
+    }
+
+    // -- one entry point per reader kind -----------------------------------
+
+    /// Any [`Measure`] from caches only, through its `try_*` kernel; `None`
+    /// when a cache it reads is cold. `I_MC` is a pure read of the live
+    /// database, so its budget or overflow error is `Some(Err(..))`.
+    pub fn try_measure(&self, m: Measure, options: &MeasureOptions) -> Option<MeasureResult> {
+        Some(Ok(match m {
+            Measure::Id => self.i_d(),
+            Measure::Mi => self.try_i_mi()?,
+            Measure::P => self.try_i_p()?,
+            Measure::MiDc => self.try_i_mi_dc()?,
+            Measure::R => self.try_i_r(options)?,
+            Measure::RLin => self.try_i_r_lin()?,
+            Measure::Mc => {
+                return Some(
+                    MaximalConsistentSubsets { options: *options }.eval(&self.cs, &self.db),
+                )
+            }
+            Measure::Raw => self.raw_violations() as f64,
+            Measure::Components => self.component_count() as f64,
+        }))
+    }
+
+    /// Any [`Measure`], filling the caches it needs, through its `i_*`
+    /// kernel. With a deadline, `I_R` and `I_R^lin` are the anytime reads
+    /// and may come back partial; every other read is exact.
+    pub fn measure(
+        &mut self,
+        m: Measure,
+        options: &MeasureOptions,
+        deadline: Option<Instant>,
+    ) -> Result<AnytimeValue, MeasureError> {
+        let value = match (m, deadline) {
+            (Measure::R, Some(_)) => return Ok(self.i_r_anytime(options, deadline)),
+            (Measure::RLin, Some(_)) => return Ok(self.i_r_lin_anytime(deadline)),
+            (Measure::R, None) => self.i_r(options)?,
+            (Measure::RLin, None) => self.i_r_lin()?,
+            (Measure::Mi, _) => self.i_mi(),
+            (Measure::P, _) => self.i_p(),
+            (Measure::MiDc, _) => self.i_mi_dc(),
+            _ => self.try_measure(m, options).expect("needs no cache")?,
+        };
+        Ok(AnytimeValue {
+            value,
+            upper: value,
+            partial: false,
+        })
     }
 
     /// Fills every cache the `try_*` readers consult, so that — until the
@@ -1755,6 +1879,47 @@ mod tests {
             "{lin:?} vs {exact}"
         );
         assert_matches_scratch(&mut par);
+    }
+
+    #[test]
+    fn expired_deadline_bounds_come_from_subsets_and_costs() {
+        // Six disjoint triangles: A→B conflicts among three tuples each.
+        let (s, r) = setup();
+        let mut db = Database::new(Arc::clone(&s));
+        for c in 0..6 {
+            for b in 0..3 {
+                db.insert(fact3(r, c, 3 * c + b, 0)).unwrap();
+            }
+        }
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
+        let opts = MeasureOptions::default();
+        let mut idx = IncrementalIndex::build(db, cs).unwrap();
+        let expired = Some(Instant::now());
+        // Nothing solved: each triangle packs one pair (its cheapest tuple
+        // costs 1) and has three problematic tuples.
+        let ir = idx.i_r_anytime(&opts, expired);
+        let lin = idx.i_r_lin_anytime(expired);
+        assert_eq!((ir.value, ir.upper, ir.partial), (6.0, 18.0, true));
+        assert_eq!((lin.value, lin.upper, lin.partial), (6.0, 18.0, true));
+        let exact_lin = idx.i_r_lin().unwrap();
+        assert_eq!(exact_lin, 9.0);
+        assert!(lin.value <= exact_lin && exact_lin <= lin.upper);
+        // A stored `I_R^lin` raises each unsolved `I_R` lower bound.
+        let ir = idx.i_r_anytime(&opts, expired);
+        assert_eq!((ir.value, ir.upper, ir.partial), (9.0, 18.0, true));
+        let exact_ir = idx.i_r(&opts).unwrap();
+        assert_eq!(exact_ir, 12.0);
+        assert!(ir.value <= exact_ir && exact_ir <= ir.upper);
+    }
+
+    #[test]
+    fn every_measure_round_trips_through_its_name() {
+        for m in Measure::ALL {
+            assert_eq!(Measure::parse(m.name()), Some(m));
+        }
+        assert_eq!(Measure::parse("per_dc"), None);
+        assert_eq!(Measure::parse("i_mi"), None);
     }
 
     #[test]

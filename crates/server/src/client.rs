@@ -16,9 +16,10 @@
 //! `kind == "overloaded"` / `"unavailable"` / `"unknown_session"`
 //! without parsing prose.
 
-use crate::protocol::{Payload, Request, PROTO_VERSION, SERVER_FEATURES};
+use crate::protocol::{parse_measures, Payload, Request, PROTO_VERSION, SERVER_FEATURES};
 use crate::wire::Json;
 use crate::{Client, RetryPolicy};
+use inconsist::incremental::Measure;
 use std::fmt;
 use std::net::SocketAddr;
 
@@ -63,6 +64,16 @@ impl fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+/// Parses measure names for a typed request. An unknown name fails with
+/// the `kind:"protocol"` error the server would answer it with.
+fn measures_of(names: &[&str]) -> Result<Vec<Measure>, ClientError> {
+    parse_measures(names).map_err(|e| ClientError::Server {
+        kind: e.kind().to_string(),
+        message: e.to_string(),
+        retry_after_ms: None,
+    })
+}
 
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
@@ -277,16 +288,7 @@ impl TypedClient {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| ClientError::Protocol("hello without proto_version".into()))?
                 as u64,
-            features: json
-                .get("features")
-                .and_then(Json::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_str)
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default(),
+            features: json.str_list("features"),
             role: json
                 .get("role")
                 .and_then(Json::as_str)
@@ -310,16 +312,7 @@ impl TypedClient {
     /// Live session names, sorted.
     pub fn sessions(&mut self) -> Result<Vec<String>, ClientError> {
         let json = self.call(&Request::Sessions)?;
-        Ok(json
-            .get("sessions")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default())
+        Ok(json.str_list("sessions"))
     }
 
     /// Creates a session from inline CSV + DC text.
@@ -343,7 +336,7 @@ impl TypedClient {
     /// coordinator: scatter/gathered over every shard).
     pub fn measure_all(&mut self, measures: &[&str], detail: bool) -> Result<Json, ClientError> {
         self.call(&Request::MeasureAll {
-            measures: measures.iter().map(|s| s.to_string()).collect(),
+            measures: measures_of(measures)?,
             detail,
         })
     }
@@ -382,7 +375,7 @@ impl SessionHandle<'_> {
     ) -> Result<Measures, ClientError> {
         let json = self.client.call(&Request::Measure {
             session: self.name.clone(),
-            measures: measures.iter().map(|s| s.to_string()).collect(),
+            measures: measures_of(measures)?,
             per_dc: false,
             deadline_ms,
         })?;

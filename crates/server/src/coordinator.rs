@@ -43,9 +43,10 @@ use crate::client::{ClientBuilder, TypedClient};
 use crate::error::ServerError;
 use crate::protocol::{Payload, Request};
 use crate::session::Registry;
-use crate::shard::fold_sessions;
+use crate::shard::fold_response;
 use crate::wire::Json;
 use crate::RetryPolicy;
+use inconsist::incremental::Measure;
 use inconsist_formats::durable::fnv64;
 use inconsist_obs::labeled;
 use parking_lot::{Mutex, RwLock};
@@ -155,24 +156,24 @@ impl Coordinator {
     /// redirect once it returns); bootstrap itself never fails.
     pub fn bootstrap(&self, registry: &Registry) {
         let shards: Vec<Arc<Shard>> = self.shards.read().clone();
-        let line = Request::Sessions.to_json().to_string();
         for (idx, shard) in shards.iter().enumerate() {
-            match self.forward_to(registry, shard, &line) {
-                Ok(json) => {
-                    let names = json.get("sessions").and_then(Json::as_arr);
-                    let mut dir = self.directory.write();
-                    for name in names.into_iter().flatten().filter_map(Json::as_str) {
-                        dir.insert(name.to_string(), idx);
-                    }
-                }
-                Err(e) => {
-                    eprintln!(
-                        "coordinator: shard {} not bootstrapped: {e}",
-                        shard.state.addr
-                    );
-                }
+            if let Err(e) = self.adopt(registry, idx, shard) {
+                eprintln!(
+                    "coordinator: shard {} not bootstrapped: {e}",
+                    shard.state.addr
+                );
             }
         }
+    }
+
+    /// Points the directory at shard `idx` for every session it reports.
+    fn adopt(&self, registry: &Registry, idx: usize, shard: &Shard) -> Result<(), ServerError> {
+        let json = self.forward_to(registry, shard, &Request::Sessions.to_json().to_string())?;
+        let mut dir = self.directory.write();
+        for name in json.str_list("sessions") {
+            dir.insert(name, idx);
+        }
+        Ok(())
     }
 
     /// The shard that owns `session`: the directory's answer when it has
@@ -365,14 +366,7 @@ impl Coordinator {
                 let line = Request::Sessions.to_json().to_string();
                 for shard in self.shards.read().clone() {
                     let json = self.forward_to(registry, &shard, &line)?;
-                    let shard_names = json.get("sessions").and_then(Json::as_arr);
-                    names.extend(
-                        shard_names
-                            .into_iter()
-                            .flatten()
-                            .filter_map(Json::as_str)
-                            .map(str::to_string),
-                    );
+                    names.extend(json.str_list("sessions"));
                 }
                 names.sort();
                 names.dedup();
@@ -433,14 +427,7 @@ impl Coordinator {
                 };
                 // Adopt whatever sessions the joining worker recovered.
                 let shard = Arc::clone(&self.shards.read()[idx]);
-                let line = Request::Sessions.to_json().to_string();
-                if let Ok(json) = self.forward_to(registry, &shard, &line) {
-                    let names = json.get("sessions").and_then(Json::as_arr);
-                    let mut dir = self.directory.write();
-                    for name in names.into_iter().flatten().filter_map(Json::as_str) {
-                        dir.insert(name.to_string(), idx);
-                    }
-                }
+                let _ = self.adopt(registry, idx, &shard);
                 Ok(Json::obj([
                     ("ok", Json::Bool(true)),
                     ("shard", Json::Num(idx as f64)),
@@ -460,7 +447,7 @@ impl Coordinator {
     fn measure_all(
         &self,
         registry: &Registry,
-        measures: &[String],
+        measures: &[Measure],
         detail: bool,
     ) -> Result<Json, ServerError> {
         let started = Instant::now();
@@ -489,22 +476,12 @@ impl Coordinator {
                 rows.extend(entries.iter().cloned());
             }
         }
-        let sessions = rows.len();
-        let values = fold_sessions(measures, &mut rows);
+        let response = fold_response(measures, rows, Some(shards.len()), detail);
         registry
             .obs()
             .histogram("coord_scatter_gather_us")
             .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        let mut entries = vec![
-            ("ok".to_string(), Json::Bool(true)),
-            ("values".to_string(), values),
-            ("sessions".to_string(), Json::Num(sessions as f64)),
-            ("shards".to_string(), Json::Num(shards.len() as f64)),
-        ];
-        if detail {
-            entries.push(("detail".to_string(), Json::Obj(rows)));
-        }
-        Ok(Json::Obj(entries))
+        Ok(response)
     }
 
     /// Whether the coordinator owns this request kind (the router hands

@@ -26,10 +26,6 @@
 //! | `shutdown` | — | stop accepting and drain |
 //! | `quit` | — | close this connection only |
 //!
-//! `measures` defaults to `["I_d","I_MI","I_P","I_R","I_R^lin"]`; the full
-//! roster adds `I_MI^dc`, `I_MC`, `raw` (raw falsifying bindings) and
-//! `components` (live conflict components).
-//!
 //! Parsing is **unknown-field-tolerant** by construction: every arm reads
 //! only the keys it knows, so a newer client may attach fields an older
 //! server has never heard of and the request still parses (regression-
@@ -38,22 +34,20 @@
 
 use crate::error::ServerError;
 use crate::wire::Json;
-
-/// The measures the serving layer knows how to answer.
-pub const KNOWN_MEASURES: &[&str] = &[
-    "I_d",
-    "I_MI",
-    "I_P",
-    "I_MI^dc",
-    "I_R",
-    "I_R^lin",
-    "I_MC",
-    "raw",
-    "components",
-];
+use inconsist::incremental::Measure;
 
 /// Measures answered when a `measure` request names none.
-pub const DEFAULT_MEASURES: &[&str] = &["I_d", "I_MI", "I_P", "I_R", "I_R^lin"];
+pub const MEASURE_DEFAULTS: &[Measure] = &[
+    Measure::Id,
+    Measure::Mi,
+    Measure::P,
+    Measure::R,
+    Measure::RLin,
+];
+
+/// Measures folded when a `measure_all` request names none: the
+/// [summable](Measure::summable) defaults.
+pub const MEASURE_ALL_DEFAULTS: &[Measure] = &[Measure::Mi, Measure::P, Measure::R, Measure::RLin];
 
 /// The protocol version this server speaks. Version 2 added `hello`,
 /// `measure_all`, the WAL-shipping pair (`fetch_wal`/`fetch_snapshot`)
@@ -65,15 +59,6 @@ pub const PROTO_VERSION: u64 = 2;
 /// client offers the set it understands; the response carries the
 /// intersection, so both sides know exactly what the other supports.
 pub const SERVER_FEATURES: &[&str] = &["shard-aware", "prom-metrics", "deadlines"];
-
-/// Measures `measure_all` may aggregate: the ones that decompose as a
-/// sum over sessions (and, inside a session, over conflict-graph
-/// components). `I_d` and `I_MC` are deliberately absent — neither is
-/// meaningful as a cross-database sum.
-pub const AGG_MEASURES: &[&str] = &["I_MI", "I_P", "I_R", "I_R^lin", "raw", "components"];
-
-/// Measures aggregated when a `measure_all` request names none.
-pub const DEFAULT_AGG_MEASURES: &[&str] = &["I_MI", "I_P", "I_R", "I_R^lin"];
 
 /// A parsed request.
 #[derive(Clone, Debug, PartialEq)]
@@ -111,8 +96,8 @@ pub enum Request {
     Measure {
         /// Session name.
         session: String,
-        /// Measure names (validated against [`KNOWN_MEASURES`]).
-        measures: Vec<String>,
+        /// The measures to read, each named once.
+        measures: Vec<Measure>,
         /// Also report the per-constraint `I_MI^dc` drilldown.
         per_dc: bool,
         /// Wall-clock budget for this read, in milliseconds. When it
@@ -175,8 +160,9 @@ pub enum Request {
     /// Aggregate summable measures over every live session (ascending
     /// session-name fold seeded from 0.0 — see `docs/PROTOCOL.md`).
     MeasureAll {
-        /// Measure names (validated against [`AGG_MEASURES`]).
-        measures: Vec<String>,
+        /// The [summable](Measure::summable) measures to fold, each named
+        /// once.
+        measures: Vec<Measure>,
         /// Also return the per-session values the fold consumed.
         detail: bool,
     },
@@ -308,10 +294,7 @@ impl Request {
                 deadline_ms,
             } => {
                 m.push(("session", Json::str(session.clone())));
-                m.push((
-                    "measures",
-                    Json::Arr(measures.iter().cloned().map(Json::Str).collect()),
-                ));
+                m.push(("measures", names_json(measures)));
                 if *per_dc {
                     m.push(("per_dc", Json::Bool(true)));
                 }
@@ -370,10 +353,7 @@ impl Request {
                 ));
             }
             Request::MeasureAll { measures, detail } => {
-                m.push((
-                    "measures",
-                    Json::Arr(measures.iter().cloned().map(Json::Str).collect()),
-                ));
+                m.push(("measures", names_json(measures)));
                 if *detail {
                     m.push(("detail", Json::Bool(true)));
                 }
@@ -434,6 +414,50 @@ fn payload(json: &Json, inline_key: &str, path_key: &str) -> Result<Payload, Ser
     }
 }
 
+/// The strict string-array field reader for requests: `key`'s entries,
+/// or `None` when the field is absent.
+fn strings<'a>(json: &'a Json, key: &str) -> Result<Option<Vec<&'a str>>, ServerError> {
+    let bad = |what: &str| ServerError::Protocol(format!("`{key}` {what}"));
+    let Some(list) = json.get(key) else {
+        return Ok(None);
+    };
+    let items = list.as_arr().ok_or_else(|| bad("must be an array"))?;
+    let strs = items
+        .iter()
+        .map(|item| item.as_str().ok_or_else(|| bad("entries must be strings")));
+    strs.collect::<Result<_, _>>().map(Some)
+}
+
+/// Measure names as a wire array.
+fn names_json(measures: &[Measure]) -> Json {
+    Json::Arr(measures.iter().map(|m| Json::str(m.name())).collect())
+}
+
+/// Parses measure names into the roster, keeping the first occurrence of
+/// each name, in order. An unknown name — `per_dc` included, which is a
+/// drilldown flag, not a measure — fails with `kind:"protocol"`.
+pub fn parse_measures<S: AsRef<str>>(names: &[S]) -> Result<Vec<Measure>, ServerError> {
+    let mut measures = Vec::with_capacity(names.len());
+    for name in names {
+        let name = name.as_ref();
+        let m = Measure::parse(name).ok_or_else(|| {
+            ServerError::Protocol(format!(
+                "unknown measure `{name}` (known: {})",
+                Measure::ALL.map(Measure::name).join(", ")
+            ))
+        })?;
+        if !measures.contains(&m) {
+            measures.push(m);
+        }
+    }
+    Ok(measures)
+}
+
+/// The `measures` field ([`parse_measures`]), or `defaults` when absent.
+fn measures_field(json: &Json, defaults: &[Measure]) -> Result<Vec<Measure>, ServerError> {
+    strings(json, "measures")?.map_or(Ok(defaults.to_vec()), |names| parse_measures(&names))
+}
+
 fn opt_deadline(json: &Json) -> Result<Option<u64>, ServerError> {
     match json.get("deadline_ms") {
         None => Ok(None),
@@ -487,38 +511,12 @@ pub fn parse_request(line: &str) -> Result<Request, ServerError> {
             ops: required_str(&json, "ops")?,
             token: json.get("token").and_then(Json::as_str).map(str::to_string),
         }),
-        "measure" => {
-            let measures: Vec<String> = match json.get("measures") {
-                None => DEFAULT_MEASURES.iter().map(|s| s.to_string()).collect(),
-                Some(list) => {
-                    let items = list.as_arr().ok_or_else(|| {
-                        ServerError::Protocol("`measures` must be an array".into())
-                    })?;
-                    items
-                        .iter()
-                        .map(|m| {
-                            m.as_str().map(str::to_string).ok_or_else(|| {
-                                ServerError::Protocol("`measures` entries must be strings".into())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-            };
-            for m in &measures {
-                if !KNOWN_MEASURES.contains(&m.as_str()) {
-                    return Err(ServerError::Protocol(format!(
-                        "unknown measure `{m}` (known: {})",
-                        KNOWN_MEASURES.join(", ")
-                    )));
-                }
-            }
-            Ok(Request::Measure {
-                session: required_str(&json, "session")?,
-                measures,
-                per_dc: json.get("per_dc").and_then(Json::as_bool).unwrap_or(false),
-                deadline_ms: opt_deadline(&json)?,
-            })
-        }
+        "measure" => Ok(Request::Measure {
+            measures: measures_field(&json, MEASURE_DEFAULTS)?,
+            session: required_str(&json, "session")?,
+            per_dc: json.get("per_dc").and_then(Json::as_bool).unwrap_or(false),
+            deadline_ms: opt_deadline(&json)?,
+        }),
         "tuple_measures" => {
             let k = match json.get("k") {
                 None => 10,
@@ -624,51 +622,25 @@ pub fn parse_request(line: &str) -> Result<Request, ServerError> {
                     n as u64
                 }
             };
-            let features = match json.get("features") {
-                None => Vec::new(),
-                Some(list) => {
-                    let items = list.as_arr().ok_or_else(|| {
-                        ServerError::Protocol("`features` must be an array".into())
-                    })?;
-                    items
-                        .iter()
-                        .map(|f| {
-                            f.as_str().map(str::to_string).ok_or_else(|| {
-                                ServerError::Protocol("`features` entries must be strings".into())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-            };
+            let features = strings(&json, "features")?.unwrap_or_default();
             Ok(Request::Hello {
                 proto_version,
-                features,
+                features: features.into_iter().map(str::to_string).collect(),
             })
         }
         "measure_all" => {
-            let measures: Vec<String> = match json.get("measures") {
-                None => DEFAULT_AGG_MEASURES.iter().map(|s| s.to_string()).collect(),
-                Some(list) => {
-                    let items = list.as_arr().ok_or_else(|| {
-                        ServerError::Protocol("`measures` must be an array".into())
-                    })?;
-                    items
-                        .iter()
-                        .map(|m| {
-                            m.as_str().map(str::to_string).ok_or_else(|| {
-                                ServerError::Protocol("`measures` entries must be strings".into())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-            };
-            for m in &measures {
-                if !AGG_MEASURES.contains(&m.as_str()) {
-                    return Err(ServerError::Protocol(format!(
-                        "measure `{m}` is not summable across sessions (aggregatable: {})",
-                        AGG_MEASURES.join(", ")
-                    )));
-                }
+            let measures = measures_field(&json, MEASURE_ALL_DEFAULTS)?;
+            if let Some(m) = measures.iter().find(|m| !m.summable()) {
+                return Err(ServerError::Protocol(format!(
+                    "measure `{}` is not summable across sessions (aggregatable: {})",
+                    m.name(),
+                    Measure::ALL
+                        .into_iter()
+                        .filter(|m| m.summable())
+                        .map(Measure::name)
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )));
             }
             Ok(Request::MeasureAll {
                 measures,
@@ -736,7 +708,7 @@ mod tests {
             measure,
             Request::Measure {
                 session: "s".into(),
-                measures: vec!["I_MI".into(), "I_MC".into()],
+                measures: vec![Measure::Mi, Measure::Mc],
                 per_dc: true,
                 deadline_ms: None,
             }
@@ -761,7 +733,7 @@ mod tests {
         );
         let default = parse_request("{\"cmd\":\"measure\",\"session\":\"s\"}").unwrap();
         match default {
-            Request::Measure { measures, .. } => assert_eq!(measures, DEFAULT_MEASURES),
+            Request::Measure { measures, .. } => assert_eq!(measures, MEASURE_DEFAULTS),
             other => panic!("{other:?}"),
         }
         assert_eq!(
@@ -930,7 +902,7 @@ mod tests {
         assert_eq!(
             parse_request("{\"cmd\":\"measure_all\"}").unwrap(),
             Request::MeasureAll {
-                measures: DEFAULT_AGG_MEASURES.iter().map(|s| s.to_string()).collect(),
+                measures: vec![Measure::Mi, Measure::P, Measure::R, Measure::RLin],
                 detail: false,
             }
         );
@@ -938,7 +910,7 @@ mod tests {
             parse_request("{\"cmd\":\"measure_all\",\"measures\":[\"I_MI\"],\"detail\":true}")
                 .unwrap(),
             Request::MeasureAll {
-                measures: vec!["I_MI".into()],
+                measures: vec![Measure::Mi],
                 detail: true,
             }
         );
@@ -1060,7 +1032,7 @@ mod tests {
             },
             Request::Measure {
                 session: "s".into(),
-                measures: vec!["I_MI".into(), "I_R^lin".into()],
+                measures: vec![Measure::Mi, Measure::RLin],
                 per_dc: true,
                 deadline_ms: Some(250),
             },
@@ -1098,7 +1070,7 @@ mod tests {
                 features: vec!["deadlines".into()],
             },
             Request::MeasureAll {
-                measures: vec!["I_MI".into()],
+                measures: vec![Measure::Mi],
                 detail: true,
             },
             Request::FetchWal {
@@ -1148,5 +1120,67 @@ mod tests {
             }
         );
         assert!(parse_request("{\"cmd\":\"snapshot\"}").is_err());
+    }
+
+    #[test]
+    fn repeated_measure_names_keep_the_first_occurrence() {
+        match parse_request(
+            "{\"cmd\":\"measure\",\"session\":\"s\",\"measures\":[\"I_P\",\"I_MI\",\"I_P\"]}",
+        )
+        .unwrap()
+        {
+            Request::Measure { measures, .. } => assert_eq!(measures, [Measure::P, Measure::Mi]),
+            other => panic!("{other:?}"),
+        }
+        match parse_request("{\"cmd\":\"measure_all\",\"measures\":[\"raw\",\"raw\"]}").unwrap() {
+            Request::MeasureAll { measures, .. } => assert_eq!(measures, [Measure::Raw]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(
+            parse_measures(&["I_MI", "I_MI"]).unwrap(),
+            [Measure::Mi],
+            "sessions dedup the same way"
+        );
+    }
+
+    /// `docs/PROTOCOL.md` carries the served roster as a `| measure |
+    /// default | summable |` table; it must list [`Measure::ALL`] in order,
+    /// with the defaults and summability the code serves.
+    #[test]
+    fn protocol_doc_roster_table_matches_the_code() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let header = doc
+            .find("| measure | default | summable |")
+            .expect("roster table in docs/PROTOCOL.md");
+        let rows: Vec<Vec<String>> = doc[header..]
+            .lines()
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                line.trim_matches('|')
+                    .split('|')
+                    .map(|cell| cell.trim().trim_matches('`').to_string())
+                    .collect()
+            })
+            .collect();
+        let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
+        let want: Vec<Vec<String>> = Measure::ALL
+            .into_iter()
+            .map(|m| {
+                vec![
+                    m.name().to_string(),
+                    yes_no(MEASURE_DEFAULTS.contains(&m)),
+                    yes_no(m.summable()),
+                ]
+            })
+            .collect();
+        assert_eq!(rows, want);
+        // The doc's rule for `measure_all`: the measures that are both.
+        let both: Vec<Measure> = MEASURE_DEFAULTS
+            .iter()
+            .copied()
+            .filter(|m| m.summable())
+            .collect();
+        assert_eq!(MEASURE_ALL_DEFAULTS, both);
     }
 }

@@ -20,7 +20,7 @@
 use crate::coordinator::Coordinator;
 use crate::error::ServerError;
 use crate::protocol::{parse_request, Request, PROTO_VERSION, SERVER_FEATURES};
-use crate::session::Registry;
+use crate::session::{Registry, Session};
 use crate::wire::Json;
 use inconsist::incremental::ReadMode;
 use inconsist_obs::{Counter, Gauge, Sample, Value};
@@ -378,6 +378,20 @@ fn samples_json(samples: &[Sample]) -> Json {
     )
 }
 
+/// Runs `f` on the named session under both admission bounds: the
+/// global one, then the session's own.
+fn admitted<T>(
+    registry: &Registry,
+    admission: &Admission,
+    session: &str,
+    f: impl FnOnce(&Session) -> Result<T, ServerError>,
+) -> Result<T, ServerError> {
+    let _global = admission.acquire()?;
+    let s = registry.get(session)?;
+    let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
+    f(&s)
+}
+
 fn dispatch(
     registry: &Registry,
     counters: &ServerCounters,
@@ -438,10 +452,7 @@ fn dispatch(
             crate::shard::measure_all_local(registry, &measures, detail)
         }
         Request::FetchWal { session, from_seq } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
-            let records = s.wal_since(from_seq)?;
+            let records = admitted(registry, admission, &session, |s| s.wal_since(from_seq))?;
             let last_seq = records.last().map(|(seq, _)| *seq).unwrap_or(from_seq);
             Ok(Json::obj([
                 ("ok", Json::Bool(true)),
@@ -462,10 +473,8 @@ fn dispatch(
             ]))
         }
         Request::FetchSnapshot { session } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
-            let (seq, text) = s.snapshot_payload();
+            let (seq, text) =
+                admitted(registry, admission, &session, |s| Ok(s.snapshot_payload()))?;
             Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("session", Json::str(session)),
@@ -510,60 +519,34 @@ fn dispatch(
             session,
             ops,
             token,
-        } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
+        } => admitted(registry, admission, &session, |s| {
             s.apply_ops_token(&ops, token.as_deref())
-        }
-        Request::Snapshot { session } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
-            s.snapshot()
-        }
-        Request::Compact { session } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
-            s.compact()
-        }
+        }),
+        Request::Snapshot { session } => admitted(registry, admission, &session, |s| s.snapshot()),
+        Request::Compact { session } => admitted(registry, admission, &session, |s| s.compact()),
         Request::Measure {
             session,
             measures,
             per_dc,
             deadline_ms,
-        } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
-            let opts = s.options();
-            match deadline_ms {
-                Some(ms) => s.measure_deadline(&measures, per_dc, &opts, ms),
-                None => s.measure(&measures, per_dc, &opts),
-            }
-        }
+        } => admitted(registry, admission, &session, |s| {
+            s.read_measures(&measures, per_dc, &s.options(), deadline_ms)
+        }),
         Request::TupleMeasures {
             session,
             k,
             deadline_ms,
-        } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
+        } => admitted(registry, admission, &session, |s| {
             s.tuple_measures(k, deadline_ms)
-        }
+        }),
         Request::SetOptions {
             session,
             violation_limit,
             mis_budget,
             vc_budget,
-        } => {
-            let _global = admission.acquire()?;
-            let s = registry.get(&session)?;
-            let _slot = s.admit(admission.session_inflight, admission.retry_after_ms)?;
+        } => admitted(registry, admission, &session, |s| {
             s.set_options(violation_limit, mis_budget, vc_budget)
-        }
+        }),
         Request::Metrics { prom } => {
             let samples = registry.metrics_samples();
             if prom {
@@ -645,6 +628,39 @@ mod tests {
         let admission = Admission::default();
         let (resp, control) = route_line(reg, counters, &admission, line);
         (Json::parse(&resp).expect("response is valid JSON"), control)
+    }
+
+    #[test]
+    fn repeated_measure_names_answer_once() {
+        let reg = Registry::new(1);
+        let counters = ServerCounters::default();
+        let create = format!(
+            "{{\"cmd\":\"create\",\"session\":\"cities\",\"csv\":\"{CSV}\",\"dc\":\"{DC}\"}}"
+        );
+        route(&reg, &counters, &create);
+        let measure = |names: &str| {
+            let line =
+                format!("{{\"cmd\":\"measure\",\"session\":\"cities\",\"measures\":[{names}]}}");
+            route(&reg, &counters, &line).0.get("values").cloned()
+        };
+        let once = measure("\"I_MI\",\"I_P\"");
+        assert_eq!(
+            measure("\"I_MI\",\"I_P\",\"I_MI\",\"I_P\"")
+                .unwrap()
+                .to_string(),
+            once.unwrap().to_string()
+        );
+        let measure_all = |names: &str| {
+            let line =
+                format!("{{\"cmd\":\"measure_all\",\"measures\":[{names}],\"detail\":true}}");
+            route(&reg, &counters, &line).0
+        };
+        let twice = measure_all("\"I_MI\",\"I_MI\"");
+        assert_eq!(twice.to_string(), measure_all("\"I_MI\"").to_string());
+        assert_eq!(
+            twice.get("values").map(Json::to_string).as_deref(),
+            Some("{\"I_MI\":1}")
+        );
     }
 
     #[test]

@@ -48,10 +48,10 @@
 
 use crate::durable::{Durability, DurabilityConfig, RecoveryStats};
 use crate::error::ServerError;
-use crate::protocol::Payload;
+use crate::protocol::{parse_measures, Payload};
 use crate::wire::Json;
-use inconsist::incremental::{IncrementalIndex, ReadMode, TupleScores};
-use inconsist::measures::{InconsistencyMeasure, MaximalConsistentSubsets, MeasureOptions};
+use inconsist::incremental::{IncrementalIndex, Measure, ReadMode, TupleScores};
+use inconsist::measures::MeasureOptions;
 use inconsist::relational::{RelId, RelationSchema};
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
@@ -117,8 +117,13 @@ impl Drop for InflightGuard<'_> {
 /// `{"k": k, "tuples": rows}` beside the measure keys.
 const RANKING: &str = "tuples";
 
+/// A fresh measure read: the rung that answered, each measure's value
+/// (then the `per_dc` drilldown when asked for) and the upper bounds of
+/// the partial ones.
+type Fresh = (&'static str, Vec<(String, Json)>, Vec<(String, Json)>);
+
 /// Appends entries to an object response (no-op on non-objects).
-fn push_entries(resp: Json, extra: Vec<(&'static str, Json)>) -> Json {
+pub(crate) fn push_entries(resp: Json, extra: Vec<(&'static str, Json)>) -> Json {
     match resp {
         Json::Obj(mut entries) => {
             entries.extend(extra.into_iter().map(|(k, v)| (k.to_string(), v)));
@@ -585,17 +590,16 @@ impl Session {
     }
 
     /// Reader path: the requested measures (plus the `per_dc` drilldown)
-    /// up the read ladder. The exclusive rung computes *only* the
-    /// requested measures (each `&mut` reader fills exactly the caches it
-    /// needs), so a cheap request — say, `I_MI` alone — never pays for an
-    /// unrequested budgeted cover solve.
+    /// up the read ladder. The names are parsed once, here
+    /// ([`parse_measures`]): an unknown one fails with `kind:"protocol"`
+    /// and a repeated one is read once.
     pub fn measure(
         &self,
         measures: &[String],
         per_dc: bool,
         opts: &MeasureOptions,
     ) -> Result<Json, ServerError> {
-        self.read_measures(measures, per_dc, opts, None)
+        self.read_measures(&parse_measures(measures)?, per_dc, opts, None)
     }
 
     /// Deadline-bounded reader path. Same answer as
@@ -618,73 +622,94 @@ impl Session {
         opts: &MeasureOptions,
         deadline_ms: u64,
     ) -> Result<Json, ServerError> {
-        self.read_measures(measures, per_dc, opts, Some(deadline_ms))
+        self.read_measures(&parse_measures(measures)?, per_dc, opts, Some(deadline_ms))
     }
 
     /// The one measure read behind [`measure`](Self::measure) and
-    /// [`measure_deadline`](Self::measure_deadline).
-    fn read_measures(
+    /// [`measure_deadline`](Self::measure_deadline), on parsed measures.
+    /// The exclusive rung computes *only* the requested measures (each
+    /// fills exactly the caches it needs), so a cheap request — say,
+    /// `I_MI` alone — never pays for an unrequested budgeted cover solve.
+    pub(crate) fn read_measures(
         &self,
-        measures: &[String],
+        measures: &[Measure],
         per_dc: bool,
         opts: &MeasureOptions,
         deadline_ms: Option<u64>,
     ) -> Result<Json, ServerError> {
         let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let mut keys = measures.to_vec();
-        if per_dc {
-            keys.push("per_dc".to_string());
+        let Some((path, values, upper)) = self.fresh(measures, per_dc, opts, deadline)? else {
+            let mut keys: Vec<String> = measures.iter().map(|m| m.name().to_string()).collect();
+            if per_dc {
+                keys.push("per_dc".to_string());
+            }
+            let (as_of, values) = self.last_served(&keys, deadline_ms.unwrap_or(0))?;
+            return Ok(self.stale(self.measure_response("stale", values), as_of));
+        };
+        if upper.is_empty() {
+            return Ok(self.measure_response(path, values));
         }
+        Ok(push_entries(
+            self.measure_response(path, values),
+            vec![("partial", Json::Bool(true)), ("upper", Json::Obj(upper))],
+        ))
+    }
+
+    /// The shared and exclusive rungs of a measure read, or `None` when a
+    /// deadline passed before the write lock came. Only a read with no
+    /// partial value refreshes the stale rung: partial lower bounds must
+    /// never masquerade as served values.
+    pub(crate) fn fresh(
+        &self,
+        measures: &[Measure],
+        per_dc: bool,
+        opts: &MeasureOptions,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Fresh>, ServerError> {
         let read = self.ladder(
             deadline,
             |idx| {
-                let mut values = Vec::with_capacity(keys.len());
-                for k in &keys {
-                    let Some(v) = eval_shared(idx, k, opts)? else {
+                let mut values = Vec::with_capacity(measures.len() + 1);
+                for &m in measures {
+                    let Some(v) = idx.try_measure(m, opts) else {
                         return Ok(None);
                     };
-                    values.push((k.clone(), v));
+                    values.push((m.name().to_string(), Json::Num(v?)));
+                }
+                if per_dc {
+                    let Some(counts) = idx.try_i_mi_by_dc() else {
+                        return Ok(None);
+                    };
+                    values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
                 }
                 Ok(Some((values, Vec::new())))
             },
             |idx| {
-                let mut values = Vec::with_capacity(keys.len());
+                let mut values = Vec::with_capacity(measures.len() + 1);
                 let mut upper = Vec::new();
-                for k in &keys {
-                    let bounded = match (k.as_str(), deadline) {
-                        ("I_R", Some(_)) => Some(idx.i_r_anytime(opts, deadline)),
-                        ("I_R^lin", Some(_)) => Some(idx.i_r_lin_anytime(deadline)),
-                        _ => None,
-                    };
-                    let v = match bounded {
-                        Some(v) => {
-                            if v.partial {
-                                upper.push((k.clone(), Json::Num(v.upper)));
-                            }
-                            Json::Num(v.value)
-                        }
-                        None => eval_exclusive(idx, k, opts)?,
-                    };
-                    values.push((k.clone(), v));
+                for &m in measures {
+                    let v = idx.measure(m, opts, deadline)?;
+                    if v.partial {
+                        upper.push((m.name().to_string(), Json::Num(v.upper)));
+                    }
+                    values.push((m.name().to_string(), Json::Num(v.value)));
+                }
+                if per_dc {
+                    let counts = idx.i_mi_by_dc();
+                    values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
                 }
                 Ok((values, upper))
             },
         )?;
         let Some((path, seq, (values, upper))) = read else {
-            let (as_of, values) = self.last_served(&keys, deadline_ms.unwrap_or(0))?;
-            return Ok(self.stale(self.measure_response("stale", values), as_of));
+            return Ok(None);
         };
         if upper.is_empty() {
             self.record_last_served(seq, &values);
-            return Ok(self.measure_response(path, values));
+        } else {
+            self.counters.partial_reads.inc();
         }
-        // Partial lower bounds must never masquerade as served values, so
-        // only full reads refresh the stale cache.
-        self.counters.partial_reads.inc();
-        Ok(push_entries(
-            self.measure_response(path, values),
-            vec![("partial", Json::Bool(true)), ("upper", Json::Obj(upper))],
-        ))
+        Ok(Some((path, values, upper)))
     }
 
     /// Tuple-level reader path: the `k` most inconsistent tuples with
@@ -833,18 +858,14 @@ impl Session {
         }
     }
 
-    fn measure_response(&self, path: &'static str, values: Vec<(String, Json)>) -> Json {
-        let per_dc = values
-            .iter()
-            .position(|(k, _)| k == "per_dc")
-            .map(|i| values[i].1.clone());
-        let plain: Vec<(String, Json)> =
-            values.into_iter().filter(|(k, _)| k != "per_dc").collect();
+    fn measure_response(&self, path: &'static str, mut values: Vec<(String, Json)>) -> Json {
+        let per_dc = values.iter().position(|(k, _)| k == "per_dc");
+        let per_dc = per_dc.map(|i| values.remove(i).1);
         let mut entries = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("session".to_string(), Json::str(self.name.clone())),
             ("path".to_string(), Json::str(path)),
-            ("values".to_string(), Json::Obj(plain)),
+            ("values".to_string(), Json::Obj(values)),
         ];
         if let Some(d) = per_dc {
             entries.push(("per_dc".to_string(), d));
@@ -1018,65 +1039,6 @@ pub(crate) fn options_json(opts: &MeasureOptions) -> Json {
         ("mis_budget", Json::Num(opts.mis_budget as f64)),
         ("vc_budget", Json::Num(opts.vc_budget as f64)),
     ])
-}
-
-/// Evaluates one measure (or the `per_dc` drilldown) from caches only
-/// (`Ok(None)` = dirty, upgrade).
-fn eval_shared(
-    idx: &IncrementalIndex,
-    name: &str,
-    opts: &MeasureOptions,
-) -> Result<Option<Json>, ServerError> {
-    let value = match name {
-        "per_dc" => return Ok(idx.try_i_mi_by_dc().map(|counts| per_dc_json(idx, counts))),
-        "I_d" => Some(idx.i_d()),
-        "raw" => Some(idx.raw_violations() as f64),
-        "components" => Some(idx.component_count() as f64),
-        "I_MI" => idx.try_i_mi(),
-        "I_P" => idx.try_i_p(),
-        "I_MI^dc" => idx.try_i_mi_dc(),
-        "I_R" => idx.try_i_r(opts),
-        "I_R^lin" => idx.try_i_r_lin(),
-        "I_MC" => return mc_json(idx, opts).map(Some),
-        _ => None,
-    };
-    Ok(value.map(Json::Num))
-}
-
-/// Evaluates one measure (or the `per_dc` drilldown) with the
-/// cache-filling (`&mut`) readers.
-fn eval_exclusive(
-    idx: &mut IncrementalIndex,
-    name: &str,
-    opts: &MeasureOptions,
-) -> Result<Json, ServerError> {
-    Ok(match name {
-        "per_dc" => {
-            let counts = idx.i_mi_by_dc();
-            per_dc_json(idx, counts)
-        }
-        "I_d" => Json::Num(idx.i_d()),
-        "raw" => Json::Num(idx.raw_violations() as f64),
-        "components" => Json::Num(idx.component_count() as f64),
-        "I_MI" => Json::Num(idx.i_mi()),
-        "I_P" => Json::Num(idx.i_p()),
-        "I_MI^dc" => Json::Num(idx.i_mi_dc()),
-        "I_R" => Json::Num(idx.i_r(opts)?),
-        "I_R^lin" => Json::Num(idx.i_r_lin()?),
-        "I_MC" => mc_json(idx, opts)?,
-        other => return Err(ServerError::Protocol(format!("unknown measure `{other}`"))),
-    })
-}
-
-/// `I_MC` has no incremental cache; it is evaluated from the live
-/// database, which is a pure read and therefore safe on the shared path.
-/// Budget exhaustion fails the request with `kind: "measure"`, like
-/// every other measure.
-fn mc_json(idx: &IncrementalIndex, opts: &MeasureOptions) -> Result<Json, ServerError> {
-    let mc = MaximalConsistentSubsets { options: *opts };
-    mc.eval(idx.constraints(), idx.db())
-        .map(Json::Num)
-        .map_err(ServerError::from)
 }
 
 /// The per-constraint `I_MI^dc` drilldown, keyed by constraint name.
@@ -1480,9 +1442,9 @@ mod tests {
     fn measure_upgrades_then_shares() {
         let (_reg, s) = registry_with_session();
         let opts = MeasureOptions::default();
-        let all: Vec<String> = crate::protocol::DEFAULT_MEASURES
+        let all: Vec<String> = crate::protocol::MEASURE_DEFAULTS
             .iter()
-            .map(|m| m.to_string())
+            .map(|m| m.name().to_string())
             .collect();
         // Cold: the first read must upgrade (caches are empty).
         let first = s.measure(&all, true, &opts).unwrap();
@@ -1769,6 +1731,32 @@ mod tests {
             .unwrap();
         assert_eq!(resp.get("path").and_then(Json::as_str), Some("shared"));
         assert_eq!(value(&resp, "I_MC"), 1.0); // 2 repairs − 1
+    }
+
+    #[test]
+    fn only_roster_names_are_measures() {
+        let (_reg, s) = registry_with_session();
+        let opts = MeasureOptions::default();
+        // `per_dc` is the drilldown flag, not a measure; an unknown name
+        // fails the same way, on both reader paths.
+        for bad in ["per_dc", "I_BOGUS"] {
+            let names = ["I_MI".to_string(), bad.to_string()];
+            for err in [
+                s.measure(&names, false, &opts).unwrap_err(),
+                s.measure_deadline(&names, false, &opts, 50).unwrap_err(),
+            ] {
+                assert_eq!(err.kind(), "protocol", "{bad}: {err}");
+                assert!(err.to_string().contains("unknown measure"), "{err}");
+            }
+        }
+        // A repeated name is read once.
+        let resp = s
+            .measure(&["I_MI".to_string(), "I_MI".to_string()], false, &opts)
+            .unwrap();
+        match resp.get("values") {
+            Some(Json::Obj(values)) => assert_eq!(values.len(), 1, "{resp}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

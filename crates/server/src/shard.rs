@@ -3,9 +3,8 @@
 //!
 //! ## The aggregation fold
 //!
-//! Every aggregatable measure (see
-//! [`AGG_MEASURES`](crate::protocol::AGG_MEASURES)) decomposes as a sum
-//! over conflict-graph components, and therefore as a sum over sessions.
+//! Every [summable](Measure::summable) measure decomposes as a sum over
+//! conflict-graph components, and therefore as a sum over sessions.
 //! Bit-identity across topologies hangs on *fold order*: floating-point
 //! addition is not associative, so [`measure_all_local`] always folds in
 //! **ascending session-name order seeded from 0.0**. A coordinator asks
@@ -31,8 +30,9 @@ use crate::client::{ClientError, TypedClient};
 use crate::durable::{DurabilityConfig, FsyncPolicy};
 use crate::error::ServerError;
 use crate::protocol::Request;
-use crate::session::{Registry, Session};
+use crate::session::{push_entries, Registry, Session};
 use crate::wire::Json;
+use inconsist::incremental::Measure;
 use inconsist::measures::MeasureOptions;
 use inconsist_formats::durable::encode_log_record;
 use std::io::Write;
@@ -48,38 +48,40 @@ use std::sync::Arc;
 /// order) that a coordinator consumes to re-fold globally.
 pub fn measure_all_local(
     registry: &Registry,
-    measures: &[String],
+    measures: &[Measure],
     detail: bool,
 ) -> Result<Json, ServerError> {
     let sessions = registry.all();
     let mut rows: Vec<(String, Json)> = Vec::with_capacity(sessions.len());
     for session in &sessions {
-        let opts = session.options();
-        let response = session.measure(measures, false, &opts)?;
-        let values = response
-            .get("values")
-            .ok_or_else(|| ServerError::Measure("measure response without `values`".into()))?;
-        let mut row: Vec<(String, Json)> = Vec::with_capacity(measures.len());
-        for name in measures {
-            let v = values.get(name).and_then(Json::as_f64).ok_or_else(|| {
-                ServerError::Measure(format!(
-                    "session `{}` returned no numeric `{name}`",
-                    session.name()
-                ))
-            })?;
-            row.push((name.clone(), Json::Num(v)));
-        }
+        let (_, row, _) = session
+            .fresh(measures, false, &session.options(), None)?
+            .expect("a blocking read always takes the lock");
         rows.push((session.name().to_string(), Json::Obj(row)));
     }
+    Ok(fold_response(measures, rows, None, detail))
+}
+
+/// The `measure_all` response over per-session rows: the [folded
+/// values](fold_sessions), the session count, a coordinator's shard
+/// count and, with `detail`, the rows in fold order.
+pub(crate) fn fold_response(
+    measures: &[Measure],
+    mut rows: Vec<(String, Json)>,
+    shards: Option<usize>,
+    detail: bool,
+) -> Json {
+    let names: Vec<String> = measures.iter().map(|m| m.name().to_string()).collect();
     let mut entries = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("values".to_string(), fold_sessions(measures, &mut rows)),
-        ("sessions".to_string(), Json::Num(sessions.len() as f64)),
+        ("ok", Json::Bool(true)),
+        ("values", fold_sessions(&names, &mut rows)),
+        ("sessions", Json::Num(rows.len() as f64)),
     ];
+    entries.extend(shards.map(|n| ("shards", Json::Num(n as f64))));
     if detail {
-        entries.push(("detail".to_string(), Json::Obj(rows)));
+        entries.push(("detail", Json::Obj(rows)));
     }
-    Ok(Json::Obj(entries))
+    Json::obj(entries)
 }
 
 /// Folds per-session measure values — already merged from every shard —
@@ -238,14 +240,14 @@ impl Follower {
             .session
             .as_ref()
             .ok_or_else(|| ServerError::UnknownSession(format!("{} (never synced)", self.name)))?;
-        let opts = session.options();
-        let response = session.measure(measures, false, &opts)?;
-        let Json::Obj(mut entries) = response else {
-            return Err(ServerError::Measure("non-object measure response".into()));
-        };
-        entries.retain(|(k, _)| k != "stale" && k != "as_of_seq");
-        entries.push(("stale".to_string(), Json::Bool(true)));
-        entries.push(("as_of_seq".to_string(), Json::Num(self.applied_seq as f64)));
-        Ok(Json::Obj(entries))
+        // A read without a deadline never comes back stale, so these are
+        // the response's only staleness tags.
+        Ok(push_entries(
+            session.measure(measures, false, &session.options())?,
+            vec![
+                ("stale", Json::Bool(true)),
+                ("as_of_seq", Json::Num(self.applied_seq as f64)),
+            ],
+        ))
     }
 }

@@ -186,6 +186,17 @@ impl Json {
         }
     }
 
+    /// The string entries of the array under `key`, skipping any other
+    /// entry; empty when the key is absent or holds no array.
+    pub(crate) fn str_list(&self, key: &str) -> Vec<String> {
+        let items = self.get(key).and_then(Json::as_arr).unwrap_or_default();
+        items
+            .iter()
+            .filter_map(Json::as_str)
+            .map(str::to_string)
+            .collect()
+    }
+
     /// Parses one complete JSON value; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {

@@ -18,10 +18,10 @@
 //! ([`covering_lp`]).
 
 use crate::budget::Budget;
-use crate::covering::{greedy_hitting_set, min_weight_hitting_set_with};
+use crate::covering::min_weight_hitting_set_with;
 use crate::fvc::fractional_vertex_cover;
 use crate::simplex::covering_lp;
-use crate::vertex_cover::{greedy_vertex_cover, min_weight_vertex_cover_with};
+use crate::vertex_cover::min_weight_vertex_cover_with;
 use inconsist_graph::ConflictGraph;
 
 /// Translates violation sets (tuple ids) into node-index sets for `g`.
@@ -127,25 +127,6 @@ pub fn component_min_repair_with(
     }
     let weights: Vec<f64> = (0..g.n() as u32).map(|v| g.weight(v)).collect();
     min_weight_hitting_set_with(&weights, node_sets, budget).map(|h| h.weight)
-}
-
-/// Cheap polynomial bounds on one component's `I_R`: the LP relaxation as
-/// a lower bound and the deterministic greedy repair as an upper bound.
-/// This is the degrade path when a deadline expires before the exact
-/// solve finishes — the caller reports `[lower, upper]` instead of a
-/// value. The lower bound falls back to `0.0` when the simplex fails
-/// (hypergraph path only); the upper bound is always finite.
-pub fn component_repair_bounds(g: &ConflictGraph, node_sets: &[Vec<usize>]) -> (f64, f64) {
-    let lower = component_min_repair_lin(g, node_sets).unwrap_or(0.0);
-    let upper = if g.is_plain_graph() {
-        greedy_vertex_cover(g).weight
-    } else {
-        let weights: Vec<f64> = (0..g.n() as u32).map(|v| g.weight(v)).collect();
-        greedy_hitting_set(&weights, node_sets).weight
-    };
-    // The LP bound can exceed the greedy value only through floating-point
-    // noise; clamp so callers always see a well-formed interval.
-    (lower.min(upper), upper)
 }
 
 /// `I_R^lin` restricted to one conflict component: the LP relaxation of

@@ -36,7 +36,7 @@ pub mod vertex_cover;
 pub use budget::Budget;
 pub use component::{
     component_min_repair, component_min_repair_lin, component_min_repair_with,
-    component_repair_bounds, component_tuple_scores, node_index_sets, TupleScores,
+    component_tuple_scores, node_index_sets, TupleScores,
 };
 pub use covering::{
     greedy_hitting_set, min_weight_hitting_set, min_weight_hitting_set_with, HittingSet,

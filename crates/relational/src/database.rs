@@ -241,6 +241,9 @@ pub struct Database {
     /// Identifiers `< next_id` that are currently unused.
     free: BTreeSet<u32>,
     next_id: u32,
+    /// Whether some relation designates a cost attribute; when none does,
+    /// every deletion costs `1.0` and [`Database::cost_of`] looks nothing up.
+    costed: bool,
 }
 
 impl Database {
@@ -254,6 +257,7 @@ impl Database {
             .iter()
             .map(|(_, rs)| (0..rs.arity()).map(|_| Dictionary::new()).collect())
             .collect();
+        let costed = schema.iter().any(|(_, rs)| rs.cost_attr.is_some());
         Database {
             schema,
             stores,
@@ -261,6 +265,7 @@ impl Database {
             locate: HashMap::new(),
             free: BTreeSet::new(),
             next_id: 0,
+            costed,
         }
     }
 
@@ -522,6 +527,9 @@ impl Database {
     /// Deletion cost of tuple `id`: the value of the relation's cost
     /// attribute when one is designated, else `1.0` (paper §2, system `R⊆`).
     pub fn cost_of(&self, id: TupleId) -> f64 {
+        if !self.costed {
+            return 1.0;
+        }
         let Some(f) = self.fact(id) else { return 1.0 };
         let rs = self.schema.relation(f.rel);
         match rs.cost_attr {

@@ -9,8 +9,9 @@
 //! * [`flow`] — Dinic max-flow, weighted bipartite vertex covers;
 //! * [`fvc`] — half-integral *fractional* vertex cover via the bipartite
 //!   double cover (the fast exact path for `I_R^lin` on two-tuple DCs);
-//! * [`vertex_cover`] — exact min-weight vertex cover (cograph closed form,
-//!   Nemhauser–Trotter kernelization, budgeted branch-and-bound) and the
+//! * [`vertex_cover`] — exact min-weight vertex cover (closed forms, a
+//!   budgeted bitset branch-and-reduce per component, cograph closed form
+//!   and Nemhauser–Trotter kernelization for wide components) and the
 //!   greedy baseline, powering `I_R` under deletions;
 //! * [`covering`] — exact min-weight hitting set for hyperedge violations
 //!   (the full covering ILP of Fig. 2);

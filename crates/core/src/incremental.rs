@@ -880,12 +880,10 @@ impl IncrementalIndex {
     /// of scheduling. Workers take no new component once `deadline` has
     /// passed, and a cover solve stops at the deadline or its step
     /// budget. Returns the components left unsolved, ascending; a deadline
-    /// that has already passed returns the pending set before any set-up.
+    /// that has already passed counts the cache hits and returns the
+    /// pending set before any set-up.
     fn solve_pending(&mut self, kind: Solve, deadline: Option<Instant>) -> Vec<CompId> {
         let jobs = self.pending(kind);
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return jobs;
-        }
         let (cache_hits, solves) = match kind {
             Solve::Cover(_) => (
                 &mut self.stats.cover_cache_hits,
@@ -894,7 +892,7 @@ impl IncrementalIndex {
             Solve::Lin => (&mut self.stats.lin_cache_hits, &mut self.stats.lin_solves),
         };
         *cache_hits += (self.comp_cache.len() - jobs.len()) as u64;
-        if jobs.is_empty() {
+        if jobs.is_empty() || deadline.is_some_and(|d| Instant::now() >= d) {
             return jobs;
         }
         let _span = match kind {
@@ -1972,6 +1970,32 @@ mod tests {
         let exact_ir = idx.i_r(&opts).unwrap();
         assert_eq!(exact_ir, 12.0);
         assert!(ir.value <= exact_ir && exact_ir <= ir.upper);
+    }
+
+    #[test]
+    fn expired_deadline_reads_count_their_cache_hits() {
+        let (s, r) = setup();
+        let (db, firsts) = multi_component(&s, r, 4);
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
+        let opts = MeasureOptions::default();
+        let mut idx = IncrementalIndex::build(db, cs).unwrap();
+        idx.warm(&opts).unwrap();
+        // Fully cached: the read is exact and every component is a hit.
+        idx.reset_stats();
+        assert!(!idx.i_r_anytime(&opts, Some(Instant::now())).partial);
+        assert!(!idx.i_r_lin_anytime(Some(Instant::now())).partial);
+        let cached = idx.stats();
+        assert_eq!((cached.cover_cache_hits, cached.cover_solves), (4, 0));
+        assert_eq!((cached.lin_cache_hits, cached.lin_solves), (4, 0));
+        // One dirty component: the clean three still count as hits.
+        idx.update(firsts[0], AttrId(1), Value::int(99)).unwrap();
+        idx.reset_stats();
+        assert!(idx.i_r_anytime(&opts, Some(Instant::now())).partial);
+        assert!(idx.i_r_lin_anytime(Some(Instant::now())).partial);
+        let dirty = idx.stats();
+        assert_eq!((dirty.cover_cache_hits, dirty.cover_solves), (3, 0));
+        assert_eq!((dirty.lin_cache_hits, dirty.lin_solves), (3, 0));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! 5. a wider component keeps the cograph closed form (a max-weight
 //!    independent set DP over the cotree), then Nemhauser–Trotter: solve
 //!    the fractional cover, keep the 1-nodes, drop the 0-nodes, and solve
-//!    each ½-core component by the search of step 4 on masks of as many
-//!    words as it needs (up to 16, 1024 nodes), past that by the exact
-//!    hitting-set search of [`crate::covering`].
+//!    each ½-core component by the search of step 4 on one 16-word mask
+//!    (up to 1024 nodes), past that by the exact hitting-set search of
+//!    [`crate::covering`].
 //!
 //! The returned weight is the `0.0`-started fold of the cover's node
 //! weights in ascending node order, so it is a function of the cover
@@ -94,7 +94,7 @@ fn vertex_cover_inner(g: &ConflictGraph, budget: &mut Budget) -> Option<VertexCo
 
 /// Covers every connected component of `g`'s free (non-excluded) nodes,
 /// pushing the chosen nodes onto `out`. `kernel` marks a Nemhauser–Trotter
-/// ½-core, whose wide components go to multi-word masks (or, past 1024
+/// ½-core, whose wide components go to one 16-word mask (or, past 1024
 /// nodes, the hitting-set search) rather than back through the kernel.
 fn cover_components(
     g: &ConflictGraph,
@@ -128,9 +128,7 @@ fn cover_components(
         match comp.len().div_ceil(MASK_WIDTH) {
             1 => MaskSearch::<u64>::new(g, &comp).solve(out, budget)?,
             _ if !kernel => wide_cover(g, &comp, out, budget)?,
-            2 => MaskSearch::<[u64; 2]>::new(g, &comp).solve(out, budget)?,
-            3 | 4 => MaskSearch::<[u64; 4]>::new(g, &comp).solve(out, budget)?,
-            5..=16 => MaskSearch::<[u64; 16]>::new(g, &comp).solve(out, budget)?,
+            2..=16 => MaskSearch::<[u64; 16]>::new(g, &comp).solve(out, budget)?,
             _ => hitting_set_cover(g, &comp, out, budget)?,
         }
     }
@@ -214,7 +212,7 @@ fn cograph_cover(g: &ConflictGraph, tree: &Cotree) -> Vec<u32> {
 }
 
 /// A node set of one component as a bit mask: one word for the direct
-/// search, a fixed number of words for the wider ½-core components.
+/// search, sixteen words for the wider ½-core components.
 trait Mask: Copy {
     /// The empty set.
     const EMPTY: Self;
@@ -962,8 +960,8 @@ mod tests {
     #[test]
     fn wide_half_cores_take_multi_word_masks_then_the_hitting_set() {
         // An odd cycle is all halves in the fractional cover, so its ½-core
-        // is the whole cycle: one component per mask width, and one past
-        // the widest mask.
+        // is the whole cycle: three widths on the 16-word mask, and one
+        // past it.
         for n in [65u32, 129, 257, 1025] {
             let subsets: Vec<Vec<u32>> = (1..n)
                 .map(|b| vec![b - 1, b])

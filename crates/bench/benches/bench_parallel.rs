@@ -130,7 +130,7 @@ fn bench_single_huge_dc(c: &mut Criterion) {
         // The constraint-parallel policy has a single unit for a single
         // DC, so it runs on one core however many threads it is given.
         let baseline =
-            minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Constraints);
+            minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Fixed(1));
         let sharded = minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Auto);
         assert!(baseline.complete && sharded.complete);
         assert_eq!(
@@ -143,7 +143,7 @@ fn bench_single_huge_dc(c: &mut Criterion) {
             &4usize,
             |b, &t| {
                 b.iter(|| {
-                    minimal_inconsistent_subsets_par_with(db, cs, None, t, ShardPolicy::Constraints)
+                    minimal_inconsistent_subsets_par_with(db, cs, None, t, ShardPolicy::Fixed(1))
                 })
             },
         );
@@ -169,7 +169,7 @@ fn bench_single_huge_dc(c: &mut Criterion) {
             (start.elapsed() / 3, count)
         };
         let (t_base, c_base) = timed(&|| {
-            minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Constraints).count()
+            minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Fixed(1)).count()
         });
         let (t_shard, c_shard) = timed(&|| {
             minimal_inconsistent_subsets_par_with(db, cs, None, 4, ShardPolicy::Auto).count()

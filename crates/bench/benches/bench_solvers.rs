@@ -87,13 +87,13 @@ fn bench_mc_counting(c: &mut Criterion) {
 /// pipeline (violation self-join + exact vertex cover) for `I_R` on a key
 /// constraint. The fast path never materializes conflicts, so the gap
 /// widens quadratically with the dirty-block sizes.
-fn bench_fd_fastpath(c: &mut Criterion) {
+fn bench_fd_tract(c: &mut Criterion) {
     use inconsist::constraints::{ConstraintSet, Fd};
     use inconsist::fd_tract::fast_min_repair;
     use inconsist::relational::AttrId;
     use std::sync::Arc;
 
-    let mut group = c.benchmark_group("fd_fastpath");
+    let mut group = c.benchmark_group("fd_tract_vs_selfjoin");
     group.sample_size(10);
     for n in [2_000usize, 8_000] {
         let mut ds = generate(DatasetId::Hospital, n, 17);
@@ -133,6 +133,6 @@ criterion_group!(
     bench_fractional,
     bench_exact_vc,
     bench_mc_counting,
-    bench_fd_fastpath
+    bench_fd_tract
 );
 criterion_main!(benches);

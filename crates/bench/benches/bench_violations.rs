@@ -1,15 +1,13 @@
-//! Violation-engine benchmarks, including ablation #3 of DESIGN.md:
-//! the `O(n log n)` counting fast path vs. full pair enumeration for
-//! FD-shaped and dominance-shaped DCs.
-//!
-//! Also hosts the headline comparison for the dictionary-encoded storage
-//! layer: `value_vs_code` runs the same string-heavy FD workload through
-//! the historical value-keyed hash join (`engine::value_keyed`) and the
+//! Violation-engine benchmarks: full `MI_Σ(D)` enumeration and the
+//! consistency check per dataset, inclusion-minimality filtering, and the
+//! headline comparison for the dictionary-encoded storage layer:
+//! `value_vs_code` runs the same string-heavy FD workload through the
+//! historical value-keyed hash join (`engine::value_keyed`) and the
 //! production code-keyed join, printing the speedup. Run with
 //! `cargo bench --bench bench_violations -- value_vs_code`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use inconsist::constraints::{engine, fastpath, ConstraintSet, Fd, ViolationSet};
+use inconsist::constraints::{engine, ConstraintSet, Fd, ViolationSet};
 use inconsist::relational::{relation, AttrId, Database, Fact, Schema, TupleId, Value, ValueKind};
 use inconsist_data::{generate, CoNoise, Dataset, DatasetId};
 use rand::prelude::*;
@@ -38,42 +36,6 @@ fn bench_engine(c: &mut Criterion) {
             BenchmarkId::new("is_consistent", id.name()),
             &ds,
             |b, ds| b.iter(|| engine::is_consistent(&ds.db, &ds.constraints)),
-        );
-    }
-    group.finish();
-}
-
-fn bench_fastpath(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fastpath_vs_enumeration");
-    group.sample_size(10);
-    // Adult's example DC is the pure dominance shape; Tax's has a key.
-    for id in [DatasetId::Adult, DatasetId::Tax] {
-        let ds = noisy(id, 2_000, 30);
-        let dc = ds
-            .constraints
-            .dcs()
-            .iter()
-            .find(|dc| fastpath::classify(dc).is_some())
-            .expect("a fast-shaped DC exists")
-            .clone();
-        group.bench_with_input(BenchmarkId::new("count_fast", id.name()), &ds, |b, ds| {
-            b.iter(|| fastpath::count_pairs(&ds.db, &dc))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("count_enumerate", id.name()),
-            &ds,
-            |b, ds| {
-                b.iter(|| {
-                    let mut cs = inconsist::constraints::ConstraintSet::new(ds.db.schema().clone());
-                    cs.add_dc(dc.clone());
-                    engine::violations_per_dc(&ds.db, &cs, None)[0].sets.len()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("participants_fast", id.name()),
-            &ds,
-            |b, ds| b.iter(|| fastpath::participants(&ds.db, &dc)),
         );
     }
     group.finish();
@@ -202,7 +164,6 @@ fn bench_filter_minimal(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
-    bench_fastpath,
     bench_value_vs_code,
     bench_filter_minimal
 );

@@ -1,7 +1,6 @@
 //! Packed code-key hash maps — the one definition of "how a composite
-//! dictionary-code key becomes a hash-map key", shared by the binary
-//! hash join ([`crate::engine`]) and the fast-path group-by
-//! ([`crate::fastpath`]).
+//! dictionary-code key becomes a hash-map key", used by the binary hash
+//! join ([`crate::engine`]).
 //!
 //! One or two `u32` codes pack losslessly into a `u64` (the
 //! overwhelmingly common case — FD keys are narrow); wider keys fall back
@@ -53,14 +52,6 @@ impl<B: Default> PackedKeyMap<B> {
             PackedKeyMap::Wide(m) => m.get(codes),
         }
     }
-
-    /// Consumes the map, yielding the buckets in arbitrary order.
-    pub fn into_buckets(self) -> Vec<B> {
-        match self {
-            PackedKeyMap::Packed(m) => m.into_values().collect(),
-            PackedKeyMap::Wide(m) => m.into_values().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -77,9 +68,6 @@ mod tests {
         assert_eq!(m.get(&[1, 2]), Some(&vec![10, 11]));
         assert_eq!(m.get(&[2, 1]), Some(&vec![20]));
         assert_eq!(m.get(&[9, 9]), None);
-        let mut buckets = m.into_buckets();
-        buckets.sort();
-        assert_eq!(buckets, vec![vec![10, 11], vec![20]]);
     }
 
     #[test]

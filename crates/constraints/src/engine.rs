@@ -298,21 +298,35 @@ pub fn violations_involving(db: &Database, cs: &ConstraintSet, tid: TupleId) -> 
     filter_minimal(seen)
 }
 
-/// Raw falsifying bindings of each DC that include tuple `tid`, as
-/// `(constraint index, violation set)` pairs, deduped per constraint but
-/// *not* filtered for minimality (callers maintaining indexes combine them
-/// with previously known sets before filtering). Binary symmetric DCs probe
-/// the fixed tuple at one atom only — the other position yields the same
-/// unordered sets.
-pub fn raw_violations_involving_per_dc(
+/// The violation delta of one repairing operation: every raw falsifying
+/// binding involving the probed tuple.
+///
+/// Incremental maintainers map a repair op to the set of *dirty* conflict
+/// components: the tuples of the delta sets are exactly the nodes whose
+/// components the delta can affect, and its constraint indices are the
+/// constraints whose per-DC aggregates (e.g. `I_MI^dc` counts) may need
+/// invalidation.
+#[derive(Clone, Debug, Default)]
+pub struct DeltaViolations {
+    /// `(constraint index, violation set)` pairs, deduped per constraint
+    /// but *not* filtered for minimality (callers maintaining indexes
+    /// combine them with previously known sets before filtering).
+    pub per_dc: Vec<(usize, ViolationSet)>,
+}
+
+/// Computes the violation delta of inserting (or re-probing) tuple `tid`:
+/// the raw falsifying bindings of each DC that include it. Binary
+/// symmetric DCs probe the fixed tuple at one atom only — the other
+/// position yields the same unordered sets.
+pub fn delta_violations_involving(
     db: &Database,
     cs: &ConstraintSet,
     tid: TupleId,
-) -> Vec<(usize, ViolationSet)> {
+) -> DeltaViolations {
+    let mut per_dc = Vec::new();
     let Some(fact) = db.fact(tid) else {
-        return Vec::new();
+        return DeltaViolations { per_dc };
     };
-    let mut out = Vec::new();
     for (dc_idx, dc) in cs.dcs().iter().enumerate() {
         let mut seen: HashSet<ViolationSet> = HashSet::new();
         let symmetric_binary = dc.arity() == 2 && dc.is_symmetric();
@@ -328,61 +342,9 @@ pub fn raw_violations_involving_per_dc(
                 ControlFlow::Continue(())
             });
         }
-        out.extend(seen.into_iter().map(|s| (dc_idx, s)));
+        per_dc.extend(seen.into_iter().map(|s| (dc_idx, s)));
     }
-    out
-}
-
-/// The violation delta of one repairing operation, tagged with the
-/// constraints and tuples it touches.
-///
-/// Incremental maintainers map a repair op to the set of *dirty* conflict
-/// components: [`touched_tuples`](Self::touched_tuples) are exactly the
-/// nodes whose components the delta can affect, and
-/// [`touched_constraints`](Self::touched_constraints) are the constraints
-/// whose per-DC aggregates (e.g. `I_MI^dc` counts) may need invalidation.
-/// Both tags are derived on demand, so the hot mutation path pays only
-/// for the bindings themselves.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaViolations {
-    /// `(constraint index, violation set)` pairs, deduped per constraint
-    /// (see [`raw_violations_involving_per_dc`]).
-    pub per_dc: Vec<(usize, ViolationSet)>,
-}
-
-impl DeltaViolations {
-    /// Distinct constraint indices appearing in the delta, ascending.
-    pub fn touched_constraints(&self) -> Vec<usize> {
-        let mut dcs: Vec<usize> = self.per_dc.iter().map(|(dc, _)| *dc).collect();
-        dcs.sort_unstable();
-        dcs.dedup();
-        dcs
-    }
-
-    /// Distinct tuples appearing in any delta set, ascending.
-    pub fn touched_tuples(&self) -> Vec<TupleId> {
-        let mut tuples: Vec<TupleId> = self
-            .per_dc
-            .iter()
-            .flat_map(|(_, s)| s.iter().copied())
-            .collect();
-        tuples.sort_unstable();
-        tuples.dedup();
-        tuples
-    }
-}
-
-/// Computes the tagged violation delta of inserting (or re-probing) tuple
-/// `tid`: every raw falsifying binding involving it, queryable for the
-/// constraint and tuple sets the delta touches.
-pub fn delta_violations_involving(
-    db: &Database,
-    cs: &ConstraintSet,
-    tid: TupleId,
-) -> DeltaViolations {
-    DeltaViolations {
-        per_dc: raw_violations_involving_per_dc(db, cs, tid),
-    }
+    DeltaViolations { per_dc }
 }
 
 /// Keeps only inclusion-minimal sets. Exposed for callers (incremental
@@ -1457,7 +1419,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_violations_tags_touched_constraints_and_tuples() {
+    fn delta_violations_pair_each_binding_with_its_constraint() {
         let (s, r) = schema_ab();
         let mut db = Database::new(Arc::clone(&s));
         let t0 = insert2(&mut db, r, 1, 1);
@@ -1465,14 +1427,11 @@ mod tests {
         insert2(&mut db, r, 5, 9);
         let cs = fd_set(&s, r);
         let delta = delta_violations_involving(&db, &cs, t1);
-        assert_eq!(delta.per_dc.len(), 1);
-        assert_eq!(delta.touched_constraints(), vec![0]);
-        assert_eq!(delta.touched_tuples(), vec![t0, t1]);
-        // A tuple in no violation yields an empty, tag-free delta.
+        let pair: ViolationSet = vec![t0, t1].into_boxed_slice();
+        assert_eq!(delta.per_dc, vec![(0, pair)]);
+        // A tuple in no violation yields an empty delta.
         let clean = delta_violations_involving(&db, &cs, TupleId(2));
         assert!(clean.per_dc.is_empty());
-        assert!(clean.touched_constraints().is_empty());
-        assert!(clean.touched_tuples().is_empty());
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! * [`parallel`] — the multi-threaded enumerator (the paper parallelizes
 //!   its dominant stage, violation detection, §6.2.3): constraint-level
 //!   work stealing plus intra-constraint data sharding;
-//! * [`fastpath`] — `O(n log n)` counting shortcuts for FD-shaped and
-//!   dominance-shaped DCs;
 //! * [`Ind`] — inclusion dependencies (referential constraints), the
 //!   non-anti-monotonic class of §2 repaired by insertions;
 //! * [`mine`] — evidence-set DC mining (the stand-in for the mining
@@ -54,7 +52,6 @@ pub mod codekey;
 pub mod dc;
 pub mod egd;
 pub mod engine;
-pub mod fastpath;
 pub mod fd;
 pub mod ind;
 pub mod mine;
@@ -66,8 +63,8 @@ pub mod set;
 pub use dc::{Atom, DcDisplay, DenialConstraint};
 pub use egd::{Egd, EgdAtom};
 pub use engine::{
-    filter_minimal, is_consistent, minimal_inconsistent_subsets, raw_violations_involving_per_dc,
-    violations_involving, violations_per_dc, DcViolations, MiResult, ViolationSet,
+    filter_minimal, is_consistent, minimal_inconsistent_subsets, violations_involving,
+    violations_per_dc, DcViolations, MiResult, ViolationSet,
 };
 pub use fd::Fd;
 pub use ind::{ind_min_repair, Ind};

@@ -29,9 +29,9 @@
 //! the constraint joins at least two tuples. Everything else keeps one
 //! unit per constraint — stealing whole constraints has zero partitioning
 //! overhead and is already balanced when there are more constraints than
-//! cores. [`ShardPolicy::Fixed`] overrides the heuristic (used by tests to
-//! force tiny shards); [`ShardPolicy::Constraints`] disables sharding and
-//! reproduces the historical constraint-only behavior.
+//! cores. [`ShardPolicy::Fixed`] overrides the heuristic: tests use it to
+//! force tiny shards, and `Fixed(1)` disables sharding (one unit per
+//! constraint, the historical constraint-only behavior).
 //!
 //! **How a constraint is partitioned.** The unit of partitioning is the
 //! scan position of the constraint's *probe side* (atom 0's relation).
@@ -88,16 +88,14 @@ const MIN_SHARD_ROWS: usize = 4096;
 /// How the parallel enumerator splits `(Σ, D)` into stealable work units.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// One unit per constraint, never shard data — the historical
-    /// constraint-only behavior (kept as the benchmark baseline).
-    Constraints,
     /// Shard the data of large constraints when constraint-level
     /// parallelism alone cannot occupy the thread pool (see the
     /// module-level *Sharding design*). The default.
     Auto,
     /// Shard every constraint into exactly this many data shards,
     /// regardless of size — test and tuning hook (forces empty and tiny
-    /// shards on small inputs).
+    /// shards on small inputs; `Fixed(1)` never shards, one unit per
+    /// constraint).
     Fixed(usize),
 }
 
@@ -127,7 +125,6 @@ fn shard_count(
     threads: usize,
 ) -> usize {
     match policy {
-        ShardPolicy::Constraints => 1,
         ShardPolicy::Fixed(s) => s.max(1),
         ShardPolicy::Auto => {
             if threads <= 1 || dc.arity() < 2 || cs.len() >= threads {
@@ -408,7 +405,7 @@ mod tests {
             let (cs, db) = random_instance(seed, 40);
             let seq = engine::minimal_inconsistent_subsets(&db, &cs, None);
             for policy in [
-                ShardPolicy::Constraints,
+                ShardPolicy::Fixed(1),
                 ShardPolicy::Auto,
                 ShardPolicy::Fixed(2),
                 ShardPolicy::Fixed(3),

@@ -143,8 +143,7 @@ use inconsist_constraints::{engine, ConstraintSet, ViolationSet};
 use inconsist_graph::{CompId, ConflictGraph, DynamicConflictGraph};
 use inconsist_relational::{AttrId, Database, Fact, RelationalError, TupleId, Value};
 use inconsist_solver::{
-    component_min_repair, component_min_repair_lin, component_min_repair_with,
-    component_tuple_scores, node_index_sets, Budget,
+    component_min_repair, component_min_repair_lin, component_tuple_scores, Budget,
 };
 
 pub use inconsist_solver::TupleScores;
@@ -272,7 +271,8 @@ impl Measure {
 }
 
 /// The per-component solve behind a read: the exact cover of `I_R` under
-/// a step budget, or the LP relaxation of `I_R^lin`.
+/// a step budget, or the LP relaxation of `I_R^lin`. The budget only stops
+/// a search, so a component's stored `I_R` serves every budget.
 #[derive(Clone, Copy, Debug)]
 enum Solve {
     Cover(u64),
@@ -283,7 +283,7 @@ impl Solve {
     /// The component's stored value for this solve, if any.
     fn cached(self, cache: &CompCache) -> Option<f64> {
         match self {
-            Solve::Cover(budget) => cache.ir.filter(|&(b, _)| b == budget).map(|(_, v)| v),
+            Solve::Cover(_) => cache.ir,
             Solve::Lin => cache.ir_lin,
         }
     }
@@ -297,8 +297,8 @@ struct CompCache {
     /// Per-tuple scores of the tuples in `minimal`, sorted by tuple id;
     /// its length is the component's `I_P` share.
     scores: Vec<RankKey>,
-    /// Solved `I_R` value, tagged with the step budget it was solved under.
-    ir: Option<(u64, f64)>,
+    /// Solved `I_R` value.
+    ir: Option<f64>,
     /// Solved `I_R^lin` value.
     ir_lin: Option<f64>,
 }
@@ -414,8 +414,6 @@ pub struct IncrementalIndex {
     ir_pending: BTreeSet<CompId>,
     /// Clean components without an `I_R^lin` value.
     lin_pending: BTreeSet<CompId>,
-    /// How many clean components hold an `I_R` value, per step budget.
-    ir_budgets: BTreeMap<u64, usize>,
     /// `Σ |minimal|` over the clean components (`I_MI` once none is dirty).
     mi_sum: usize,
     /// `Σ |scores|` over the clean components (`I_P` once none is dirty).
@@ -429,9 +427,9 @@ pub struct IncrementalIndex {
     solve_threads: usize,
     stats: ReadStats,
     /// The ascending fold of every component's `I_R`, filled by the first
-    /// read that finds every component solved under one budget (possibly
-    /// a shared `&self` read); reset when the component set or a stored
-    /// `I_R` value changes.
+    /// read that finds every component solved (possibly a shared `&self`
+    /// read); reset when the component set or a stored `I_R` value
+    /// changes.
     ir_total: OnceLock<f64>,
     /// The ascending fold of every component's `I_R^lin`, memoized the
     /// same way.
@@ -476,7 +474,6 @@ impl IncrementalIndex {
             dirty: BTreeSet::new(),
             ir_pending: BTreeSet::new(),
             lin_pending: BTreeSet::new(),
-            ir_budgets: BTreeMap::new(),
             mi_sum: 0,
             p_sum: 0,
             ranked: BTreeSet::new(),
@@ -565,12 +562,11 @@ impl IncrementalIndex {
     }
 
     /// Takes component `c`'s cache, if any, out of every maintained
-    /// aggregate: the integer sums, the rank set, the pending sets and
-    /// the budget counts. Both fold memos go either way: a component that
-    /// appears or disappears changes both folds. (Filling a dirty
-    /// component's cache drops nothing: no memo is filled while a
-    /// component is dirty; storing one component value drops that
-    /// value's memo.)
+    /// aggregate: the integer sums, the rank set and the pending sets.
+    /// Both fold memos go either way: a component that appears or
+    /// disappears changes both folds. (Filling a dirty component's cache
+    /// drops nothing: no memo is filled while a component is dirty;
+    /// storing one component value drops that value's memo.)
     fn drop_cache(&mut self, c: CompId) {
         self.ir_total.take();
         self.lin_total.take();
@@ -582,11 +578,8 @@ impl IncrementalIndex {
         for key in &cache.scores {
             self.ranked.remove(key);
         }
-        match cache.ir {
-            Some((b, _)) => self.uncount_budget(b),
-            None => {
-                self.ir_pending.remove(&c);
-            }
+        if cache.ir.is_none() {
+            self.ir_pending.remove(&c);
         }
         if cache.ir_lin.is_none() {
             self.lin_pending.remove(&c);
@@ -605,14 +598,6 @@ impl IncrementalIndex {
     fn mark_dead(&mut self, c: CompId) {
         self.drop_cache(c);
         self.dirty.remove(&c);
-    }
-
-    fn uncount_budget(&mut self, budget: u64) {
-        let n = self.ir_budgets.get_mut(&budget).expect("counted budget");
-        *n -= 1;
-        if *n == 0 {
-            self.ir_budgets.remove(&budget);
-        }
     }
 
     // -- mutations ---------------------------------------------------------
@@ -856,20 +841,11 @@ impl IncrementalIndex {
             .collect()
     }
 
-    /// The clean components without a `kind` value, ascending: the
-    /// pending set, unless some component holds an `I_R` value solved
-    /// under another budget (a read with a changed budget, which
-    /// re-solves every component and so may scan them all).
-    fn pending(&self, kind: Solve) -> Vec<CompId> {
+    /// The clean components without a `kind` value, ascending.
+    fn pending(&self, kind: Solve) -> &BTreeSet<CompId> {
         match kind {
-            Solve::Cover(budget) if self.ir_budgets.keys().any(|&b| b != budget) => self
-                .comp_cache
-                .iter()
-                .filter(|(_, cache)| kind.cached(cache).is_none())
-                .map(|(&c, _)| c)
-                .collect(),
-            Solve::Cover(_) => self.ir_pending.iter().copied().collect(),
-            Solve::Lin => self.lin_pending.iter().copied().collect(),
+            Solve::Cover(_) => &self.ir_pending,
+            Solve::Lin => &self.lin_pending,
         }
     }
 
@@ -883,7 +859,7 @@ impl IncrementalIndex {
     /// that has already passed counts the cache hits and returns the
     /// pending set before any set-up.
     fn solve_pending(&mut self, kind: Solve, deadline: Option<Instant>) -> Vec<CompId> {
-        let jobs = self.pending(kind);
+        let jobs: Vec<CompId> = self.pending(kind).iter().copied().collect();
         let (cache_hits, solves) = match kind {
             Solve::Cover(_) => (
                 &mut self.stats.cover_cache_hits,
@@ -915,13 +891,12 @@ impl IncrementalIndex {
                     let i = next.fetch_add(1, atomic::Ordering::Relaxed);
                     let Some(&m) = minimal.get(i) else { break };
                     let graph = ConflictGraph::from_subsets(db, m);
-                    let node_sets = node_index_sets(&graph, m);
                     let value = match kind {
                         Solve::Cover(steps) => {
                             let mut budget = Budget::with_deadline(steps, deadline);
-                            component_min_repair_with(&graph, &node_sets, &mut budget)
+                            component_min_repair(&graph, m, &mut budget).map(|r| r.weight)
                         }
-                        Solve::Lin => component_min_repair_lin(&graph, &node_sets),
+                        Solve::Lin => component_min_repair_lin(&graph, m),
                     };
                     out.push((i, value));
                 }
@@ -954,23 +929,17 @@ impl IncrementalIndex {
                 continue;
             };
             let cache = self.comp_cache.get_mut(&c).expect("clean component");
-            match kind {
-                Solve::Cover(budget) => {
-                    match cache.ir.replace((budget, value)) {
-                        Some((old, _)) => self.uncount_budget(old),
-                        None => {
-                            self.ir_pending.remove(&c);
-                        }
-                    }
-                    *self.ir_budgets.entry(budget).or_default() += 1;
-                    self.ir_total.take();
-                }
-                Solve::Lin => {
-                    cache.ir_lin = Some(value);
-                    self.lin_pending.remove(&c);
-                    self.lin_total.take();
-                }
-            }
+            let (stored, pending, memo) = match kind {
+                Solve::Cover(_) => (&mut cache.ir, &mut self.ir_pending, &mut self.ir_total),
+                Solve::Lin => (
+                    &mut cache.ir_lin,
+                    &mut self.lin_pending,
+                    &mut self.lin_total,
+                ),
+            };
+            *stored = Some(value);
+            pending.remove(&c);
+            memo.take();
         }
         unsolved
     }
@@ -979,14 +948,11 @@ impl IncrementalIndex {
     /// index state: `Some` iff no component is dirty and every one holds
     /// a value. A `&self` read, so concurrent shared readers may fill it.
     fn total(&self, kind: Solve) -> Option<f64> {
-        let (solved, memo) = match kind {
-            Solve::Cover(budget) => (
-                self.ir_pending.is_empty() && self.ir_budgets.keys().all(|&b| b == budget),
-                &self.ir_total,
-            ),
-            Solve::Lin => (self.lin_pending.is_empty(), &self.lin_total),
+        let memo = match kind {
+            Solve::Cover(_) => &self.ir_total,
+            Solve::Lin => &self.lin_total,
         };
-        (self.dirty.is_empty() && solved).then(|| {
+        (self.dirty.is_empty() && self.pending(kind).is_empty()).then(|| {
             *memo.get_or_init(|| {
                 // Explicit `0.0` start: f64's `Sum` identity is -0.0,
                 // which would leak a negative zero on consistent data.
@@ -1086,10 +1052,12 @@ impl IncrementalIndex {
         self.dirty.is_empty().then_some(self.p_sum as f64)
     }
 
-    /// `I_R` from caches only: every component must hold a value solved
-    /// under exactly `options.vc_budget`. The sum is the same memoized
-    /// ascending-order fold [`i_r`](Self::i_r) reads, so the result is
-    /// bit-identical to it.
+    /// `I_R` from caches only: every component must hold a solved value.
+    /// The sum is the same memoized ascending-order fold
+    /// [`i_r`](Self::i_r) reads, so the result is bit-identical to it.
+    /// A stored value is an exact optimum whatever step budget it was
+    /// solved under (the budget only stops a search), so it serves every
+    /// `options.vc_budget`.
     pub fn try_i_r(&self, options: &MeasureOptions) -> Option<f64> {
         self.total(Solve::Cover(options.vc_budget))
     }
@@ -1326,15 +1294,15 @@ impl IncrementalIndex {
                 return false;
             }
             let graph = ConflictGraph::from_subsets(&self.db, &minimal);
-            let node_sets = node_index_sets(&graph, &minimal);
-            if let Some((budget, value)) = cache.ir {
-                match component_min_repair(&graph, &node_sets, budget) {
-                    Some(v) if v == value => {}
+            if let Some(value) = cache.ir {
+                // Any budget that lets the search finish gives the same bits.
+                match component_min_repair(&graph, &minimal, &mut Budget::steps(u64::MAX)) {
+                    Some(r) if r.weight == value => {}
                     _ => return false,
                 }
             }
             if let Some(value) = cache.ir_lin {
-                match component_min_repair_lin(&graph, &node_sets) {
+                match component_min_repair_lin(&graph, &minimal) {
                     Some(v) if (v - value).abs() < 1e-9 => {}
                     _ => return false,
                 }
@@ -1358,8 +1326,8 @@ impl IncrementalIndex {
         if dirty != self.dirty {
             return false;
         }
-        // The pending sets, budget counts and integer sums equal a fresh
-        // pass over the caches.
+        // The pending sets and integer sums equal a fresh pass over the
+        // caches.
         let pending = |unsolved: fn(&CompCache) -> bool| -> BTreeSet<CompId> {
             self.comp_cache
                 .iter()
@@ -1367,13 +1335,8 @@ impl IncrementalIndex {
                 .map(|(&c, _)| c)
                 .collect()
         };
-        let mut budgets: BTreeMap<u64, usize> = BTreeMap::new();
-        for (b, _) in self.comp_cache.values().filter_map(|cache| cache.ir) {
-            *budgets.entry(b).or_default() += 1;
-        }
         if pending(|cache| cache.ir.is_none()) != self.ir_pending
             || pending(|cache| cache.ir_lin.is_none()) != self.lin_pending
-            || budgets != self.ir_budgets
         {
             return false;
         }
@@ -1400,7 +1363,7 @@ impl IncrementalIndex {
                 .map(f64::to_bits)
         };
         if let Some(memo) = self.ir_total.get() {
-            if fold(|cache| cache.ir.map(|(_, v)| v)) != Some(memo.to_bits()) {
+            if fold(|cache| cache.ir) != Some(memo.to_bits()) {
                 return false;
             }
         }
@@ -2026,12 +1989,19 @@ mod tests {
         assert_eq!(idx.try_i_r_lin(), Some(idx.i_r_lin().unwrap()));
         assert_eq!(idx.try_i_mi_dc(), Some(idx.i_mi_dc()));
         assert_eq!(idx.try_i_mi_by_dc(), Some(vec![3]));
-        // A different budget than the cached one refuses (stale solve).
+        // A different budget reads the cached optima: no cover solve, and
+        // the bits of a scratch index solved under that budget.
         let other = MeasureOptions {
             vc_budget: opts.vc_budget - 1,
             ..opts
         };
-        assert_eq!(idx.try_i_r(&other), None);
+        let solves = idx.stats().cover_solves;
+        let mut scratch =
+            IncrementalIndex::build(idx.db().clone(), idx.constraints().clone()).unwrap();
+        let want = scratch.i_r(&other).unwrap().to_bits();
+        assert_eq!(idx.try_i_r(&other).map(f64::to_bits), Some(want));
+        assert_eq!(idx.i_r(&other).unwrap().to_bits(), want);
+        assert_eq!(idx.stats().cover_solves, solves);
         // A write dirties one component: shared reads refuse again…
         idx.update(firsts[0], AttrId(1), Value::int(77)).unwrap();
         assert_eq!(idx.try_i_mi(), None);
@@ -2154,9 +2124,18 @@ mod tests {
                         let top = idx.top_k_tuples(3);
                         assert_eq!(shared_bits(&idx, opts), exclusive);
                         assert_eq!(idx.try_top_k_tuples(3), Some(top.clone()));
-                        if idx.component_count() > 0 {
-                            assert_eq!(idx.try_i_r(other), None, "stale budget served");
-                        }
+                        // Another budget reads the cached optima: no cover
+                        // solve, and a scratch solve's bits under it.
+                        let solves = idx.stats().cover_solves;
+                        let want =
+                            IncrementalIndex::build(idx.db().clone(), idx.constraints().clone())
+                                .unwrap()
+                                .i_r(other)
+                                .unwrap()
+                                .to_bits();
+                        assert_eq!(idx.try_i_r(other).map(f64::to_bits), Some(want));
+                        assert_eq!(idx.i_r(other).unwrap().to_bits(), want);
+                        assert_eq!(idx.stats().cover_solves, solves, "other budget re-solved");
                         let mut scratch =
                             IncrementalIndex::build(idx.db().clone(), idx.constraints().clone())
                                 .unwrap();

@@ -28,9 +28,7 @@ use inconsist_graph::{
     count_maximal_consistent_subsets, count_mis_if_cograph, ConflictGraph, CountError,
 };
 use inconsist_relational::Database;
-use inconsist_solver::{
-    covering_lp, fractional_vertex_cover, min_weight_hitting_set, min_weight_vertex_cover,
-};
+use inconsist_solver::{component_min_repair, component_min_repair_lin, Budget, DeletionRepair};
 use std::fmt;
 
 /// Why a measure could not produce an exact value.
@@ -200,19 +198,23 @@ pub struct MaximalConsistentSubsets {
     pub options: MeasureOptions,
 }
 
-fn count_mc(
+/// `|MC_Σ(D)|` of the database behind `graph`: the tractable class first
+/// (P4-free conflict graphs, [40]), budgeted Bron–Kerbosch otherwise.
+/// The one `I_MC` count the measures and the suite share.
+pub(crate) fn count_mc(graph: &ConflictGraph, mis_budget: u64) -> Result<u128, MeasureError> {
+    Ok(count_mis_if_cograph(graph)
+        .unwrap_or_else(|| count_maximal_consistent_subsets(graph, mis_budget))?)
+}
+
+/// `count_mc` of `MI_Σ(D)`'s conflict graph, with its self-inconsistent
+/// tuple count.
+fn mc_with_self(
     cs: &ConstraintSet,
     db: &Database,
     opts: &MeasureOptions,
 ) -> Result<(u128, usize), MeasureError> {
-    let subsets = mi(cs, db, opts)?;
-    let graph = ConflictGraph::from_subsets(db, &subsets.subsets);
-    let self_inc = graph.excluded_count();
-    // Tractable class first (P4-free conflict graphs, [40]); Bron–Kerbosch
-    // with the step budget otherwise.
-    let count = count_mis_if_cograph(&graph)
-        .unwrap_or_else(|| count_maximal_consistent_subsets(&graph, opts.mis_budget))?;
-    Ok((count, self_inc))
+    let graph = ConflictGraph::from_subsets(db, &mi(cs, db, opts)?.subsets);
+    Ok((count_mc(&graph, opts.mis_budget)?, graph.excluded_count()))
 }
 
 impl InconsistencyMeasure for MaximalConsistentSubsets {
@@ -221,7 +223,7 @@ impl InconsistencyMeasure for MaximalConsistentSubsets {
     }
 
     fn eval(&self, cs: &ConstraintSet, db: &Database) -> MeasureResult {
-        let (count, _) = count_mc(cs, db, &self.options)?;
+        let (count, _) = mc_with_self(cs, db, &self.options)?;
         Ok(count.saturating_sub(1) as f64)
     }
 }
@@ -240,7 +242,7 @@ impl InconsistencyMeasure for MaximalConsistentSubsetsWithSelf {
     }
 
     fn eval(&self, cs: &ConstraintSet, db: &Database) -> MeasureResult {
-        let (count, self_inc) = count_mc(cs, db, &self.options)?;
+        let (count, self_inc) = mc_with_self(cs, db, &self.options)?;
         let with_self = count
             .checked_add(self_inc as u128)
             .ok_or(MeasureError::Overflow)?;
@@ -267,29 +269,22 @@ impl InconsistencyMeasure for MinimumRepair {
         if let Some((cost, _)) = crate::fd_tract::fast_min_repair(cs, db) {
             return Ok(cost);
         }
-        let subsets = mi(cs, db, &self.options)?;
-        let graph = ConflictGraph::from_subsets(db, &subsets.subsets);
-        if graph.is_plain_graph() {
-            min_weight_vertex_cover(&graph, self.options.vc_budget)
-                .map(|vc| vc.weight)
-                .ok_or(MeasureError::Timeout)
-        } else {
-            // Hyperedges: exact hitting set over all violation sets.
-            let weights: Vec<f64> = (0..graph.n() as u32).map(|v| graph.weight(v)).collect();
-            let sets: Vec<Vec<usize>> = subsets
-                .subsets
-                .iter()
-                .map(|s| {
-                    s.iter()
-                        .map(|t| graph.node_of(*t).expect("violation tuple is a node") as usize)
-                        .collect()
-                })
-                .collect();
-            min_weight_hitting_set(&weights, &sets, self.options.vc_budget)
-                .map(|h| h.weight)
-                .ok_or(MeasureError::Timeout)
-        }
+        Ok(min_repair(cs, db, &self.options)?.1.weight)
     }
+}
+
+/// One optimal deletion repair of `MI_Σ(D)`'s conflict graph, solved by
+/// the solver's one `I_R` dispatch (vertex cover or hitting set).
+fn min_repair(
+    cs: &ConstraintSet,
+    db: &Database,
+    opts: &MeasureOptions,
+) -> Result<(ConflictGraph, DeletionRepair), MeasureError> {
+    let subsets = mi(cs, db, opts)?.subsets;
+    let graph = ConflictGraph::from_subsets(db, &subsets);
+    let repair = component_min_repair(&graph, &subsets, &mut Budget::steps(opts.vc_budget))
+        .ok_or(MeasureError::Timeout)?;
+    Ok((graph, repair))
 }
 
 /// Tuples deleted by one optimal subset repair (the argmin behind
@@ -302,26 +297,8 @@ pub fn minimum_repair_deletions(
     if let Some((_, deletions)) = crate::fd_tract::fast_min_repair(cs, db) {
         return Ok(deletions);
     }
-    let subsets = mi(cs, db, options)?;
-    let graph = ConflictGraph::from_subsets(db, &subsets.subsets);
-    if graph.is_plain_graph() {
-        let vc = min_weight_vertex_cover(&graph, options.vc_budget).ok_or(MeasureError::Timeout)?;
-        Ok(vc.nodes.iter().map(|&v| graph.tuple(v)).collect())
-    } else {
-        let weights: Vec<f64> = (0..graph.n() as u32).map(|v| graph.weight(v)).collect();
-        let sets: Vec<Vec<usize>> = subsets
-            .subsets
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .map(|t| graph.node_of(*t).expect("violation tuple is a node") as usize)
-                    .collect()
-            })
-            .collect();
-        let hs = min_weight_hitting_set(&weights, &sets, options.vc_budget)
-            .ok_or(MeasureError::Timeout)?;
-        Ok(hs.elements.iter().map(|&v| graph.tuple(v as u32)).collect())
-    }
+    let (graph, repair) = min_repair(cs, db, options)?;
+    Ok(repair.nodes.iter().map(|&v| graph.tuple(v)).collect())
 }
 
 /// `I_R^lin`: the linear relaxation of the ILP of Fig. 2 (§5.2) — the
@@ -338,26 +315,9 @@ impl InconsistencyMeasure for LinearMinimumRepair {
     }
 
     fn eval(&self, cs: &ConstraintSet, db: &Database) -> MeasureResult {
-        let subsets = mi(cs, db, &self.options)?;
-        let graph = ConflictGraph::from_subsets(db, &subsets.subsets);
-        if graph.is_plain_graph() {
-            Ok(fractional_vertex_cover(&graph).value)
-        } else {
-            let weights: Vec<f64> = (0..graph.n() as u32).map(|v| graph.weight(v)).collect();
-            let sets: Vec<Vec<usize>> = subsets
-                .subsets
-                .iter()
-                .map(|s| {
-                    s.iter()
-                        .map(|t| graph.node_of(*t).expect("violation tuple is a node") as usize)
-                        .collect()
-                })
-                .collect();
-            covering_lp(&weights, &sets)
-                .minimize()
-                .map(|sol| sol.objective)
-                .map_err(|_| MeasureError::Timeout)
-        }
+        let subsets = mi(cs, db, &self.options)?.subsets;
+        let graph = ConflictGraph::from_subsets(db, &subsets);
+        component_min_repair_lin(&graph, &subsets).ok_or(MeasureError::Timeout)
     }
 }
 
@@ -528,9 +488,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hyperedge_violations_use_hitting_set() {
-        // Ternary EGD from Prop. 1: R(x,y), S(x,z), S(x,w) ⇒ z = w.
+    /// The ternary EGD of Prop. 1, `R(x,y), S(x,z), S(x,w) ⇒ z = w`, on
+    /// one `R` fact and two clashing `S` facts: one three-tuple hyperedge.
+    fn prop1_egd() -> (ConstraintSet, Database) {
         let mut s = Schema::new();
         let r = s
             .add_relation(relation("R", &[("A", ValueKind::Int), ("B", ValueKind::Int)]).unwrap())
@@ -568,6 +528,12 @@ mod tests {
             .unwrap();
         let mut cs = ConstraintSet::new(Arc::clone(&s));
         cs.add_egd(egd);
+        (cs, db)
+    }
+
+    #[test]
+    fn hyperedge_violations_use_hitting_set() {
+        let (cs, db) = prop1_egd();
         let opts = MeasureOptions::default();
         // One hyperedge of three tuples: delete any one → I_R = 1.
         assert_eq!(MinimumRepair { options: opts }.eval(&cs, &db).unwrap(), 1.0);
@@ -617,6 +583,62 @@ mod tests {
             repaired.delete(t).unwrap();
         }
         assert!(engine::is_consistent(&repaired, &cs));
+    }
+
+    /// Deleting `minimum_repair_deletions` repairs `db` at exactly
+    /// `MinimumRepair`'s cost.
+    fn assert_deletions_are_optimal(cs: &ConstraintSet, db: &Database) {
+        let opts = MeasureOptions::default();
+        let dels = minimum_repair_deletions(cs, db, &opts).unwrap();
+        let cost = dels.iter().fold(0.0, |sum, &t| sum + db.cost_of(t));
+        let mut repaired = db.clone();
+        for t in dels {
+            repaired.delete(t).unwrap();
+        }
+        assert!(engine::is_consistent(&repaired, cs));
+        assert_eq!(cost, MinimumRepair { options: opts }.eval(cs, db).unwrap());
+    }
+
+    #[test]
+    fn minimum_repair_deletions_solve_hyperedges_and_costed_fds() {
+        // The hypergraph branch: one three-tuple EGD violation.
+        let (cs, db) = prop1_egd();
+        let subsets = mi(&cs, &db, &MeasureOptions::default()).unwrap().subsets;
+        assert!(!ConflictGraph::from_subsets(&db, &subsets).is_plain_graph());
+        assert_deletions_are_optimal(&cs, &db);
+        // A costed A → C / B → C instance, outside the §5.1 class, so the
+        // exact cover answers. Dyadic costs keep every sum exact.
+        let mut s = Schema::new();
+        let attrs = [
+            ("A", ValueKind::Int),
+            ("B", ValueKind::Int),
+            ("C", ValueKind::Int),
+            ("cost", ValueKind::Float),
+        ];
+        let r = s.add_relation(relation("R", &attrs).unwrap()).unwrap();
+        s.set_cost_attr(r, "cost").unwrap();
+        let s = Arc::new(s);
+        let mut db = Database::new(Arc::clone(&s));
+        for (a, b, c, cost) in [
+            (1, 1, 0, 2.0),
+            (1, 2, 1, 0.25),
+            (2, 2, 0, 0.5),
+            (2, 1, 1, 1.0),
+            (3, 1, 2, 0.5),
+        ] {
+            let values = [
+                Value::int(a),
+                Value::int(b),
+                Value::int(c),
+                Value::float(cost),
+            ];
+            db.insert(Fact::new(r, values)).unwrap();
+        }
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(2)]));
+        cs.add_fd(Fd::new(r, [AttrId(1)], [AttrId(2)]));
+        assert!(crate::fd_tract::fast_min_repair(&cs, &db).is_none());
+        assert_deletions_are_optimal(&cs, &db);
     }
 
     /// `k` disjoint FD pairs (`A → B`, 2k tuples): `|MC_Σ(D)| = 2^k`.

@@ -28,7 +28,7 @@ use crate::measures::{InconsistencyMeasure, MeasureError, MeasureOptions, Measur
 use inconsist_constraints::{engine, ConstraintSet};
 use inconsist_graph::ConflictGraph;
 use inconsist_relational::{AttrId, Database, RelId, TupleId};
-use inconsist_solver::{greedy_hitting_set, greedy_vertex_cover};
+use inconsist_solver::{greedy_hitting_set, greedy_vertex_cover, node_index_sets};
 use std::collections::HashSet;
 
 /// `I_MIC`: minimal inconsistent subsets graded by `1/|E|` — the MIᶜ
@@ -122,15 +122,7 @@ impl InconsistencyMeasure for GreedyRepair {
             return Ok(greedy_vertex_cover(&graph).weight);
         }
         let weights: Vec<f64> = (0..graph.n() as u32).map(|v| graph.weight(v)).collect();
-        let sets: Vec<Vec<usize>> = mi
-            .subsets
-            .iter()
-            .map(|s| {
-                s.iter()
-                    .map(|t| graph.node_of(*t).expect("violation tuple is a node") as usize)
-                    .collect()
-            })
-            .collect();
+        let sets = node_index_sets(&graph, &mi.subsets);
         Ok(greedy_hitting_set(&weights, &sets).weight)
     }
 }

@@ -9,13 +9,11 @@
 //! which each pay for their own detection pass — mirroring how the paper
 //! timed each measure end to end.
 
-use crate::measures::{MeasureError, MeasureOptions, MeasureResult};
+use crate::measures::{count_mc, MeasureError, MeasureOptions, MeasureResult};
 use inconsist_constraints::ConstraintSet;
-use inconsist_graph::{count_maximal_consistent_subsets, count_mis_if_cograph, ConflictGraph};
+use inconsist_graph::ConflictGraph;
 use inconsist_relational::Database;
-use inconsist_solver::{
-    covering_lp, fractional_vertex_cover, min_weight_hitting_set, min_weight_vertex_cover,
-};
+use inconsist_solver::{component_min_repair, component_min_repair_lin, Budget};
 
 /// Values of all measures on one snapshot.
 #[derive(Clone, Debug)]
@@ -106,12 +104,7 @@ impl MeasureSuite {
         let (max_consistent, max_consistent_self) = if self.skip_mc {
             (Err(MeasureError::Timeout), Err(MeasureError::Timeout))
         } else {
-            let count = count_mis_if_cograph(&graph)
-                .unwrap_or_else(|| {
-                    count_maximal_consistent_subsets(&graph, self.options.mis_budget)
-                })
-                .map_err(MeasureError::from);
-            match count {
+            match count_mc(&graph, self.options.mis_budget) {
                 Ok(c) => (
                     Ok(c.saturating_sub(1) as f64),
                     c.checked_add(graph.excluded_count() as u128)
@@ -122,32 +115,12 @@ impl MeasureSuite {
             }
         };
 
-        let (min_repair, linear_repair) = if graph.is_plain_graph() {
-            let ir = min_weight_vertex_cover(&graph, self.options.vc_budget)
-                .map(|vc| vc.weight)
-                .ok_or(MeasureError::Timeout);
-            let lin = Ok(fractional_vertex_cover(&graph).value);
-            (ir, lin)
-        } else {
-            let weights: Vec<f64> = (0..graph.n() as u32).map(|v| graph.weight(v)).collect();
-            let sets: Vec<Vec<usize>> = mi
-                .subsets
-                .iter()
-                .map(|s| {
-                    s.iter()
-                        .map(|t| graph.node_of(*t).expect("tuple is a node") as usize)
-                        .collect()
-                })
-                .collect();
-            let ir = min_weight_hitting_set(&weights, &sets, self.options.vc_budget)
-                .map(|h| h.weight)
-                .ok_or(MeasureError::Timeout);
-            let lin = covering_lp(&weights, &sets)
-                .minimize()
-                .map(|s| s.objective)
-                .map_err(|_| MeasureError::Timeout);
-            (ir, lin)
-        };
+        let budget = &mut Budget::steps(self.options.vc_budget);
+        let min_repair = component_min_repair(&graph, &mi.subsets, budget)
+            .map(|r| r.weight)
+            .ok_or(MeasureError::Timeout);
+        let linear_repair =
+            component_min_repair_lin(&graph, &mi.subsets).ok_or(MeasureError::Timeout);
 
         SuiteReport {
             drastic,

@@ -1,4 +1,6 @@
-//! Component-scoped repair solves.
+//! Component-scoped repair solves: the one place that turns a conflict
+//! graph and its minimal violation sets into an `I_R` cover or an
+//! `I_R^lin` value.
 //!
 //! The conflict (hyper)graph of a database decomposes into connected
 //! components, and both the covering ILP of Fig. 2 (`I_R`) and its LP
@@ -6,16 +8,16 @@
 //! components, so the global optimum is the sum of per-component optima.
 //! The incremental read path exploits this — after one repairing operation
 //! only the *dirty* components are re-solved and the cached values of the
-//! clean ones are summed.
+//! clean ones are summed. The batch measures call the same entry points on
+//! the whole database's graph.
 //!
-//! These entry points solve **one** component, handed to them as a
-//! [`ConflictGraph`] built from that component's minimal violation sets
-//! plus the same sets translated to node indices (needed only on the
-//! hypergraph path). Plain-graph components route to the exact
-//! vertex-cover machinery ([`min_weight_vertex_cover_with`] /
-//! [`fractional_vertex_cover`]); components with hyperedges route to the
-//! exact hitting set ([`min_weight_hitting_set_with`]) and the covering LP
-//! ([`covering_lp`]).
+//! Each entry point takes a [`ConflictGraph`] built from the minimal
+//! violation sets plus the same sets as tuple ids. Plain-graph inputs
+//! route to the exact vertex-cover machinery
+//! ([`min_weight_vertex_cover_with`] / [`fractional_vertex_cover`]) and
+//! never read the sets; inputs with hyperedges map the sets to node
+//! indices ([`node_index_sets`]) and route to the exact hitting set
+//! ([`min_weight_hitting_set_with`]) and the covering LP ([`covering_lp`]).
 
 use crate::budget::Budget;
 use crate::covering::min_weight_hitting_set_with;
@@ -23,14 +25,12 @@ use crate::fvc::fractional_vertex_cover;
 use crate::simplex::covering_lp;
 use crate::vertex_cover::min_weight_vertex_cover_with;
 use inconsist_graph::ConflictGraph;
+use inconsist_relational::TupleId;
 
 /// Translates violation sets (tuple ids) into node-index sets for `g`.
 /// Sets with tuples outside `g` are skipped — callers pass the same subsets
 /// the graph was built from, so this never drops anything in practice.
-pub fn node_index_sets<S: AsRef<[inconsist_relational::TupleId]>>(
-    g: &ConflictGraph,
-    subsets: &[S],
-) -> Vec<Vec<usize>> {
+pub fn node_index_sets<S: AsRef<[TupleId]>>(g: &ConflictGraph, subsets: &[S]) -> Vec<Vec<usize>> {
     subsets
         .iter()
         .filter_map(|s| {
@@ -40,6 +40,23 @@ pub fn node_index_sets<S: AsRef<[inconsist_relational::TupleId]>>(
                 .collect::<Option<Vec<usize>>>()
         })
         .collect()
+}
+
+/// Node weights (tuple deletion costs) of `g`, by node index.
+fn node_weights(g: &ConflictGraph) -> Vec<f64> {
+    (0..g.n() as u32).map(|v| g.weight(v)).collect()
+}
+
+/// One minimum-cost deletion repair: the value of `I_R` and the nodes
+/// it deletes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DeletionRepair {
+    /// Total deletion cost. On plain graphs the ascending `0.0`-started
+    /// fold of the weights of `nodes` (see [`crate::VertexCover`]); on
+    /// hypergraphs the exact hitting-set search's sum.
+    pub weight: f64,
+    /// Deleted node indices, ascending.
+    pub nodes: Vec<u32>,
 }
 
 /// Per-tuple responsibility scores of one component, derived from its
@@ -57,7 +74,7 @@ pub fn node_index_sets<S: AsRef<[inconsist_relational::TupleId]>>(
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TupleScores {
     /// The scored tuple.
-    pub tuple: inconsist_relational::TupleId,
+    pub tuple: TupleId,
     /// Minimal inconsistent subsets containing the tuple.
     pub cbm: f64,
     /// `Σ 1/|S|` over those subsets.
@@ -78,12 +95,10 @@ pub struct TupleScores {
 /// what lets the index's per-component lists and the batch path's one
 /// whole-database list agree float-for-float. Output is sorted by tuple
 /// id.
-pub fn component_tuple_scores<S: AsRef<[inconsist_relational::TupleId]>>(
-    minimal: &[S],
-) -> Vec<TupleScores> {
+pub fn component_tuple_scores<S: AsRef<[TupleId]>>(minimal: &[S]) -> Vec<TupleScores> {
     // One flat `(tuple, |S|)` list: sorting it groups each tuple's sizes
     // in ascending order, without a map or a list per tuple.
-    let mut sizes: Vec<(inconsist_relational::TupleId, usize)> = minimal
+    let mut sizes: Vec<(TupleId, usize)> = minimal
         .iter()
         .flat_map(|s| {
             let s = s.as_ref();
@@ -103,41 +118,44 @@ pub fn component_tuple_scores<S: AsRef<[inconsist_relational::TupleId]>>(
         .collect()
 }
 
-/// `I_R` (deletions) restricted to one conflict component: the exact
-/// minimum deletion cost resolving every violation of the component.
-/// Returns `None` when the step `budget` is exhausted.
-pub fn component_min_repair(
+/// `I_R` (deletions) of the conflict graph `g` built from `subsets`: one
+/// exact minimum-cost repair resolving every violation. Returns `None`
+/// when `budget` runs out — its steps, or its wall-clock deadline in the
+/// middle of a branch (the deadline-bounded reads). The budget only stops
+/// the search, so a solve that completes returns the same bits under any
+/// budget.
+pub fn component_min_repair<S: AsRef<[TupleId]>>(
     g: &ConflictGraph,
-    node_sets: &[Vec<usize>],
-    budget: u64,
-) -> Option<f64> {
-    component_min_repair_with(g, node_sets, &mut Budget::steps(budget))
-}
-
-/// [`component_min_repair`] against a caller-held [`Budget`] — the entry
-/// point for deadline-bounded (anytime) reads, where a wall-clock expiry
-/// must interrupt the exact search mid-branch.
-pub fn component_min_repair_with(
-    g: &ConflictGraph,
-    node_sets: &[Vec<usize>],
+    subsets: &[S],
     budget: &mut Budget,
-) -> Option<f64> {
+) -> Option<DeletionRepair> {
     if g.is_plain_graph() {
-        return min_weight_vertex_cover_with(g, budget).map(|vc| vc.weight);
+        let vc = min_weight_vertex_cover_with(g, budget)?;
+        return Some(DeletionRepair {
+            weight: vc.weight,
+            nodes: vc.nodes,
+        });
     }
-    let weights: Vec<f64> = (0..g.n() as u32).map(|v| g.weight(v)).collect();
-    min_weight_hitting_set_with(&weights, node_sets, budget).map(|h| h.weight)
+    let sets = node_index_sets(g, subsets);
+    let hs = min_weight_hitting_set_with(&node_weights(g), &sets, budget)?;
+    Some(DeletionRepair {
+        weight: hs.weight,
+        nodes: hs.elements.into_iter().map(|v| v as u32).collect(),
+    })
 }
 
-/// `I_R^lin` restricted to one conflict component: the LP relaxation of
-/// the component's covering program. Returns `None` when the simplex
+/// `I_R^lin` of the conflict graph `g` built from `subsets`: the LP
+/// relaxation of its covering program. Returns `None` when the simplex
 /// fails (hypergraph path only; the plain path is direct and total).
-pub fn component_min_repair_lin(g: &ConflictGraph, node_sets: &[Vec<usize>]) -> Option<f64> {
+pub fn component_min_repair_lin<S: AsRef<[TupleId]>>(
+    g: &ConflictGraph,
+    subsets: &[S],
+) -> Option<f64> {
     if g.is_plain_graph() {
         return Some(fractional_vertex_cover(g).value);
     }
-    let weights: Vec<f64> = (0..g.n() as u32).map(|v| g.weight(v)).collect();
-    covering_lp(&weights, node_sets)
+    let sets = node_index_sets(g, subsets);
+    covering_lp(&node_weights(g), &sets)
         .minimize()
         .ok()
         .map(|sol| sol.objective)
@@ -165,14 +183,19 @@ mod tests {
         ids.iter().map(|&i| TupleId(i)).collect()
     }
 
+    fn ir(g: &ConflictGraph, subsets: &[Box<[TupleId]>], steps: u64) -> Option<f64> {
+        component_min_repair(g, subsets, &mut Budget::steps(steps)).map(|r| r.weight)
+    }
+
     #[test]
     fn plain_component_is_vertex_cover() {
         // Triangle: min VC = 2, fractional = 1.5.
         let subsets = vec![set(&[0, 1]), set(&[1, 2]), set(&[0, 2])];
         let g = ConflictGraph::from_subsets(&db(3), &subsets);
-        let sets = node_index_sets(&g, &subsets);
-        assert_eq!(component_min_repair(&g, &sets, 1 << 20), Some(2.0));
-        assert_eq!(component_min_repair_lin(&g, &sets), Some(1.5));
+        let cover = component_min_repair(&g, &subsets, &mut Budget::steps(1 << 20)).unwrap();
+        assert_eq!(cover.weight, 2.0);
+        assert_eq!(cover.nodes.len(), 2);
+        assert_eq!(component_min_repair_lin(&g, &subsets), Some(1.5));
     }
 
     #[test]
@@ -181,9 +204,10 @@ mod tests {
         let subsets = vec![set(&[0, 1, 2]), set(&[2, 3, 4])];
         let g = ConflictGraph::from_subsets(&db(5), &subsets);
         assert!(!g.is_plain_graph());
-        let sets = node_index_sets(&g, &subsets);
-        assert_eq!(component_min_repair(&g, &sets, 1 << 20), Some(1.0));
-        let lin = component_min_repair_lin(&g, &sets).unwrap();
+        let cover = component_min_repair(&g, &subsets, &mut Budget::steps(1 << 20)).unwrap();
+        assert_eq!(cover.weight, 1.0);
+        assert_eq!(cover.nodes, vec![g.node_of(TupleId(2)).unwrap()]);
+        let lin = component_min_repair_lin(&g, &subsets).unwrap();
         assert!((lin - 1.0).abs() < 1e-6, "{lin}");
     }
 
@@ -193,8 +217,7 @@ mod tests {
         // so the exact solve must branch — and a zero budget exhausts it.
         let subsets: Vec<_> = (0..5).map(|i| set(&[i, (i + 1) % 5])).collect();
         let g = ConflictGraph::from_subsets(&db(5), &subsets);
-        let sets = node_index_sets(&g, &subsets);
-        assert_eq!(component_min_repair(&g, &sets, 0), None);
+        assert_eq!(ir(&g, &subsets, 0), None);
     }
 
     #[test]
@@ -227,9 +250,8 @@ mod tests {
     fn singleton_component_forces_deletion() {
         let subsets = vec![set(&[1]), set(&[1, 2])];
         let g = ConflictGraph::from_subsets(&db(3), &subsets);
-        let sets = node_index_sets(&g, &subsets);
         // Node 1 is excluded (self-inconsistent): both solves must pay it.
-        assert_eq!(component_min_repair(&g, &sets, 1 << 20), Some(1.0));
-        assert_eq!(component_min_repair_lin(&g, &sets), Some(1.0));
+        assert_eq!(ir(&g, &subsets, 1 << 20), Some(1.0));
+        assert_eq!(component_min_repair_lin(&g, &subsets), Some(1.0));
     }
 }

@@ -15,9 +15,11 @@
 //!   greedy baseline, powering `I_R` under deletions;
 //! * [`covering`] — exact min-weight hitting set for hyperedge violations
 //!   (the full covering ILP of Fig. 2);
-//! * [`component`] — component-scoped entry points (`I_R` / `I_R^lin` of
-//!   one conflict component), the solving half of the incremental
-//!   per-component measure caches.
+//! * [`component`] — the one dispatch from a conflict graph and its
+//!   minimal violation sets to an `I_R` cover or an `I_R^lin` value
+//!   (vertex cover / fractional cover on plain graphs, hitting set /
+//!   covering LP on hypergraphs), called per component by the incremental
+//!   measure caches and on the whole graph by the batch measures.
 //!
 //! Every exponential-time routine takes a step budget and returns `None`
 //! when it is exhausted — the workspace's analogue of the paper's 24-hour
@@ -36,8 +38,8 @@ pub mod vertex_cover;
 
 pub use budget::Budget;
 pub use component::{
-    component_min_repair, component_min_repair_lin, component_min_repair_with,
-    component_tuple_scores, node_index_sets, TupleScores,
+    component_min_repair, component_min_repair_lin, component_tuple_scores, node_index_sets,
+    DeletionRepair, TupleScores,
 };
 pub use covering::{
     greedy_hitting_set, min_weight_hitting_set, min_weight_hitting_set_with, HittingSet,

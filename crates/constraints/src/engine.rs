@@ -349,30 +349,60 @@ pub fn delta_violations_involving(
 
 /// Keeps only inclusion-minimal sets. Exposed for callers (incremental
 /// indexes, custom measures) that maintain raw violation sets themselves.
-///
-/// Subset probes reuse one scratch buffer and look up the accepted pool by
-/// borrowed slice, so the subset walk allocates nothing.
+/// The output is in `(len, members)` order: [`filter_minimal_sorted`] on
+/// the sorted input.
 pub fn filter_minimal(seen: HashSet<ViolationSet>) -> Vec<ViolationSet> {
-    let mut by_size: Vec<ViolationSet> = seen.into_iter().collect();
-    by_size.sort_by_key(|s| (s.len(), s.first().copied()));
-    let mut accepted: HashSet<ViolationSet> = HashSet::new();
-    let mut out = Vec::new();
+    let mut sets: Vec<ViolationSet> = seen.into_iter().collect();
+    sets.sort_unstable_by(|a, b| by_len_then_members(a, b));
+    filter_minimal_sorted(sets)
+}
+
+/// The `(len, members)` order of violation sets.
+fn by_len_then_members(a: &[TupleId], b: &[TupleId]) -> std::cmp::Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// Keeps only the inclusion-minimal sets of `sets`: distinct sets of sorted
+/// tuple ids, in `(len, members)` order (what the conflict graph's
+/// `DynamicConflictGraph::component_sets` lists). The output keeps that
+/// order.
+///
+/// A set is minimal iff no proper subset of it was accepted before it,
+/// and every accepted set shorter than it lies in the accepted prefix
+/// sorted the same way: each proper subset is one binary search there,
+/// into one reused scratch buffer. Sets no longer than every accepted one
+/// (the singletons, or the first length present) probe nothing.
+pub fn filter_minimal_sorted(sets: Vec<ViolationSet>) -> Vec<ViolationSet> {
+    debug_assert!(sets
+        .windows(2)
+        .all(|p| by_len_then_members(&p[0], &p[1]).is_lt()));
+    let mut out: Vec<ViolationSet> = Vec::with_capacity(sets.len());
+    // `out[..shorter]`: the accepted sets shorter than the current one.
+    let (mut shorter, mut len) = (0, 0);
     let mut scratch: Vec<TupleId> = Vec::new();
-    'outer: for set in by_size {
-        // Arities are tiny (≤ 4 in practice), so checking every proper
-        // subset against the accepted pool is cheap and exact.
-        for mask in 1..(1u32 << set.len()) - 1 {
-            scratch.clear();
-            for (i, t) in set.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    scratch.push(*t);
+    'outer: for set in sets {
+        if set.len() != len {
+            (shorter, len) = (out.len(), set.len());
+        }
+        if shorter > 0 {
+            // Arities are tiny (≤ 4 in practice), so checking every proper
+            // subset against the accepted prefix is cheap and exact.
+            for mask in 1..(1u32 << set.len()) - 1 {
+                scratch.clear();
+                scratch.extend(
+                    set.iter()
+                        .enumerate()
+                        .filter(|&(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &t)| t),
+                );
+                if out[..shorter]
+                    .binary_search_by(|s| by_len_then_members(s, &scratch))
+                    .is_ok()
+                {
+                    continue 'outer;
                 }
             }
-            if accepted.contains(scratch.as_slice()) {
-                continue 'outer;
-            }
         }
-        accepted.insert(set.clone());
         out.push(set);
     }
     out
@@ -1398,6 +1428,40 @@ mod tests {
     use crate::fd::Fd;
     use inconsist_relational::{relation, Fact, Schema, ValueKind};
     use std::sync::Arc;
+
+    #[test]
+    fn sorted_minimality_kernel_matches_brute_force() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        for trial in 0..300 {
+            // Sets of 1–4 tuples over a small universe, so subsets collide.
+            let universe = rng.gen_range(3..9u32);
+            let mut seen: HashSet<ViolationSet> = HashSet::new();
+            for _ in 0..rng.gen_range(1..25) {
+                let len = rng.gen_range(1..=4usize).min(universe as usize);
+                let mut set: Vec<TupleId> = Vec::new();
+                while set.len() < len {
+                    let t = TupleId(rng.gen_range(0..universe));
+                    if !set.contains(&t) {
+                        set.push(t);
+                    }
+                }
+                set.sort();
+                seen.insert(set.into_boxed_slice());
+            }
+            let is_subset = |a: &[TupleId], b: &[TupleId]| a.iter().all(|t| b.contains(t));
+            let mut expected: Vec<ViolationSet> = seen
+                .iter()
+                .filter(|s| !seen.iter().any(|o| o.len() < s.len() && is_subset(o, s)))
+                .cloned()
+                .collect();
+            expected.sort_by(|a, b| by_len_then_members(a, b));
+            let mut sorted: Vec<ViolationSet> = seen.iter().cloned().collect();
+            sorted.sort_by(|a, b| by_len_then_members(a, b));
+            assert_eq!(filter_minimal_sorted(sorted), expected, "trial {trial}");
+            assert_eq!(filter_minimal(seen), expected, "trial {trial}");
+        }
+    }
 
     fn schema_ab() -> (Arc<Schema>, RelId) {
         let mut s = Schema::new();

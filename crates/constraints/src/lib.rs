@@ -63,8 +63,8 @@ pub mod set;
 pub use dc::{Atom, DcDisplay, DenialConstraint};
 pub use egd::{Egd, EgdAtom};
 pub use engine::{
-    filter_minimal, is_consistent, minimal_inconsistent_subsets, violations_involving,
-    violations_per_dc, DcViolations, MiResult, ViolationSet,
+    filter_minimal, filter_minimal_sorted, is_consistent, minimal_inconsistent_subsets,
+    violations_involving, violations_per_dc, DcViolations, MiResult, ViolationSet,
 };
 pub use fd::Fd;
 pub use ind::{ind_min_repair, Ind};

@@ -38,7 +38,7 @@
 //! minimal subsets, the `I_MI`/`I_P` contributions, and the solved
 //! `I_R`/`I_R^lin` values. A read then:
 //!
-//! * re-runs [`engine::filter_minimal`] only on dirty components (sound
+//! * re-runs [`engine::filter_minimal_sorted`] only on dirty components (sound
 //!   because a subset relation implies shared tuples, so minimality is
 //!   decided within a component);
 //! * re-solves the cover only on dirty components via the solver's
@@ -140,7 +140,7 @@ use crate::measures::{
 };
 use crate::repair::RepairOp;
 use inconsist_constraints::{engine, ConstraintSet, ViolationSet};
-use inconsist_graph::{CompId, ConflictGraph, DynamicConflictGraph};
+use inconsist_graph::{CompId, DynamicConflictGraph};
 use inconsist_relational::{AttrId, Database, Fact, RelationalError, TupleId, Value};
 use inconsist_solver::{
     component_min_repair, component_min_repair_lin, component_tuple_scores, Budget,
@@ -494,8 +494,13 @@ impl IncrementalIndex {
 
     /// Indexes the per-DC binding sets of a freshly built index: the
     /// inverted index, the conflict graph, and every component dirty.
+    /// Each DC's bindings go into the graph in ascending order, not hash
+    /// order, so two builds over the same data number their components
+    /// alike — and fold their per-component values in the same order.
     fn rebuild_inverted(&mut self) {
         for (i, sets) in self.per_dc.iter().enumerate() {
+            let mut sets: Vec<&ViolationSet> = sets.iter().collect();
+            sets.sort_unstable();
             for set in sets {
                 self.raw_count += 1;
                 for &t in set.iter() {
@@ -639,10 +644,14 @@ impl IncrementalIndex {
         }
     }
 
-    /// Probes the engine for bindings involving `tid` and indexes them.
+    /// Probes the engine for bindings involving `tid` and indexes them, in
+    /// ascending `(dc, set)` order: which component survives a merge
+    /// depends on the insertion order, and the same history must number
+    /// components alike.
     fn attach(&mut self, tid: TupleId) {
-        let delta = engine::delta_violations_involving(&self.db, &self.cs, tid);
-        for (dc, set) in delta.per_dc {
+        let mut delta = engine::delta_violations_involving(&self.db, &self.cs, tid).per_dc;
+        delta.sort_unstable();
+        for (dc, set) in delta {
             if self.per_dc[dc].insert(set.clone()) {
                 self.raw_count += 1;
                 self.dc_min_cache[dc] = None;
@@ -727,7 +736,7 @@ impl IncrementalIndex {
     }
 
     /// Fills the minimal-subset cache of every dirty component (one
-    /// component-local [`engine::filter_minimal`] run each); the clean
+    /// component-local [`engine::filter_minimal_sorted`] run each); the clean
     /// ones are not visited.
     fn ensure_components(&mut self) {
         self.stats.filter_cache_hits += self.comp_cache.len() as u64;
@@ -761,8 +770,7 @@ impl IncrementalIndex {
     /// set, which the caller extends.
     fn fill_component(&mut self, c: CompId) {
         let _span = inconsist_obs::span!("index.filter_minimal");
-        let sets: HashSet<ViolationSet> = self.graph.component_sets(c).into_iter().collect();
-        let minimal = engine::filter_minimal(sets);
+        let minimal = engine::filter_minimal_sorted(self.graph.component_sets(c));
         let scores: Vec<RankKey> = component_tuple_scores(&minimal)
             .iter()
             .map(RankKey::new)
@@ -796,8 +804,8 @@ impl IncrementalIndex {
             .values()
             .flat_map(|cache| cache.minimal.iter().cloned())
             .collect();
-        // Same presentation order as `filter_minimal`.
-        all.sort_by_key(|s| (s.len(), s.first().copied()));
+        // Same presentation order as `filter_minimal`: `(len, members)`.
+        all.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         all
     }
 
@@ -890,13 +898,12 @@ impl IncrementalIndex {
                 while deadline.is_none_or(|d| Instant::now() < d) {
                     let i = next.fetch_add(1, atomic::Ordering::Relaxed);
                     let Some(&m) = minimal.get(i) else { break };
-                    let graph = ConflictGraph::from_subsets(db, m);
                     let value = match kind {
                         Solve::Cover(steps) => {
                             let mut budget = Budget::with_deadline(steps, deadline);
-                            component_min_repair(&graph, m, &mut budget).map(|r| r.weight)
+                            component_min_repair(db, m, &mut budget).map(|r| r.weight)
                         }
-                        Solve::Lin => component_min_repair_lin(&graph, m),
+                        Solve::Lin => component_min_repair_lin(db, m),
                     };
                     out.push((i, value));
                 }
@@ -1278,14 +1285,12 @@ impl IncrementalIndex {
         // Every cached component aggregate must match a from-scratch
         // recomputation of that component.
         for (c, cache) in &self.comp_cache {
-            let sets: HashSet<ViolationSet> = self.graph.component_sets(*c).into_iter().collect();
+            let sets = self.graph.component_sets(*c);
             if sets.is_empty() {
                 return false; // cache entry for a dead component
             }
-            let minimal = engine::filter_minimal(sets);
-            let cached: HashSet<&ViolationSet> = cache.minimal.iter().collect();
-            let expected: HashSet<&ViolationSet> = minimal.iter().collect();
-            if cached != expected {
+            let minimal = engine::filter_minimal_sorted(sets);
+            if cache.minimal != minimal {
                 return false;
             }
             // Bit-exact round trip through the packed keys.
@@ -1293,16 +1298,15 @@ impl IncrementalIndex {
             if !scores.eq(component_tuple_scores(&minimal)) {
                 return false;
             }
-            let graph = ConflictGraph::from_subsets(&self.db, &minimal);
             if let Some(value) = cache.ir {
                 // Any budget that lets the search finish gives the same bits.
-                match component_min_repair(&graph, &minimal, &mut Budget::steps(u64::MAX)) {
+                match component_min_repair(&self.db, &minimal, &mut Budget::steps(u64::MAX)) {
                     Some(r) if r.weight == value => {}
                     _ => return false,
                 }
             }
             if let Some(value) = cache.ir_lin {
-                match component_min_repair_lin(&graph, &minimal) {
+                match component_min_repair_lin(&self.db, &minimal) {
                     Some(v) if (v - value).abs() < 1e-9 => {}
                     _ => return false,
                 }
@@ -1899,6 +1903,71 @@ mod tests {
                 let c = Value::int(rng.gen_range(0..3));
                 seq.update(t, AttrId(2), c.clone()).unwrap();
                 par.update(t, AttrId(2), c).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn builds_over_the_same_costed_data_serve_the_same_bits() {
+        // Dense A→C / B→C blocks with non-dyadic costs: the `I_R` and
+        // `I_R^lin` folds run in component-id order, so four separate
+        // builds (each with its own hash seeds) must number their
+        // components alike, before and after the same writes, to serve
+        // the same bits.
+        let mut s = Schema::new();
+        let attrs = [
+            ("A", ValueKind::Int),
+            ("B", ValueKind::Int),
+            ("C", ValueKind::Int),
+            ("cost", ValueKind::Float),
+        ];
+        let r = s.add_relation(relation("R", &attrs).unwrap()).unwrap();
+        s.set_cost_attr(r, "cost").unwrap();
+        let s = Arc::new(s);
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut db = Database::new(Arc::clone(&s));
+        for block in 0..12i64 {
+            for _ in 0..14 {
+                let fact = Fact::new(
+                    r,
+                    [
+                        Value::int(block * 4 + rng.gen_range(0..4)),
+                        Value::int(block * 4 + rng.gen_range(0..4)),
+                        Value::int(rng.gen_range(0..3)),
+                        Value::float([0.1, 0.3, 0.7, 1.9][rng.gen_range(0..4)]),
+                    ],
+                );
+                db.insert(fact).unwrap();
+            }
+        }
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(2)]));
+        cs.add_fd(Fd::new(r, [AttrId(1)], [AttrId(2)]));
+        let opts = MeasureOptions::default();
+        let ids = db.ids_of(r);
+        let mut builds: Vec<IncrementalIndex> = (0..4)
+            .map(|_| IncrementalIndex::build(db.clone(), cs.clone()).unwrap())
+            .collect();
+        // Then the same writes (merging and splitting blocks' components)
+        // to every build.
+        for round in 0..4 {
+            let served: Vec<(u64, u64)> = builds
+                .iter_mut()
+                .map(|idx| {
+                    let ir = idx.i_r(&opts).unwrap();
+                    (ir.to_bits(), idx.i_r_lin().unwrap().to_bits())
+                })
+                .collect();
+            assert!(
+                served.windows(2).all(|w| w[0] == w[1]),
+                "round {round}: {served:?}"
+            );
+            for _ in 0..6 {
+                let t = ids[rng.gen_range(0..ids.len())];
+                let c = Value::int(rng.gen_range(0..3));
+                for idx in &mut builds {
+                    idx.update(t, AttrId(2), c.clone()).unwrap();
+                }
             }
         }
     }

@@ -269,22 +269,20 @@ impl InconsistencyMeasure for MinimumRepair {
         if let Some((cost, _)) = crate::fd_tract::fast_min_repair(cs, db) {
             return Ok(cost);
         }
-        Ok(min_repair(cs, db, &self.options)?.1.weight)
+        Ok(min_repair(cs, db, &self.options)?.weight)
     }
 }
 
-/// One optimal deletion repair of `MI_Σ(D)`'s conflict graph, solved by
-/// the solver's one `I_R` dispatch (vertex cover or hitting set).
+/// One optimal deletion repair of `MI_Σ(D)`, solved by the solver's one
+/// `I_R` dispatch (vertex cover or hitting set).
 fn min_repair(
     cs: &ConstraintSet,
     db: &Database,
     opts: &MeasureOptions,
-) -> Result<(ConflictGraph, DeletionRepair), MeasureError> {
+) -> Result<DeletionRepair, MeasureError> {
     let subsets = mi(cs, db, opts)?.subsets;
-    let graph = ConflictGraph::from_subsets(db, &subsets);
-    let repair = component_min_repair(&graph, &subsets, &mut Budget::steps(opts.vc_budget))
-        .ok_or(MeasureError::Timeout)?;
-    Ok((graph, repair))
+    component_min_repair(db, &subsets, &mut Budget::steps(opts.vc_budget))
+        .ok_or(MeasureError::Timeout)
 }
 
 /// Tuples deleted by one optimal subset repair (the argmin behind
@@ -297,8 +295,7 @@ pub fn minimum_repair_deletions(
     if let Some((_, deletions)) = crate::fd_tract::fast_min_repair(cs, db) {
         return Ok(deletions);
     }
-    let (graph, repair) = min_repair(cs, db, options)?;
-    Ok(repair.nodes.iter().map(|&v| graph.tuple(v)).collect())
+    Ok(min_repair(cs, db, options)?.tuples)
 }
 
 /// `I_R^lin`: the linear relaxation of the ILP of Fig. 2 (§5.2) — the
@@ -316,8 +313,7 @@ impl InconsistencyMeasure for LinearMinimumRepair {
 
     fn eval(&self, cs: &ConstraintSet, db: &Database) -> MeasureResult {
         let subsets = mi(cs, db, &self.options)?.subsets;
-        let graph = ConflictGraph::from_subsets(db, &subsets);
-        component_min_repair_lin(&graph, &subsets).ok_or(MeasureError::Timeout)
+        component_min_repair_lin(db, &subsets).ok_or(MeasureError::Timeout)
     }
 }
 

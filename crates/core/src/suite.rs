@@ -88,7 +88,6 @@ impl MeasureSuite {
                 violation_ratio: f64::NAN,
             };
         }
-        let graph = ConflictGraph::from_subsets(db, &mi.subsets);
         let n = db.len() as f64;
         let pair_count = mi.subsets.iter().filter(|s| s.len() == 2).count() as f64;
         let violation_ratio = if n >= 2.0 {
@@ -104,6 +103,9 @@ impl MeasureSuite {
         let (max_consistent, max_consistent_self) = if self.skip_mc {
             (Err(MeasureError::Timeout), Err(MeasureError::Timeout))
         } else {
+            // The conflict graph is `I_MC`'s alone: the repair solves
+            // below build what they read from the subsets.
+            let graph = ConflictGraph::from_subsets(db, &mi.subsets);
             match count_mc(&graph, self.options.mis_budget) {
                 Ok(c) => (
                     Ok(c.saturating_sub(1) as f64),
@@ -116,11 +118,10 @@ impl MeasureSuite {
         };
 
         let budget = &mut Budget::steps(self.options.vc_budget);
-        let min_repair = component_min_repair(&graph, &mi.subsets, budget)
+        let min_repair = component_min_repair(db, &mi.subsets, budget)
             .map(|r| r.weight)
             .ok_or(MeasureError::Timeout);
-        let linear_repair =
-            component_min_repair_lin(&graph, &mi.subsets).ok_or(MeasureError::Timeout);
+        let linear_repair = component_min_repair_lin(db, &mi.subsets).ok_or(MeasureError::Timeout);
 
         SuiteReport {
             drastic,

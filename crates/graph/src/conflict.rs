@@ -8,7 +8,6 @@
 //! (self-inconsistent tuples), and violations of three or more tuples become
 //! hyperedges.
 
-use inconsist_constraints::ViolationSet;
 use inconsist_relational::{Database, TupleId};
 use std::collections::HashMap;
 
@@ -40,8 +39,11 @@ impl ConflictGraph {
     /// Builds the conflict graph from minimal inconsistent subsets; node
     /// weights are the deletion costs from `db` (1.0 without a cost
     /// attribute).
-    pub fn from_subsets(db: &Database, subsets: &[ViolationSet]) -> Self {
-        let mut nodes: Vec<TupleId> = subsets.iter().flat_map(|s| s.iter().copied()).collect();
+    pub fn from_subsets<S: AsRef<[TupleId]>>(db: &Database, subsets: &[S]) -> Self {
+        let mut nodes: Vec<TupleId> = subsets
+            .iter()
+            .flat_map(|s| s.as_ref().iter().copied())
+            .collect();
         nodes.sort();
         nodes.dedup();
         let index =
@@ -52,6 +54,7 @@ impl ConflictGraph {
         let mut hyperedges = Vec::new();
         let mut edge_count = 0;
         for s in subsets {
+            let s = s.as_ref();
             match s.len() {
                 0 => {}
                 1 => excluded[index(&s[0]) as usize] = true,
@@ -272,6 +275,7 @@ impl ConflictGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inconsist_constraints::ViolationSet;
     use inconsist_relational::{relation, Fact, Schema, Value, ValueKind};
     use std::sync::Arc;
 

@@ -282,9 +282,13 @@ impl DynamicConflictGraph {
                 unvisited.insert(t);
             }
         }
+        // Parts start in member order, not hash order, so two graphs with
+        // the same history number their parts alike.
         let mut parts: Vec<Vec<TupleId>> = Vec::new();
-        while let Some(&start) = unvisited.iter().next() {
-            unvisited.remove(&start);
+        for &start in &members {
+            if !unvisited.remove(&start) {
+                continue;
+            }
             let mut part = vec![start];
             let mut stack = vec![start];
             while let Some(v) = stack.pop() {
@@ -558,6 +562,30 @@ mod tests {
         assert_eq!(g.component_of(t(3)), Some(comp));
         assert_eq!(g.component_of(t(0)), Some(r.created[0]));
         g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn same_history_numbers_split_parts_alike() {
+        // A 12-leaf star with paired leaves: removing the hub edges leaves
+        // six two-tuple parts, five of them with fresh ids. Two graphs
+        // with the same history must hand out the same ids.
+        let history = |g: &mut DynamicConflictGraph| {
+            for leaf in 1..=12 {
+                g.insert_edge(&[t(0), t(leaf)]);
+            }
+            for leaf in (1..=12).step_by(2) {
+                g.insert_edge(&[t(leaf), t(leaf + 1)]);
+            }
+            let hub: Vec<[TupleId; 2]> = (1..=12).map(|leaf| [t(0), t(leaf)]).collect();
+            g.remove_edges(hub.iter().map(|e| e.as_slice())).unwrap();
+            (1..=12)
+                .map(|leaf| g.component_of(t(leaf)))
+                .collect::<Vec<_>>()
+        };
+        let first = history(&mut DynamicConflictGraph::new());
+        for _ in 0..8 {
+            assert_eq!(history(&mut DynamicConflictGraph::new()), first);
+        }
     }
 
     #[test]

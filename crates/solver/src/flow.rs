@@ -1,8 +1,9 @@
 //! Dinic maximum flow with real-valued capacities.
 //!
 //! Powers the *weighted* bipartite minimum vertex cover (project-selection
-//! construction) needed by the half-integral fractional vertex cover of
-//! [`crate::fvc`] when tuples carry non-unit deletion costs.
+//! construction) that the half-integral fractional vertex cover of
+//! [`crate::fvc`] runs on components wider than one `u64` mask (smaller
+//! ones take its mask kernel).
 
 const EPS: f64 = 1e-9;
 
@@ -14,6 +15,7 @@ pub struct FlowNetwork {
     to: Vec<u32>,
     cap: Vec<f64>,
     head: Vec<Vec<u32>>,
+    augmentations: u64,
 }
 
 impl FlowNetwork {
@@ -24,6 +26,7 @@ impl FlowNetwork {
             to: Vec::new(),
             cap: Vec::new(),
             head: vec![Vec::new(); n],
+            augmentations: 0,
         }
     }
 
@@ -70,6 +73,7 @@ impl FlowNetwork {
                     break;
                 }
                 total += pushed;
+                self.augmentations += 1;
             }
         }
     }
@@ -94,6 +98,12 @@ impl FlowNetwork {
         0.0
     }
 
+    /// The augmenting paths [`FlowNetwork::max_flow`] has pushed flow
+    /// along.
+    pub fn augmentations(&self) -> u64 {
+        self.augmentations
+    }
+
     /// After [`FlowNetwork::max_flow`]: the set of nodes reachable from `s`
     /// in the residual network (the source side of a minimum cut).
     pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
@@ -113,19 +123,32 @@ impl FlowNetwork {
     }
 }
 
+/// A minimum-weight vertex cover of a bipartite graph.
+#[derive(Clone, Debug)]
+pub struct BipartiteCover {
+    /// The cover weight (the max-flow value).
+    pub weight: f64,
+    /// Left vertices in the cover.
+    pub left: Vec<bool>,
+    /// Right vertices in the cover.
+    pub right: Vec<bool>,
+    /// Augmenting paths the max flow pushed along.
+    pub augmentations: u64,
+}
+
 /// Minimum-weight vertex cover of a bipartite graph via max-flow.
 ///
 /// Construction: `source → l` with capacity `wl[l]`, `r → sink` with
 /// capacity `wr[r]`, and `l → r` with capacity ∞ for each edge. A finite
 /// minimum cut picks, for every edge, its left endpoint (source-side cut) or
 /// its right endpoint (sink-side cut); the cut weight is the cover weight.
-///
-/// Returns `(cover_weight, left_in_cover, right_in_cover)`.
+/// The cover read off is the minimal minimum cut: the nodes the source
+/// reaches in the residual network.
 pub fn bipartite_min_weight_vertex_cover(
     wl: &[f64],
     wr: &[f64],
     edges: &[(u32, u32)],
-) -> (f64, Vec<bool>, Vec<bool>) {
+) -> BipartiteCover {
     let nl = wl.len();
     let nr = wr.len();
     let source = nl + nr;
@@ -140,13 +163,16 @@ pub fn bipartite_min_weight_vertex_cover(
     for &(l, r) in edges {
         net.add_edge(l as usize, nl + r as usize, f64::INFINITY);
     }
-    let value = net.max_flow(source, sink);
+    let weight = net.max_flow(source, sink);
     let reach = net.min_cut_side(source);
-    // Left vertex in cover ⇔ its source edge is cut ⇔ l unreachable.
-    let left: Vec<bool> = (0..nl).map(|l| !reach[l]).collect();
-    // Right vertex in cover ⇔ its sink edge is cut ⇔ r reachable.
-    let right: Vec<bool> = (0..nr).map(|r| reach[nl + r]).collect();
-    (value, left, right)
+    BipartiteCover {
+        weight,
+        // Left vertex in cover ⇔ its source edge is cut ⇔ l unreachable.
+        left: (0..nl).map(|l| !reach[l]).collect(),
+        // Right vertex in cover ⇔ its sink edge is cut ⇔ r reachable.
+        right: (0..nr).map(|r| reach[nl + r]).collect(),
+        augmentations: net.augmentations(),
+    }
 }
 
 #[cfg(test)]
@@ -180,19 +206,20 @@ mod tests {
 
     #[test]
     fn weighted_cover_single_edge() {
-        let (w, l, r) = bipartite_min_weight_vertex_cover(&[5.0], &[2.0], &[(0, 0)]);
-        assert_close(w, 2.0);
-        assert!(!l[0] && r[0]);
+        let c = bipartite_min_weight_vertex_cover(&[5.0], &[2.0], &[(0, 0)]);
+        assert_close(c.weight, 2.0);
+        assert!(!c.left[0] && c.right[0]);
+        assert_eq!(c.augmentations, 1);
     }
 
     #[test]
     fn weighted_cover_star() {
         // Left center of weight 3 vs three right leaves of weight 2 each.
-        let (w, l, r) =
+        let c =
             bipartite_min_weight_vertex_cover(&[3.0], &[2.0, 2.0, 2.0], &[(0, 0), (0, 1), (0, 2)]);
-        assert_close(w, 3.0);
-        assert!(l[0]);
-        assert!(!r.iter().any(|&b| b));
+        assert_close(c.weight, 3.0);
+        assert!(c.left[0]);
+        assert!(!c.right.iter().any(|&b| b));
     }
 
     #[test]
@@ -214,11 +241,10 @@ mod tests {
                 }
             }
             let matching = bip.maximum_matching().size as f64;
-            let (w, l, r) =
-                bipartite_min_weight_vertex_cover(&vec![1.0; nl], &vec![1.0; nr], &edges);
-            assert_close(w, matching);
+            let c = bipartite_min_weight_vertex_cover(&vec![1.0; nl], &vec![1.0; nr], &edges);
+            assert_close(c.weight, matching);
             for &(a, b) in &edges {
-                assert!(l[a as usize] || r[b as usize]);
+                assert!(c.left[a as usize] || c.right[b as usize]);
             }
         }
     }
@@ -240,7 +266,12 @@ mod tests {
                     }
                 }
             }
-            let (w, lc, rc) = bipartite_min_weight_vertex_cover(&wl, &wr, &edges);
+            let BipartiteCover {
+                weight: w,
+                left: lc,
+                right: rc,
+                ..
+            } = bipartite_min_weight_vertex_cover(&wl, &wr, &edges);
             for &(a, b) in &edges {
                 assert!(lc[a as usize] || rc[b as usize]);
             }

@@ -35,12 +35,10 @@
 use crate::budget::Budget;
 use crate::covering::min_weight_hitting_set_with;
 use crate::fvc::{fractional_vertex_cover, nt_partition};
+use crate::mask::{component_adjacency, free_components, Mask, MaskGraph};
 use inconsist_graph::{cotree, ConflictGraph, Cotree};
 
-/// The widest component, in free nodes, that goes straight to the bitset
-/// search: one `u64` adjacency mask per node. Wider components go through
-/// the cograph test and the Nemhauser–Trotter kernel first.
-pub const MASK_WIDTH: usize = 64;
+pub use crate::mask::MASK_WIDTH;
 
 /// An exact minimum-weight vertex cover.
 #[derive(Clone, Debug)]
@@ -66,30 +64,66 @@ pub fn min_weight_vertex_cover_with(g: &ConflictGraph, budget: &mut Budget) -> O
         g.is_plain_graph(),
         "min_weight_vertex_cover requires a plain graph; use hitting_set for hyperedges"
     );
+    metered(budget, |budget| {
+        // Forced: self-inconsistent tuples must be deleted.
+        let mut nodes: Vec<u32> = (0..g.n() as u32).filter(|&v| g.is_excluded(v)).collect();
+        let mut free_edges = g
+            .edges()
+            .filter(|&(a, b)| !g.is_excluded(a) && !g.is_excluded(b));
+        match (free_edges.next(), free_edges.next()) {
+            (None, _) => {}
+            (Some((a, b)), None) => nodes.push(if g.weight(b) < g.weight(a) { b } else { a }),
+            _ => cover_components(g, false, &mut nodes, budget)?,
+        }
+        nodes.sort_unstable();
+        let weight = nodes.iter().fold(0.0, |sum, &v| sum + g.weight(v));
+        Some(VertexCover { weight, nodes })
+    })
+}
+
+/// The exact cover of a mask graph, node for node the cover
+/// [`min_weight_vertex_cover_with`] finds on the same graph: the forced
+/// nodes, the same closed forms, then one [`MaskSearch`] per free
+/// component (run on the whole graph's masks with the component as its
+/// live set, which makes every choice the local search would).
+pub(crate) fn mask_vertex_cover(m: &MaskGraph, budget: &mut Budget) -> Option<VertexCover> {
+    metered(budget, |budget| {
+        let free = m.free();
+        let mut cover = m.forced;
+        let mut free_edges = free.members().flat_map(|a| {
+            (m.adj[a] & free & (u64::MAX << a << 1))
+                .members()
+                .map(move |b| (a, b))
+        });
+        match (free_edges.next(), free_edges.next()) {
+            (None, _) => {}
+            (Some((a, b)), None) => cover |= u64::single(if m.w[b] < m.w[a] { b } else { a }),
+            _ => {
+                for comp in m.components(free) {
+                    cover |= MaskSearch::cover(&m.adj, &m.w, comp, budget)?;
+                }
+            }
+        }
+        Some(VertexCover {
+            weight: m.weight_of(cover),
+            nodes: cover.members().map(|v| v as u32).collect(),
+        })
+    })
+}
+
+/// Runs one cover solve under the `solver.vertex_cover` span and adds the
+/// budget steps it spent to `solver_bb_nodes_total` — once per solve, not
+/// per node, so the search loop stays free of shared-cache traffic.
+fn metered(
+    budget: &mut Budget,
+    solve: impl FnOnce(&mut Budget) -> Option<VertexCover>,
+) -> Option<VertexCover> {
     let _span = inconsist_obs::span!("solver.vertex_cover");
     let steps_before = budget.remaining_steps();
-    let result = vertex_cover_inner(g, budget);
-    // One add per solve, not per node: the search loop stays free of
-    // shared-cache traffic.
+    let result = solve(budget);
     inconsist_obs::counter!("solver_bb_nodes_total")
         .add(steps_before.saturating_sub(budget.remaining_steps()));
     result
-}
-
-fn vertex_cover_inner(g: &ConflictGraph, budget: &mut Budget) -> Option<VertexCover> {
-    // Forced: self-inconsistent tuples must be deleted.
-    let mut nodes: Vec<u32> = (0..g.n() as u32).filter(|&v| g.is_excluded(v)).collect();
-    let mut free_edges = g
-        .edges()
-        .filter(|&(a, b)| !g.is_excluded(a) && !g.is_excluded(b));
-    match (free_edges.next(), free_edges.next()) {
-        (None, _) => {}
-        (Some((a, b)), None) => nodes.push(if g.weight(b) < g.weight(a) { b } else { a }),
-        _ => cover_components(g, false, &mut nodes, budget)?,
-    }
-    nodes.sort_unstable();
-    let weight = nodes.iter().fold(0.0, |sum, &v| sum + g.weight(v));
-    Some(VertexCover { weight, nodes })
 }
 
 /// Covers every connected component of `g`'s free (non-excluded) nodes,
@@ -102,36 +136,28 @@ fn cover_components(
     out: &mut Vec<u32>,
     budget: &mut Budget,
 ) -> Option<()> {
-    let mut seen: Vec<bool> = (0..g.n() as u32).map(|v| g.is_excluded(v)).collect();
-    let mut comp: Vec<u32> = Vec::new();
-    for start in 0..g.n() as u32 {
-        if seen[start as usize] {
-            continue;
-        }
-        seen[start as usize] = true;
-        comp.clear();
-        comp.push(start);
-        let mut i = 0;
-        while let Some(&v) = comp.get(i) {
-            for &u in g.neighbors(v) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
-                    comp.push(u);
-                }
-            }
-            i += 1;
-        }
-        if comp.len() == 1 {
-            continue;
-        }
-        comp.sort_unstable();
+    for comp in free_components(g) {
         match comp.len().div_ceil(MASK_WIDTH) {
-            1 => MaskSearch::<u64>::new(g, &comp).solve(out, budget)?,
+            1 => search_component::<u64>(g, &comp, out, budget)?,
             _ if !kernel => wide_cover(g, &comp, out, budget)?,
-            2..=16 => MaskSearch::<[u64; 16]>::new(g, &comp).solve(out, budget)?,
+            2..=16 => search_component::<[u64; 16]>(g, &comp, out, budget)?,
             _ => hitting_set_cover(g, &comp, out, budget)?,
         }
     }
+    Some(())
+}
+
+/// One free component whose nodes fit `M`, by [`MaskSearch`].
+fn search_component<M: Mask>(
+    g: &ConflictGraph,
+    comp: &[u32],
+    out: &mut Vec<u32>,
+    budget: &mut Budget,
+) -> Option<()> {
+    let adj = component_adjacency::<M>(g, comp);
+    let w: Vec<f64> = comp.iter().map(|&v| g.weight(v)).collect();
+    let cover = MaskSearch::cover(&adj, &w, M::first(comp.len()), budget)?;
+    out.extend(cover.members().map(|i| comp[i]));
     Some(())
 }
 
@@ -211,140 +237,30 @@ fn cograph_cover(g: &ConflictGraph, tree: &Cotree) -> Vec<u32> {
     (0..g.n() as u32).filter(|&v| !in_is[v as usize]).collect()
 }
 
-/// A node set of one component as a bit mask: one word for the direct
-/// search, sixteen words for the wider ½-core components.
-trait Mask: Copy {
-    /// The empty set.
-    const EMPTY: Self;
-    /// The set `{0, …, n-1}`, `n ≥ 1`.
-    fn first(n: usize) -> Self;
-    /// The set `{i}`.
-    fn single(i: usize) -> Self;
-    fn and(self, other: Self) -> Self;
-    fn or(self, other: Self) -> Self;
-    /// `self \ other`.
-    fn minus(self, other: Self) -> Self;
-    fn is_empty(self) -> bool;
-    fn count(self) -> u32;
-    /// The lowest member of a non-empty set.
-    fn lowest(self) -> usize;
-
-    fn has(self, i: usize) -> bool {
-        !self.and(Self::single(i)).is_empty()
-    }
-
-    /// The members, ascending.
-    fn members(self) -> impl Iterator<Item = usize> {
-        let mut rest = self;
-        std::iter::from_fn(move || {
-            (!rest.is_empty()).then(|| {
-                let i = rest.lowest();
-                rest = rest.minus(Self::single(i));
-                i
-            })
-        })
-    }
-}
-
-impl Mask for u64 {
-    const EMPTY: Self = 0;
-    fn first(n: usize) -> Self {
-        u64::MAX >> (64 - n)
-    }
-    fn single(i: usize) -> Self {
-        1 << i
-    }
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-    fn minus(self, other: Self) -> Self {
-        self & !other
-    }
-    fn is_empty(self) -> bool {
-        self == 0
-    }
-    fn count(self) -> u32 {
-        self.count_ones()
-    }
-    fn lowest(self) -> usize {
-        self.trailing_zeros() as usize
-    }
-}
-
-impl<const N: usize> Mask for [u64; N] {
-    const EMPTY: Self = [0; N];
-    fn first(n: usize) -> Self {
-        std::array::from_fn(|w| match n.saturating_sub(64 * w) {
-            0 => 0,
-            k if k >= 64 => u64::MAX,
-            k => u64::first(k),
-        })
-    }
-    fn single(i: usize) -> Self {
-        std::array::from_fn(|w| if w == i / 64 { 1 << (i % 64) } else { 0 })
-    }
-    fn and(self, other: Self) -> Self {
-        std::array::from_fn(|w| self[w] & other[w])
-    }
-    fn or(self, other: Self) -> Self {
-        std::array::from_fn(|w| self[w] | other[w])
-    }
-    fn minus(self, other: Self) -> Self {
-        std::array::from_fn(|w| self[w] & !other[w])
-    }
-    fn is_empty(self) -> bool {
-        self.iter().all(|&w| w == 0)
-    }
-    fn count(self) -> u32 {
-        self.iter().map(|w| w.count_ones()).sum()
-    }
-    fn lowest(self) -> usize {
-        let w = self.iter().position(|&w| w != 0).expect("non-empty set");
-        64 * w + self[w].trailing_zeros() as usize
-    }
-}
-
-/// Branch-and-reduce over one connected component whose nodes fit `M`;
-/// local node `i` is `comp[i]`.
+/// Branch-and-reduce over one connected set of nodes `live` of the graph
+/// `adj` / `w`. Every choice reads only `live`'s nodes, in ascending
+/// order, so the cover it finds does not depend on what else the masks
+/// hold.
 struct MaskSearch<'a, M> {
-    comp: &'a [u32],
-    adj: Vec<M>,
-    w: Vec<f64>,
+    adj: &'a [M],
+    w: &'a [f64],
     best: f64,
     best_cover: M,
 }
 
 impl<'a, M: Mask> MaskSearch<'a, M> {
-    fn new(g: &ConflictGraph, comp: &'a [u32]) -> Self {
-        let local = |u: u32| comp.binary_search(&u).ok();
-        let adj = comp
-            .iter()
-            .map(|&v| {
-                g.neighbors(v)
-                    .iter()
-                    .filter_map(|&u| local(u))
-                    .fold(M::EMPTY, |m, i| m.or(M::single(i)))
-            })
-            .collect();
-        let w = comp.iter().map(|&v| g.weight(v)).collect();
-        MaskSearch {
-            comp,
+    /// An optimal cover of the subgraph induced by `live`, or `None` once
+    /// `budget` runs out.
+    fn cover(adj: &'a [M], w: &'a [f64], live: M, budget: &mut Budget) -> Option<M> {
+        let mut search = MaskSearch {
             adj,
             w,
             best: f64::INFINITY,
             best_cover: M::EMPTY,
-        }
-    }
-
-    fn solve(mut self, out: &mut Vec<u32>, budget: &mut Budget) -> Option<()> {
-        let full = M::first(self.comp.len());
-        (self.best, self.best_cover) = self.greedy(full);
-        self.search(full, M::EMPTY, 0.0, budget)?;
-        out.extend(self.best_cover.members().map(|i| self.comp[i]));
-        Some(())
+        };
+        (search.best, search.best_cover) = search.greedy(live);
+        search.search(live, M::EMPTY, 0.0, budget)?;
+        Some(search.best_cover)
     }
 
     /// Applies the reductions until none fires: isolated live nodes leave,

@@ -70,12 +70,12 @@ pub fn classify_fds(cs: &ConstraintSet) -> FdTractability {
     FdTractability::CommonLhs(fds)
 }
 
-/// An optimal deletion repair for one merged FD `X → Y`: within each
-/// `X`-block keep the heaviest `Y∖X`-agreement class, delete the rest.
-fn repair_one_fd(db: &Database, fd: &Fd) -> (f64, Vec<TupleId>) {
+/// The deletions of an optimal repair for one merged FD `X → Y`: within
+/// each `X`-block keep the heaviest `Y∖X`-agreement class, delete the rest.
+fn repair_one_fd(db: &Database, fd: &Fd) -> Vec<TupleId> {
     let dependents: Vec<AttrId> = fd.rhs.difference(&fd.lhs).copied().collect();
     if dependents.is_empty() {
-        return (0.0, Vec::new());
+        return Vec::new();
     }
     // X-block → (Y-class → (weight, members)).
     type Classes = HashMap<Vec<Value>, (f64, Vec<TupleId>)>;
@@ -90,7 +90,6 @@ fn repair_one_fd(db: &Database, fd: &Fd) -> (f64, Vec<TupleId>) {
         class.0 += db.cost_of(f.id);
         class.1.push(f.id);
     }
-    let mut cost = 0.0;
     let mut deletions = Vec::new();
     for classes in blocks.values() {
         if classes.len() <= 1 {
@@ -105,42 +104,38 @@ fn repair_one_fd(db: &Database, fd: &Fd) -> (f64, Vec<TupleId>) {
             if std::ptr::eq(class, keep) {
                 continue;
             }
-            cost += class.0;
             deletions.extend(class.1.iter().copied());
         }
     }
-    deletions.sort();
-    (cost, deletions)
+    deletions
 }
 
 /// Exact `I_R` (deletions) with its witness repair, when `cs` falls in
 /// the tractable class; `None` otherwise. Runs in `O(|D|)` time after
 /// hashing — no conflict materialization, no search budget.
+///
+/// The deletions are ascending and the cost is the `0.0`-started fold of
+/// their costs in that order (the rule of `VertexCover::weight`), so the
+/// value does not depend on hash iteration order.
 pub fn fast_min_repair(cs: &ConstraintSet, db: &Database) -> Option<(f64, Vec<TupleId>)> {
-    match classify_fds(cs) {
-        FdTractability::Empty => Some((0.0, Vec::new())),
-        FdTractability::CommonLhs(fds) => {
-            let mut cost = 0.0;
-            let mut deletions = Vec::new();
-            for fd in &fds {
-                let (c, mut d) = repair_one_fd(db, fd);
-                cost += c;
-                deletions.append(&mut d);
-            }
-            deletions.sort();
-            deletions.dedup();
-            Some((cost, deletions))
-        }
-        FdTractability::Unknown => None,
-    }
+    let fds = match classify_fds(cs) {
+        FdTractability::Empty => Vec::new(),
+        FdTractability::CommonLhs(fds) => fds,
+        FdTractability::Unknown => return None,
+    };
+    let mut deletions: Vec<TupleId> = fds.iter().flat_map(|fd| repair_one_fd(db, fd)).collect();
+    deletions.sort();
+    deletions.dedup();
+    let cost = deletions.iter().fold(0.0, |sum, &t| sum + db.cost_of(t));
+    Some((cost, deletions))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measures::{InconsistencyMeasure, MeasureOptions, MinimumRepair};
     use inconsist_constraints::engine;
     use inconsist_relational::{relation, Fact, Schema, ValueKind};
+    use inconsist_solver::{component_min_repair, Budget};
     use rand::prelude::*;
     use std::sync::Arc;
 
@@ -281,9 +276,40 @@ mod tests {
     }
 
     #[test]
+    fn repeated_calls_return_the_ascending_fold_of_the_deletions() {
+        // Non-dyadic costs: a sum taken in another order can differ in the
+        // last bit.
+        let (s, r) = schema();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut db = Database::new(Arc::clone(&s));
+        for _ in 0..60 {
+            db.insert(Fact::new(
+                r,
+                [
+                    Value::int(rng.gen_range(0..12)),
+                    Value::int(rng.gen_range(0..4)),
+                    Value::int(0),
+                    Value::float([0.1, 0.3, 0.7, 1.9][rng.gen_range(0..4)]),
+                ],
+            ))
+            .unwrap();
+        }
+        let mut cs = ConstraintSet::new(Arc::clone(&s));
+        cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(1)]));
+        let (cost, deletions) = fast_min_repair(&cs, &db).unwrap();
+        assert!(deletions.windows(2).all(|p| p[0] < p[1]));
+        let fold = deletions.iter().fold(0.0, |sum, &t| sum + db.cost_of(t));
+        assert_eq!(cost.to_bits(), fold.to_bits());
+        for _ in 0..16 {
+            let (again, same) = fast_min_repair(&cs, &db).unwrap();
+            assert_eq!(again.to_bits(), cost.to_bits());
+            assert_eq!(same, deletions);
+        }
+    }
+
+    #[test]
     fn matches_exact_solver_on_random_weighted_instances() {
         let (s, r) = schema();
-        let opts = MeasureOptions::default();
         let mut rng = StdRng::seed_from_u64(21);
         for trial in 0..40 {
             let mut db = Database::new(Arc::clone(&s));
@@ -294,7 +320,7 @@ mod tests {
                         Value::int(rng.gen_range(0..3)),
                         Value::int(rng.gen_range(0..3)),
                         Value::int(rng.gen_range(0..3)),
-                        Value::float([0.5, 1.0, 2.0][rng.gen_range(0..3)]),
+                        Value::float([0.5, 1.0, 2.0, 0.1, 0.3, 0.7, 1.9][rng.gen_range(0..7)]),
                     ],
                 ))
                 .unwrap();
@@ -305,7 +331,12 @@ mod tests {
                 cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(2)]));
             }
             let (fast, deletions) = fast_min_repair(&cs, &db).unwrap();
-            let exact = MinimumRepair { options: opts }.eval(&cs, &db).unwrap();
+            // The general solver over the minimal subsets, not
+            // `MinimumRepair`, which answers this class with `fast_min_repair`.
+            let subsets = engine::minimal_inconsistent_subsets(&db, &cs, None).subsets;
+            let exact = component_min_repair(&db, &subsets, &mut Budget::steps(u64::MAX))
+                .unwrap()
+                .weight;
             assert!(
                 (fast - exact).abs() < 1e-9,
                 "trial {trial}: {fast} vs {exact}"

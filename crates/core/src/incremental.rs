@@ -11,8 +11,10 @@
 //!    whole conflict graph per read.
 //!
 //! [`IncrementalIndex`] removes both. It owns the database and the
-//! constraint set, materializes every raw falsifying binding once, and
-//! maintains the set under the three repairing operations of §2:
+//! constraint set, materializes every raw falsifying binding once — as an
+//! edge of a [`DynamicConflictGraph`] labelled with the constraints that
+//! flag it — and maintains the set under the three repairing operations
+//! of §2:
 //!
 //! * **delete** `⟨−i⟩` — violations containing `i` disappear; since DCs are
 //!   anti-monotonic, no new violation can appear: the update is a pure
@@ -29,10 +31,9 @@
 //!
 //! One repairing operation touches one connected component of the conflict
 //! graph (or merges/splits a few), so the *read* path should scale with
-//! those components, not with `|D|`. The index therefore maintains a
-//! [`DynamicConflictGraph`] over the raw violation sets: the delta of
-//! each mutation ([`engine::delta_violations_involving`] on insert, the
-//! inverted index on delete) flows into the graph as edge
+//! those components, not with `|D|`. The binding store is that graph: the
+//! delta of each mutation ([`engine::delta_violations_involving`] on
+//! insert, the deleted tuple's incident edges on delete) is a set of edge
 //! insertions/removals, and the graph's merge/split reports name the
 //! precise set of *dirty* component ids. Per component, a cache holds the
 //! minimal subsets, the `I_MI`/`I_P` contributions, and the solved
@@ -55,8 +56,8 @@
 //! [`ReadStats`] counts filter runs, cache hits and cover solves so tests
 //! can assert that clean components are never re-processed. `I_MI^dc` is
 //! outside this scheme: it is cached per constraint, and a read after a
-//! write re-filters the whole binding set of every constraint the delta
-//! touched.
+//! write re-filters the whole binding set (the edges carrying its label)
+//! of every constraint the delta touched.
 //!
 //! # Reader/writer split
 //!
@@ -148,7 +149,7 @@ use inconsist_solver::{
 
 pub use inconsist_solver::TupleScores;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::atomic::{self, AtomicUsize};
 use std::sync::OnceLock;
@@ -394,16 +395,10 @@ impl RankKey {
 pub struct IncrementalIndex {
     db: Database,
     cs: ConstraintSet,
-    /// Raw falsifying bindings per constraint (deduped within each DC, not
-    /// minimality-filtered — filtering happens lazily at read time).
-    per_dc: Vec<HashSet<ViolationSet>>,
-    /// Inverted index: tuple → the `(dc, binding)` pairs it appears in.
-    by_tuple: HashMap<TupleId, HashSet<(usize, ViolationSet)>>,
-    /// Total raw bindings across constraints.
-    raw_count: usize,
-    /// Maintained conflict structure over the raw binding sets: refcounted
-    /// edges (one ref per `(dc, set)` pair), component ids stable while a
-    /// component is untouched.
+    /// The one store of the raw falsifying bindings (deduped within each
+    /// DC, not minimality-filtered — filtering happens lazily at read
+    /// time): one edge per distinct tuple set, labelled with the DCs that
+    /// flag it, and component ids stable while a component is untouched.
     graph: DynamicConflictGraph,
     /// Clean components' cached measures in ascending id order; a
     /// component is dirty iff absent.
@@ -445,9 +440,10 @@ impl IncrementalIndex {
         cs: ConstraintSet,
         limit: Option<usize>,
     ) -> Result<Self, MeasureError> {
-        let mut per_dc: Vec<HashSet<ViolationSet>> = vec![HashSet::new(); cs.len()];
+        let mut graph = DynamicConflictGraph::new();
         let mut budget = limit.unwrap_or(usize::MAX);
         for (i, dc) in cs.dcs().iter().enumerate() {
+            let mut sets: Vec<ViolationSet> = Vec::new();
             let mut truncated = false;
             engine::for_each_violation(&db, dc, &mut |set: &[TupleId]| {
                 if budget == 0 {
@@ -455,61 +451,42 @@ impl IncrementalIndex {
                     return ControlFlow::Break(());
                 }
                 budget -= 1;
-                per_dc[i].insert(set.to_vec().into_boxed_slice());
+                sets.push(set.into());
                 ControlFlow::Continue(())
             });
             if truncated {
                 return Err(MeasureError::Truncated);
             }
+            // Ascending, not enumeration order, so two builds over the same
+            // data number their components alike — and fold their
+            // per-component values in the same order. Repeats add nothing.
+            sets.sort_unstable();
+            for set in &sets {
+                graph.insert_edge(set, i);
+            }
         }
-        let dc_count = cs.len();
-        let mut idx = IncrementalIndex {
-            db,
-            cs,
-            per_dc,
-            by_tuple: HashMap::new(),
-            raw_count: 0,
-            graph: DynamicConflictGraph::new(),
+        Ok(IncrementalIndex {
+            dirty: graph.component_ids().collect(),
+            graph,
             comp_cache: BTreeMap::new(),
-            dirty: BTreeSet::new(),
             ir_pending: BTreeSet::new(),
             lin_pending: BTreeSet::new(),
             mi_sum: 0,
             p_sum: 0,
             ranked: BTreeSet::new(),
-            dc_min_cache: vec![None; dc_count],
+            dc_min_cache: vec![None; cs.len()],
             solve_threads: 1,
             stats: ReadStats::default(),
             ir_total: OnceLock::new(),
             lin_total: OnceLock::new(),
-        };
-        idx.rebuild_inverted();
-        Ok(idx)
+            db,
+            cs,
+        })
     }
 
     /// Builds the index with the default (uncapped) scan.
     pub fn build(db: Database, cs: ConstraintSet) -> Result<Self, MeasureError> {
         Self::build_with_limit(db, cs, None)
-    }
-
-    /// Indexes the per-DC binding sets of a freshly built index: the
-    /// inverted index, the conflict graph, and every component dirty.
-    /// Each DC's bindings go into the graph in ascending order, not hash
-    /// order, so two builds over the same data number their components
-    /// alike — and fold their per-component values in the same order.
-    fn rebuild_inverted(&mut self) {
-        for (i, sets) in self.per_dc.iter().enumerate() {
-            let mut sets: Vec<&ViolationSet> = sets.iter().collect();
-            sets.sort_unstable();
-            for set in sets {
-                self.raw_count += 1;
-                for &t in set.iter() {
-                    self.by_tuple.entry(t).or_default().insert((i, set.clone()));
-                }
-                self.graph.insert_edge(set);
-            }
-        }
-        self.dirty = self.graph.component_ids().collect();
     }
 
     /// The current database (read-only; mutate through the index so the
@@ -531,7 +508,7 @@ impl IncrementalIndex {
     /// Total raw falsifying bindings currently known (an upper bound on
     /// `I_MI`; zero iff consistent).
     pub fn raw_violations(&self) -> usize {
-        self.raw_count
+        self.graph.label_count()
     }
 
     /// Current number of conflict components.
@@ -609,38 +586,17 @@ impl IncrementalIndex {
 
     /// Removes every indexed binding that involves `tid`.
     fn detach(&mut self, tid: TupleId) {
-        let Some(incident) = self.by_tuple.remove(&tid) else {
+        let Some((dcs, removal)) = self.graph.remove_incident(tid) else {
             return;
         };
-        let mut removed: Vec<ViolationSet> = Vec::with_capacity(incident.len());
-        for (dc, set) in incident {
-            if self.per_dc[dc].remove(&set) {
-                self.raw_count -= 1;
-                self.dc_min_cache[dc] = None;
-                removed.push(set.clone());
-            }
-            for &u in set.iter() {
-                if u == tid {
-                    continue;
-                }
-                if let Some(entry) = self.by_tuple.get_mut(&u) {
-                    entry.remove(&(dc, set.clone()));
-                    if entry.is_empty() {
-                        self.by_tuple.remove(&u);
-                    }
-                }
-            }
+        for dc in dcs {
+            self.dc_min_cache[dc] = None;
         }
-        // One graph ref per removed `(dc, set)` pair; components whose
-        // distinct edge set actually changed come back as dirty, split
-        // parts come back with fresh ids.
-        if let Some(removal) = self.graph.remove_edges(removed.iter().map(|s| s.as_ref())) {
-            for c in removal.touched.into_iter().chain(removal.created) {
-                self.mark_dirty(c);
-            }
-            for c in removal.dead {
-                self.mark_dead(c);
-            }
+        for c in removal.touched.into_iter().chain(removal.created) {
+            self.mark_dirty(c);
+        }
+        for c in removal.dead {
+            self.mark_dead(c);
         }
     }
 
@@ -652,21 +608,14 @@ impl IncrementalIndex {
         let mut delta = engine::delta_violations_involving(&self.db, &self.cs, tid).per_dc;
         delta.sort_unstable();
         for (dc, set) in delta {
-            if self.per_dc[dc].insert(set.clone()) {
-                self.raw_count += 1;
-                self.dc_min_cache[dc] = None;
-                for &u in set.iter() {
-                    self.by_tuple
-                        .entry(u)
-                        .or_default()
-                        .insert((dc, set.clone()));
-                }
-                let ins = self.graph.insert_edge(&set);
-                if ins.structural {
-                    self.mark_dirty(ins.comp);
-                    for c in ins.merged {
-                        self.mark_dead(c);
-                    }
+            let Some(ins) = self.graph.insert_edge(&set, dc) else {
+                continue;
+            };
+            self.dc_min_cache[dc] = None;
+            if ins.structural {
+                self.mark_dirty(ins.comp);
+                for c in ins.merged {
+                    self.mark_dead(c);
                 }
             }
         }
@@ -723,7 +672,7 @@ impl IncrementalIndex {
 
     /// Whether the database currently satisfies all constraints. `O(1)`.
     pub fn is_consistent(&self) -> bool {
-        self.raw_count == 0
+        self.graph.label_count() == 0
     }
 
     /// `I_d`: 1 iff inconsistent. `O(1)`.
@@ -834,19 +783,31 @@ impl IncrementalIndex {
     /// [`i_mi_dc`](Self::i_mi_dc), in constraint order — the per-DC
     /// drilldown the serving layer exposes.
     pub fn i_mi_by_dc(&mut self) -> Vec<usize> {
-        (0..self.per_dc.len())
-            .map(|i| match self.dc_min_cache[i] {
-                Some(c) => c,
-                None => {
-                    let c = engine::filter_minimal(self.per_dc[i].clone()).len();
-                    self.dc_min_cache[i] = Some(c);
-                    self.stats.filter_runs += 1;
+        if self.dc_min_cache.contains(&None) {
+            let stale = self.dc_bindings(|dc| self.dc_min_cache[dc].is_none());
+            for (cached, mut sets) in self.dc_min_cache.iter_mut().zip(stale) {
+                if cached.is_none() {
                     inconsist_obs::counter!("incremental_dc_bindings_refiltered_total")
-                        .add(self.per_dc[i].len() as u64);
-                    c
+                        .add(sets.len() as u64);
+                    sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+                    *cached = Some(engine::filter_minimal_sorted(sets).len());
+                    self.stats.filter_runs += 1;
                 }
-            })
-            .collect()
+            }
+        }
+        self.dc_min_cache.iter().flatten().copied().collect()
+    }
+
+    /// The raw bindings of every DC that `want` names (the others get an
+    /// empty list), read off the graph's labelled edges in one pass.
+    fn dc_bindings(&self, want: impl Fn(usize) -> bool) -> Vec<Vec<ViolationSet>> {
+        let mut per_dc = vec![Vec::new(); self.cs.len()];
+        for (set, dcs) in self.graph.labelled_sets() {
+            for &dc in dcs.iter().filter(|&&dc| want(dc)) {
+                per_dc[dc].push(set.clone());
+            }
+        }
+        per_dc
     }
 
     /// The clean components without a `kind` value, ascending.
@@ -1147,13 +1108,9 @@ impl IncrementalIndex {
 
     /// Tuples ranked by how many raw bindings they currently appear in —
     /// the "address the tuples with the highest responsibility" heuristic
-    /// of §1, answered in `O(n log n)` from the inverted index.
+    /// of §1, answered in `O(n log n)` from the conflict graph's nodes.
     pub fn hottest_tuples(&self, k: usize) -> Vec<(TupleId, usize)> {
-        let mut counts: Vec<(TupleId, usize)> = self
-            .by_tuple
-            .iter()
-            .map(|(&t, sets)| (t, sets.len()))
-            .collect();
+        let mut counts: Vec<(TupleId, usize)> = self.graph.node_label_counts().collect();
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         counts.truncate(k);
         counts
@@ -1268,18 +1225,14 @@ impl IncrementalIndex {
             Ok(fresh) => fresh,
             Err(_) => return false,
         };
-        if fresh.per_dc != self.per_dc {
-            return false;
+        // Maintained graph: structurally sound, and its labelled edges are
+        // exactly a fresh build's.
+        fn labelled(g: &DynamicConflictGraph) -> HashMap<&ViolationSet, &[usize]> {
+            g.labelled_sets().collect()
         }
-        // Maintained graph: structurally sound, and its edges are exactly
-        // the distinct union of the per-DC binding sets.
-        if self.graph.check_consistency().is_err() {
-            return false;
-        }
-        let union: HashSet<ViolationSet> =
-            self.per_dc.iter().flat_map(|s| s.iter().cloned()).collect();
-        let graph_sets: HashSet<ViolationSet> = self.graph.all_sets().cloned().collect();
-        if union != graph_sets {
+        if self.graph.check_consistency().is_err()
+            || labelled(&fresh.graph) != labelled(&self.graph)
+        {
             return false;
         }
         // Every cached component aggregate must match a from-scratch
@@ -1313,9 +1266,10 @@ impl IncrementalIndex {
             }
         }
         // Filled per-DC minimal counts must match a fresh filter.
-        for (i, cached) in self.dc_min_cache.iter().enumerate() {
+        let per_dc = self.dc_bindings(|dc| self.dc_min_cache[dc].is_some());
+        for (sets, cached) in per_dc.into_iter().zip(&self.dc_min_cache) {
             if let Some(count) = cached {
-                if engine::filter_minimal(self.per_dc[i].clone()).len() != *count {
+                if engine::filter_minimal(sets.into_iter().collect()).len() != *count {
                     return false;
                 }
             }
@@ -1390,6 +1344,7 @@ mod tests {
     use inconsist_constraints::{dc::build, CmpOp, Fd};
     use inconsist_relational::{relation, Schema, ValueKind};
     use rand::prelude::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Schema>, inconsist_relational::RelId) {
@@ -1462,6 +1417,25 @@ mod tests {
         let listed: HashSet<ViolationSet> = idx.minimal_subsets().into_iter().collect();
         assert_eq!(listed, batch.subsets.iter().cloned().collect());
         assert_eq!(idx.tuple_measures(), component_tuple_scores(&batch.subsets));
+        // The counts read off the graph's labels must equal a recount of
+        // each DC's deduplicated raw bindings.
+        let mut raw = 0;
+        let mut per_tuple: HashMap<TupleId, usize> = HashMap::new();
+        for dc in cs.dcs() {
+            let mut sets: HashSet<Vec<TupleId>> = HashSet::new();
+            engine::for_each_violation(&db, dc, &mut |set: &[TupleId]| {
+                sets.insert(set.to_vec());
+                ControlFlow::Continue(())
+            });
+            raw += sets.len();
+            for &t in sets.iter().flatten() {
+                *per_tuple.entry(t).or_default() += 1;
+            }
+        }
+        assert_eq!(idx.raw_violations(), raw);
+        let mut hot: Vec<(TupleId, usize)> = per_tuple.into_iter().collect();
+        hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert_eq!(idx.hottest_tuples(usize::MAX), hot);
     }
 
     #[test]
@@ -1886,8 +1860,9 @@ mod tests {
         cs.add_fd(Fd::new(r, [AttrId(0)], [AttrId(2)]));
         cs.add_fd(Fd::new(r, [AttrId(1)], [AttrId(2)]));
         let opts = MeasureOptions::default();
-        // A clone, not a second build: component ids, and with them the
-        // order of the `I_R` fold, follow the build's hash order.
+        // A clone of one build; a second build would do as well, since
+        // builds over the same data number their components, and so order
+        // the `I_R` fold, alike.
         let mut seq = IncrementalIndex::build(db, cs).unwrap();
         let mut par = seq.clone();
         par.set_solve_threads(4);

@@ -11,11 +11,17 @@
 //! * **insert** — new nodes appear, and the components spanned by the new
 //!   edge merge into one (the largest survivor keeps its id, absorbed ids
 //!   die);
-//! * **remove** — edges are reference-counted (the same tuple set flagged
-//!   by two constraints is one structural edge); when the count reaches
-//!   zero the edge disappears, isolated nodes are dropped, and the affected
-//!   component is re-settled by a BFS *bounded by that component* — if it
-//!   split, the largest part keeps the old id and the rest get fresh ids.
+//! * **remove** — an edge carries the *labels* that flagged it (the
+//!   incremental index labels each set with the constraints it violates),
+//!   so a tuple set flagged twice is one structural edge with two labels.
+//!   When its last label goes the edge disappears, isolated nodes are
+//!   dropped, and the affected component is re-settled by a BFS *bounded
+//!   by that component* — if it split, the largest part keeps the old id
+//!   and the rest get fresh ids.
+//!
+//! The labelled edges are the caller's whole record of `(set, label)`
+//! pairs: the graph counts them in total and per node, lists them, and
+//! removes every pair touching one tuple.
 //!
 //! Component ids are **stable while a component is untouched**, which is
 //! exactly what a per-component measure cache needs: an id that survives an
@@ -44,9 +50,9 @@ pub struct CompId(pub u64);
 struct EdgeData {
     /// Sorted, deduplicated member tuples.
     tuples: ViolationSet,
-    /// How many times the edge was inserted (e.g. once per constraint
-    /// flagging the same tuple set).
-    refs: u32,
+    /// The labels that flagged the tuple set, ascending and distinct;
+    /// never empty (the edge's refcount is their number).
+    labels: Vec<usize>,
 }
 
 #[derive(Clone, Debug)]
@@ -64,13 +70,13 @@ pub struct EdgeInsert {
     /// Components absorbed into `comp` (dead ids; empty when the edge
     /// landed inside one component).
     pub merged: Vec<CompId>,
-    /// Whether the edge is structurally new (`false` = refcount bump only;
-    /// the component's edge set did not change).
+    /// Whether the edge is structurally new (`false` = a label added to an
+    /// existing edge; the component's edge set did not change).
     pub structural: bool,
 }
 
-/// Outcome of [`DynamicConflictGraph::remove_edge`] /
-/// [`DynamicConflictGraph::remove_edges`].
+/// Outcome of [`DynamicConflictGraph::remove_edges`] and
+/// [`DynamicConflictGraph::remove_incident`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeRemoval {
     /// Components whose edge set changed and still exist (possibly
@@ -94,6 +100,8 @@ pub struct DynamicConflictGraph {
     /// Component id → member nodes (unordered).
     comps: HashMap<CompId, Vec<TupleId>>,
     next_comp: u64,
+    /// Total labels over all edges.
+    label_count: usize,
 }
 
 /// Sorts and dedups a tuple set into the canonical edge key.
@@ -110,50 +118,45 @@ impl DynamicConflictGraph {
         Self::default()
     }
 
+    /// The live edge in `slot`.
+    fn edge(&self, slot: u32) -> &EdgeData {
+        self.edges[slot as usize].as_ref().expect("live edge")
+    }
+
     fn fresh_comp(&mut self) -> CompId {
         let id = CompId(self.next_comp);
         self.next_comp += 1;
         id
     }
 
-    /// Inserts a violation set as an edge (refcounted). Empty sets are
-    /// ignored and report a placeholder component with `structural: false`.
-    pub fn insert_edge(&mut self, tuples: &[TupleId]) -> EdgeInsert {
+    /// Inserts the violation set `tuples` under `label`. Returns `None`
+    /// when the set is empty or already carries `label` (nothing changes);
+    /// a known set with a new label reports `structural: false`.
+    pub fn insert_edge(&mut self, tuples: &[TupleId], label: usize) -> Option<EdgeInsert> {
         let key = canon(tuples);
         if key.is_empty() {
-            return EdgeInsert {
-                comp: CompId(u64::MAX),
-                merged: Vec::new(),
-                structural: false,
-            };
+            return None;
         }
         if let Some(&slot) = self.edge_ids.get(&key) {
             let edge = self.edges[slot as usize].as_mut().expect("live edge");
-            edge.refs += 1;
-            let comp = self.nodes[&key[0]].comp;
-            return EdgeInsert {
-                comp,
+            let at = edge.labels.binary_search(&label).err()?;
+            edge.labels.insert(at, label);
+            self.label_count += 1;
+            return Some(EdgeInsert {
+                comp: self.nodes[&key[0]].comp,
                 merged: Vec::new(),
                 structural: false,
-            };
+            });
         }
-        // Allocate the edge slot.
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.edges[s as usize] = Some(EdgeData {
-                    tuples: key.clone(),
-                    refs: 1,
-                });
-                s
-            }
-            None => {
-                self.edges.push(Some(EdgeData {
-                    tuples: key.clone(),
-                    refs: 1,
-                }));
-                (self.edges.len() - 1) as u32
-            }
-        };
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.edges.push(None);
+            (self.edges.len() - 1) as u32
+        });
+        self.edges[slot as usize] = Some(EdgeData {
+            tuples: key.clone(),
+            labels: vec![label],
+        });
+        self.label_count += 1;
         self.edge_ids.insert(key.clone(), slot);
         // Attach nodes, collecting the distinct components spanned.
         let mut spanned: Vec<CompId> = Vec::new();
@@ -210,138 +213,163 @@ impl DynamicConflictGraph {
                 .expect("survivor exists")
                 .push(t);
         }
-        EdgeInsert {
+        Some(EdgeInsert {
             comp: survivor,
             merged,
             structural: true,
-        }
+        })
     }
 
-    /// Decrements an edge's refcount, removing it at zero and re-settling
-    /// the affected component. Returns `None` for unknown edges.
-    pub fn remove_edge(&mut self, tuples: &[TupleId]) -> Option<EdgeRemoval> {
-        self.remove_edges(std::iter::once(tuples))
+    /// Drops `label` from an edge, removing the edge when its last label
+    /// goes and re-settling the affected component. Returns `None` when the
+    /// edge does not carry `label`.
+    pub fn remove_edge(&mut self, tuples: &[TupleId], label: usize) -> Option<EdgeRemoval> {
+        self.remove_edges(std::iter::once((tuples, label)))
     }
 
-    /// Batch removal: decrements each edge once, then re-settles every
-    /// affected component a single time. Unknown edges are skipped; returns
-    /// `None` when *no* listed edge was known.
-    pub fn remove_edges<'a, I>(&mut self, sets: I) -> Option<EdgeRemoval>
+    /// Batch removal: drops each listed `(set, label)` pair, then
+    /// re-settles every affected component a single time. Unknown pairs are
+    /// skipped; returns `None` when *no* listed pair was known.
+    pub fn remove_edges<'a, I>(&mut self, pairs: I) -> Option<EdgeRemoval>
     where
-        I: IntoIterator<Item = &'a [TupleId]>,
+        I: IntoIterator<Item = (&'a [TupleId], usize)>,
     {
-        let mut any = false;
+        let before = self.label_count;
         let mut affected: Vec<CompId> = Vec::new();
-        for tuples in sets {
-            let key = canon(tuples);
-            let Some(&slot) = self.edge_ids.get(&key) else {
+        for (tuples, label) in pairs {
+            let Some(&slot) = self.edge_ids.get(&canon(tuples)) else {
                 continue;
             };
-            any = true;
-            let edge = self.edges[slot as usize].as_mut().expect("live edge");
-            edge.refs -= 1;
-            if edge.refs > 0 {
-                // Refcount-only drop: the distinct edge set is unchanged,
-                // so the component is not reported as touched.
+            let labels = &mut self.edges[slot as usize]
+                .as_mut()
+                .expect("live edge")
+                .labels;
+            let Ok(at) = labels.binary_search(&label) else {
                 continue;
-            }
-            let comp = self.nodes[&key[0]].comp;
-            if !affected.contains(&comp) {
-                affected.push(comp);
-            }
-            // Structural removal: detach from nodes and free the slot.
-            self.edge_ids.remove(&key);
-            let edge = self.edges[slot as usize].take().expect("live edge");
-            self.free_slots.push(slot);
-            for &t in edge.tuples.iter() {
-                let node = self.nodes.get_mut(&t).expect("member exists");
-                node.incident.retain(|&e| e != slot);
+            };
+            labels.remove(at);
+            self.label_count -= 1;
+            // While other labels remain the distinct edge set is unchanged,
+            // so the component is not reported as touched.
+            if labels.is_empty() {
+                self.free_edge(slot, &mut affected);
             }
         }
-        if !any {
-            return None;
-        }
-        let mut out = EdgeRemoval::default();
-        for comp in affected {
-            self.resettle(comp, &mut out);
-        }
-        Some(out)
+        (self.label_count < before).then(|| self.resettle(affected))
     }
 
-    /// Recomputes connectivity inside `comp` after removals: drops isolated
-    /// nodes, keeps the old id for the largest surviving part, and assigns
-    /// fresh ids to the rest.
-    fn resettle(&mut self, comp: CompId, out: &mut EdgeRemoval) {
-        let members = self.comps.remove(&comp).expect("affected component exists");
-        let mut unvisited: HashSet<TupleId> = HashSet::with_capacity(members.len());
-        for &t in &members {
-            let node = &self.nodes[&t];
-            if node.incident.is_empty() {
-                self.nodes.remove(&t);
-            } else {
-                unvisited.insert(t);
-            }
+    /// Removes every edge containing `t`, with all its labels, and
+    /// re-settles `t`'s component once. Returns the labels removed (one
+    /// per `(set, label)` pair, unordered) and the component report, or
+    /// `None` when `t` is in no edge.
+    pub fn remove_incident(&mut self, t: TupleId) -> Option<(Vec<usize>, EdgeRemoval)> {
+        let slots = self.nodes.get(&t)?.incident.clone();
+        let mut labels = Vec::new();
+        let mut affected = Vec::new();
+        for slot in slots {
+            labels.extend(self.free_edge(slot, &mut affected));
         }
-        // Parts start in member order, not hash order, so two graphs with
-        // the same history number their parts alike.
-        let mut parts: Vec<Vec<TupleId>> = Vec::new();
-        for &start in &members {
-            if !unvisited.remove(&start) {
-                continue;
+        Some((labels, self.resettle(affected)))
+    }
+
+    /// Detaches the edge in `slot` from its nodes and frees the slot,
+    /// noting its component in `affected`; returns the labels it still
+    /// carried.
+    fn free_edge(&mut self, slot: u32, affected: &mut Vec<CompId>) -> Vec<usize> {
+        let edge = self.edges[slot as usize].take().expect("live edge");
+        self.free_slots.push(slot);
+        self.edge_ids.remove(&edge.tuples);
+        self.label_count -= edge.labels.len();
+        let comp = self.nodes[&edge.tuples[0]].comp;
+        if !affected.contains(&comp) {
+            affected.push(comp);
+        }
+        for t in edge.tuples.iter() {
+            let node = self.nodes.get_mut(t).expect("member exists");
+            node.incident.retain(|&e| e != slot);
+        }
+        edge.labels
+    }
+
+    /// Recomputes connectivity inside each `affected` component after
+    /// removals: drops isolated nodes, keeps the old id for the largest
+    /// surviving part, and assigns fresh ids to the rest.
+    fn resettle(&mut self, affected: Vec<CompId>) -> EdgeRemoval {
+        let mut out = EdgeRemoval::default();
+        for comp in affected {
+            let members = self.comps.remove(&comp).expect("affected component exists");
+            let mut unvisited: HashSet<TupleId> = HashSet::with_capacity(members.len());
+            for &t in &members {
+                let node = &self.nodes[&t];
+                if node.incident.is_empty() {
+                    self.nodes.remove(&t);
+                } else {
+                    unvisited.insert(t);
+                }
             }
-            let mut part = vec![start];
-            let mut stack = vec![start];
-            while let Some(v) = stack.pop() {
-                // Clone the incident list to appease the borrow checker; the
-                // lists are tiny (per-node degree within one component).
-                let incident = self.nodes[&v].incident.clone();
-                for slot in incident {
-                    let edge = self.edges[slot as usize].as_ref().expect("live edge");
-                    for &u in edge.tuples.iter() {
-                        if unvisited.remove(&u) {
-                            part.push(u);
-                            stack.push(u);
+            // Parts start in member order, not hash order, so two graphs with
+            // the same history number their parts alike.
+            let mut parts: Vec<Vec<TupleId>> = Vec::new();
+            for &start in &members {
+                if !unvisited.remove(&start) {
+                    continue;
+                }
+                let mut part = vec![start];
+                let mut stack = vec![start];
+                while let Some(v) = stack.pop() {
+                    for &slot in &self.nodes[&v].incident {
+                        for &u in self.edge(slot).tuples.iter() {
+                            if unvisited.remove(&u) {
+                                part.push(u);
+                                stack.push(u);
+                            }
                         }
                     }
                 }
+                parts.push(part);
             }
-            parts.push(part);
-        }
-        if parts.is_empty() {
-            out.dead.push(comp);
-            return;
-        }
-        // Largest part inherits the old id (still reported as touched —
-        // its edge set changed); smaller parts get fresh ids.
-        let largest = parts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| p.len())
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        for (i, part) in parts.into_iter().enumerate() {
-            let id = if i == largest {
-                out.touched.push(comp);
-                comp
-            } else {
-                let id = self.fresh_comp();
-                out.created.push(id);
-                id
-            };
-            for &t in &part {
-                self.nodes.get_mut(&t).expect("member exists").comp = id;
+            if parts.is_empty() {
+                out.dead.push(comp);
+                continue;
             }
-            self.comps.insert(id, part);
+            // Largest part inherits the old id (still reported as touched —
+            // its edge set changed); smaller parts get fresh ids.
+            let largest = parts
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, p)| p.len())
+                .map(|(i, _)| i)
+                .expect("non-empty");
+            for (i, part) in parts.into_iter().enumerate() {
+                let id = if i == largest {
+                    out.touched.push(comp);
+                    comp
+                } else {
+                    let id = self.fresh_comp();
+                    out.created.push(id);
+                    id
+                };
+                for &t in &part {
+                    self.nodes.get_mut(&t).expect("member exists").comp = id;
+                }
+                self.comps.insert(id, part);
+            }
+        }
+        out
+    }
+
+    /// The labels of an edge, ascending (empty = absent); their number is
+    /// the edge's refcount.
+    pub fn edge_labels(&self, tuples: &[TupleId]) -> &[usize] {
+        match self.edge_ids.get(&canon(tuples)) {
+            Some(&slot) => &self.edge(slot).labels,
+            None => &[],
         }
     }
 
-    /// Current reference count of an edge (0 = absent).
-    pub fn edge_refs(&self, tuples: &[TupleId]) -> u32 {
-        let key = canon(tuples);
-        self.edge_ids
-            .get(&key)
-            .map(|&slot| self.edges[slot as usize].as_ref().expect("live edge").refs)
-            .unwrap_or(0)
+    /// Number of `(set, label)` pairs: every edge's labels, summed.
+    pub fn label_count(&self) -> usize {
+        self.label_count
     }
 
     /// Number of distinct structural edges.
@@ -396,25 +424,32 @@ impl DynamicConflictGraph {
         slots.dedup();
         let mut sets: Vec<ViolationSet> = slots
             .into_iter()
-            .map(|s| {
-                self.edges[s as usize]
-                    .as_ref()
-                    .expect("live edge")
-                    .tuples
-                    .clone()
-            })
+            .map(|s| self.edge(s).tuples.clone())
             .collect();
         sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         sets
     }
 
-    /// Every distinct edge in the graph (unordered).
-    pub fn all_sets(&self) -> impl Iterator<Item = &ViolationSet> + '_ {
-        self.edge_ids.keys()
+    /// Every distinct edge with its labels (unordered).
+    pub fn labelled_sets(&self) -> impl Iterator<Item = (&ViolationSet, &[usize])> + '_ {
+        self.edges
+            .iter()
+            .flatten()
+            .map(|e| (&e.tuples, e.labels.as_slice()))
+    }
+
+    /// Each node with the number of `(set, label)` pairs it appears in
+    /// (unordered).
+    pub fn node_label_counts(&self) -> impl Iterator<Item = (TupleId, usize)> + '_ {
+        self.nodes.iter().map(|(&t, n)| {
+            let labels = n.incident.iter().map(|&slot| self.edge(slot).labels.len());
+            (t, labels.sum())
+        })
     }
 
     /// Exhaustive invariant check (components = from-scratch connectivity,
-    /// membership maps agree, incident lists match edges). `O(V + E)`;
+    /// membership maps agree, incident lists match edges, labels ascending
+    /// and counted). `O(V + E)`;
     /// meant for tests and `self_check`-style cross-validation.
     pub fn check_consistency(&self) -> Result<(), String> {
         // Node/component cross-references.
@@ -446,7 +481,9 @@ impl DynamicConflictGraph {
                 }
             }
         }
-        // Every edge must be intra-component and registered on its nodes.
+        // Every edge must be labelled, intra-component and registered on
+        // its nodes.
+        let mut labels = 0;
         for (key, &slot) in &self.edge_ids {
             let Some(Some(e)) = self.edges.get(slot as usize) else {
                 return Err("edge id points at freed slot".into());
@@ -454,6 +491,10 @@ impl DynamicConflictGraph {
             if e.tuples != *key {
                 return Err("edge key/slot mismatch".into());
             }
+            if e.labels.is_empty() || !e.labels.windows(2).all(|p| p[0] < p[1]) {
+                return Err(format!("edge {key:?} labels {:?}", e.labels));
+            }
+            labels += e.labels.len();
             let comp = self.nodes[&key[0]].comp;
             for t in key.iter() {
                 let n = &self.nodes[t];
@@ -464,6 +505,10 @@ impl DynamicConflictGraph {
                     return Err(format!("edge {key:?} missing from {t:?} incident list"));
                 }
             }
+        }
+        let live = self.edges.iter().flatten().count();
+        if labels != self.label_count || live != self.edge_ids.len() {
+            return Err("label or edge count disagrees with the edges".into());
         }
         // From-scratch connectivity must match the maintained partition.
         let mut seen: HashSet<TupleId> = HashSet::new();
@@ -476,8 +521,7 @@ impl DynamicConflictGraph {
             let mut stack = vec![start];
             while let Some(v) = stack.pop() {
                 for &slot in &self.nodes[&v].incident {
-                    let e = self.edges[slot as usize].as_ref().expect("checked above");
-                    for &u in e.tuples.iter() {
+                    for &u in self.edge(slot).tuples.iter() {
                         if reach.insert(u) {
                             stack.push(u);
                         }
@@ -508,13 +552,13 @@ mod tests {
     #[test]
     fn insert_builds_components_and_merges() {
         let mut g = DynamicConflictGraph::new();
-        let a = g.insert_edge(&[t(0), t(1)]);
+        let a = g.insert_edge(&[t(0), t(1)], 0).unwrap();
         assert!(a.structural && a.merged.is_empty());
-        let b = g.insert_edge(&[t(2), t(3)]);
+        let b = g.insert_edge(&[t(2), t(3)], 0).unwrap();
         assert_ne!(a.comp, b.comp);
         assert_eq!(g.component_count(), 2);
         // Bridge: the two components merge, one id survives.
-        let c = g.insert_edge(&[t(1), t(2)]);
+        let c = g.insert_edge(&[t(1), t(2)], 0).unwrap();
         assert!(c.structural);
         assert_eq!(c.merged.len(), 1);
         assert_eq!(g.component_count(), 1);
@@ -526,18 +570,18 @@ mod tests {
     #[test]
     fn refcount_suppresses_structural_changes() {
         let mut g = DynamicConflictGraph::new();
-        let first = g.insert_edge(&[t(0), t(1)]);
-        let again = g.insert_edge(&[t(1), t(0)]); // same set, any order
+        let first = g.insert_edge(&[t(0), t(1)], 0).unwrap();
+        let again = g.insert_edge(&[t(1), t(0)], 1).unwrap(); // same set, any order
         assert!(!again.structural);
         assert_eq!(again.comp, first.comp);
-        assert_eq!(g.edge_refs(&[t(0), t(1)]), 2);
-        // First removal only drops the refcount: no component is touched
+        assert_eq!(g.edge_labels(&[t(0), t(1)]), [0, 1]);
+        // First removal only drops a label: no component is touched
         // (the distinct edge set did not change).
-        let r = g.remove_edge(&[t(0), t(1)]).unwrap();
+        let r = g.remove_edge(&[t(0), t(1)], 1).unwrap();
         assert_eq!(r, EdgeRemoval::default());
         assert_eq!(g.edge_count(), 1);
         // Second removal dissolves the component.
-        let r = g.remove_edge(&[t(0), t(1)]).unwrap();
+        let r = g.remove_edge(&[t(0), t(1)], 0).unwrap();
         assert_eq!(r.dead, vec![first.comp]);
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.component_count(), 0);
@@ -549,12 +593,12 @@ mod tests {
         let mut g = DynamicConflictGraph::new();
         // Path 0-1-2-3 with an extra edge 2-4: removing 1-2 splits
         // {0,1} from {2,3,4}.
-        g.insert_edge(&[t(0), t(1)]);
-        g.insert_edge(&[t(1), t(2)]);
-        g.insert_edge(&[t(2), t(3)]);
-        let comp = g.insert_edge(&[t(2), t(4)]).comp;
+        g.insert_edge(&[t(0), t(1)], 0);
+        g.insert_edge(&[t(1), t(2)], 0);
+        g.insert_edge(&[t(2), t(3)], 0);
+        let comp = g.insert_edge(&[t(2), t(4)], 0).unwrap().comp;
         assert_eq!(g.component_count(), 1);
-        let r = g.remove_edge(&[t(1), t(2)]).unwrap();
+        let r = g.remove_edge(&[t(1), t(2)], 0).unwrap();
         assert_eq!(g.component_count(), 2);
         // The larger part {2,3,4} keeps the id.
         assert_eq!(r.touched, vec![comp]);
@@ -571,13 +615,14 @@ mod tests {
         // with the same history must hand out the same ids.
         let history = |g: &mut DynamicConflictGraph| {
             for leaf in 1..=12 {
-                g.insert_edge(&[t(0), t(leaf)]);
+                g.insert_edge(&[t(0), t(leaf)], 0);
             }
             for leaf in (1..=12).step_by(2) {
-                g.insert_edge(&[t(leaf), t(leaf + 1)]);
+                g.insert_edge(&[t(leaf), t(leaf + 1)], 0);
             }
             let hub: Vec<[TupleId; 2]> = (1..=12).map(|leaf| [t(0), t(leaf)]).collect();
-            g.remove_edges(hub.iter().map(|e| e.as_slice())).unwrap();
+            g.remove_edges(hub.iter().map(|e| (e.as_slice(), 0)))
+                .unwrap();
             (1..=12)
                 .map(|leaf| g.component_of(t(leaf)))
                 .collect::<Vec<_>>()
@@ -591,14 +636,14 @@ mod tests {
     #[test]
     fn hyperedges_and_singletons() {
         let mut g = DynamicConflictGraph::new();
-        g.insert_edge(&[t(5)]); // self-inconsistent tuple
-        let h = g.insert_edge(&[t(0), t(1), t(2)]);
+        g.insert_edge(&[t(5)], 0); // self-inconsistent tuple
+        let h = g.insert_edge(&[t(0), t(1), t(2)], 0).unwrap();
         assert_eq!(g.component_count(), 2);
         assert_eq!(g.component_len(h.comp), 3);
         let sets = g.component_sets(h.comp);
         assert_eq!(sets, vec![canon(&[t(0), t(1), t(2)])]);
         // Removing the hyperedge drops all three nodes.
-        let r = g.remove_edge(&[t(0), t(1), t(2)]).unwrap();
+        let r = g.remove_edge(&[t(0), t(1), t(2)], 0).unwrap();
         assert_eq!(r.dead, vec![h.comp]);
         assert_eq!(g.node_count(), 1);
         g.check_consistency().unwrap();
@@ -607,25 +652,27 @@ mod tests {
     #[test]
     fn batch_removal_resettles_once() {
         let mut g = DynamicConflictGraph::new();
-        g.insert_edge(&[t(0), t(1)]);
-        g.insert_edge(&[t(1), t(2)]);
-        g.insert_edge(&[t(3), t(4)]);
+        g.insert_edge(&[t(0), t(1)], 0);
+        g.insert_edge(&[t(1), t(2)], 0);
+        g.insert_edge(&[t(3), t(4)], 0);
         let sets: Vec<ViolationSet> = vec![canon(&[t(0), t(1)]), canon(&[t(1), t(2)])];
-        let r = g.remove_edges(sets.iter().map(|s| s.as_ref())).unwrap();
+        let r = g
+            .remove_edges(sets.iter().map(|s| (s.as_ref(), 0)))
+            .unwrap();
         assert_eq!(r.dead.len(), 1);
         assert_eq!(g.component_count(), 1);
         assert_eq!(g.node_count(), 2);
         // Unknown edges alone report None.
-        assert!(g.remove_edge(&[t(8), t(9)]).is_none());
+        assert!(g.remove_edge(&[t(8), t(9)], 0).is_none());
         g.check_consistency().unwrap();
     }
 
     #[test]
     fn component_sets_are_deterministic() {
         let mut g = DynamicConflictGraph::new();
-        let c = g.insert_edge(&[t(2), t(3)]).comp;
-        g.insert_edge(&[t(1), t(2)]);
-        g.insert_edge(&[t(1)]);
+        let c = g.insert_edge(&[t(2), t(3)], 0).unwrap().comp;
+        g.insert_edge(&[t(1), t(2)], 0);
+        g.insert_edge(&[t(1)], 0);
         let comp = g.component_of(t(1)).unwrap();
         assert_eq!(comp, g.component_of(t(3)).unwrap());
         let _ = c;
@@ -635,5 +682,62 @@ mod tests {
             vec![canon(&[t(1)]), canon(&[t(1), t(2)]), canon(&[t(2), t(3)])]
         );
         assert_eq!(g.component_nodes(comp), vec![t(1), t(2), t(3)]);
+    }
+
+    #[test]
+    fn labels_are_deduplicated_and_counted() {
+        let mut g = DynamicConflictGraph::new();
+        assert!(g.insert_edge(&[], 0).is_none());
+        g.insert_edge(&[t(0), t(1)], 2).unwrap();
+        g.insert_edge(&[t(1), t(0)], 0).unwrap();
+        // A pair already present changes nothing.
+        assert!(g.insert_edge(&[t(0), t(1)], 2).is_none());
+        g.insert_edge(&[t(1), t(2)], 1).unwrap();
+        assert_eq!(g.edge_labels(&[t(0), t(1)]), [0, 2]);
+        assert_eq!(g.label_count(), 3);
+        let mut counts: Vec<(TupleId, usize)> = g.node_label_counts().collect();
+        counts.sort();
+        assert_eq!(counts, vec![(t(0), 2), (t(1), 3), (t(2), 1)]);
+        let mut edges: Vec<(ViolationSet, Vec<usize>)> = g
+            .labelled_sets()
+            .map(|(set, labels)| (set.clone(), labels.to_vec()))
+            .collect();
+        edges.sort();
+        assert_eq!(
+            edges,
+            vec![
+                (canon(&[t(0), t(1)]), vec![0, 2]),
+                (canon(&[t(1), t(2)]), vec![1])
+            ]
+        );
+        // An absent label on a known edge is not a removal.
+        assert!(g.remove_edge(&[t(0), t(1)], 1).is_none());
+        g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn remove_incident_takes_every_label_touching_a_tuple() {
+        let mut g = DynamicConflictGraph::new();
+        // Path 0-1-2 with a second label on 0-1, and a separate edge 3-4.
+        g.insert_edge(&[t(0), t(1)], 0).unwrap();
+        g.insert_edge(&[t(0), t(1)], 1).unwrap();
+        let comp = g.insert_edge(&[t(1), t(2)], 0).unwrap().comp;
+        g.insert_edge(&[t(3), t(4)], 1).unwrap();
+        // Removing the middle tuple dissolves its component.
+        let (mut labels, r) = g.remove_incident(t(1)).unwrap();
+        labels.sort();
+        assert_eq!(labels, vec![0, 0, 1]);
+        assert_eq!(r.dead, vec![comp]);
+        assert_eq!(g.label_count(), 1);
+        assert_eq!(g.node_count(), 2);
+        assert!(g.remove_incident(t(1)).is_none());
+        // A tuple whose removal leaves the rest connected keeps the id.
+        g.insert_edge(&[t(4), t(5)], 0).unwrap();
+        let keep = g.component_of(t(4)).unwrap();
+        let (labels, r) = g.remove_incident(t(3)).unwrap();
+        assert_eq!(labels, vec![1]);
+        assert_eq!(r.touched, vec![keep]);
+        assert!(r.dead.is_empty() && r.created.is_empty());
+        g.check_consistency().unwrap();
     }
 }

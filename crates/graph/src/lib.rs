@@ -7,7 +7,7 @@
 //!
 //! * [`ConflictGraph`] — tuples as nodes, minimal violations as (hyper)edges,
 //!   self-inconsistent tuples as excluded nodes, deletion costs as weights;
-//! * [`DynamicConflictGraph`] — the maintained counterpart: refcounted
+//! * [`DynamicConflictGraph`] — the maintained counterpart: labelled
 //!   edge insertion/removal with connected-component tracking (merge on
 //!   insert, component-local re-settle on removal), powering the
 //!   component-scoped incremental measure reads;

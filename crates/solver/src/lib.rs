@@ -5,7 +5,6 @@
 //! Measures for Databases* (SIGMOD 2021):
 //!
 //! * [`simplex`] — dense two-phase simplex, the general LP oracle;
-//! * [`matching`] — Hopcroft–Karp bipartite matching and König covers;
 //! * [`flow`] — Dinic max-flow, weighted bipartite vertex covers;
 //! * [`fvc`] — half-integral *fractional* vertex cover via the bipartite
 //!   double cover (the fast exact path for `I_R^lin` on two-tuple DCs):
@@ -39,7 +38,8 @@ pub mod covering;
 pub mod flow;
 pub mod fvc;
 mod mask;
-pub mod matching;
+#[cfg(test)]
+mod matching;
 pub mod simplex;
 pub mod vertex_cover;
 
@@ -53,7 +53,6 @@ pub use covering::{
 };
 pub use flow::{bipartite_min_weight_vertex_cover, BipartiteCover, FlowNetwork};
 pub use fvc::{fractional_vertex_cover, nt_partition, FractionalCover};
-pub use matching::{Bipartite, Matching};
 pub use simplex::{covering_lp, LinearProgram, LpCmp, LpError, LpSolution};
 pub use vertex_cover::{
     greedy_vertex_cover, is_vertex_cover, min_weight_vertex_cover, min_weight_vertex_cover_with,

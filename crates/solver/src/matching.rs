@@ -1,8 +1,6 @@
-//! Hopcroft–Karp maximum bipartite matching.
-//!
-//! Used for the unit-cost fractional vertex cover (via König's theorem on
-//! the bipartite double cover, see [`crate::fvc`]) and as a matching-based
-//! lower bound inside the exact vertex-cover solver.
+//! Hopcroft–Karp maximum bipartite matching, compiled for tests only: it
+//! is the reference that `flow`'s unit-cost bipartite vertex cover is
+//! checked against through König's theorem.
 
 /// A bipartite graph with `n_left` and `n_right` vertices.
 #[derive(Clone, Debug)]
@@ -39,16 +37,6 @@ impl Bipartite {
     pub fn add_edge(&mut self, l: u32, r: u32) {
         debug_assert!((l as usize) < self.n_left && (r as usize) < self.n_right);
         self.adj[l as usize].push(r);
-    }
-
-    /// Number of left vertices.
-    pub fn n_left(&self) -> usize {
-        self.n_left
-    }
-
-    /// Number of right vertices.
-    pub fn n_right(&self) -> usize {
-        self.n_right
     }
 
     /// Computes a maximum matching with Hopcroft–Karp in `O(E √V)`.

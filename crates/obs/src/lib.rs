@@ -353,6 +353,7 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
+#[derive(Clone, Copy)]
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
@@ -387,14 +388,22 @@ impl Registry {
         Registry::default()
     }
 
+    /// The metric under `name`, registering `make()` first when there is
+    /// none. A hit looks up by `&str` and allocates nothing; only the
+    /// first registration copies the name.
+    fn get_or_register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut inner = self.inner.lock().unwrap();
+        if let Some(metric) = inner.metrics.get(name) {
+            return *metric;
+        }
+        let metric = make();
+        inner.metrics.insert(name.to_string(), metric);
+        metric
+    }
+
     /// Get-or-register a counter under `name`.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Box::leak(Box::new(Counter::new()))))
-        {
+        match self.get_or_register(name, || Metric::Counter(Box::leak(Box::default()))) {
             Metric::Counter(c) => c,
             _ => panic!("metric `{name}` already registered with a different type"),
         }
@@ -402,12 +411,7 @@ impl Registry {
 
     /// Get-or-register a gauge under `name`.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::new(Gauge::new()))))
-        {
+        match self.get_or_register(name, || Metric::Gauge(Box::leak(Box::default()))) {
             Metric::Gauge(g) => g,
             _ => panic!("metric `{name}` already registered with a different type"),
         }
@@ -415,12 +419,7 @@ impl Registry {
 
     /// Get-or-register a histogram under `name`.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut inner = self.inner.lock().unwrap();
-        match inner
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Box::leak(Box::new(Histogram::new()))))
-        {
+        match self.get_or_register(name, || Metric::Histogram(Box::leak(Box::default()))) {
             Metric::Histogram(h) => h,
             _ => panic!("metric `{name}` already registered with a different type"),
         }
@@ -733,6 +732,22 @@ mod tests {
         assert_eq!(bucket_index(1), 1);
         assert_eq!(bucket_upper(0), 0);
         assert_eq!(bucket_upper(64), u64::MAX);
+    }
+
+    #[test]
+    fn a_repeated_lookup_returns_the_registered_handle() {
+        let r = Registry::new();
+        let name = labeled("requests_total", &[("kind", "measure")]);
+        let c = r.counter(&name);
+        c.inc();
+        assert!(std::ptr::eq(c, r.counter(&name)));
+        let h = r.histogram("latency_us");
+        assert!(std::ptr::eq(h, r.histogram("latency_us")));
+        let g = r.gauge("depth");
+        assert!(std::ptr::eq(g, r.gauge("depth")));
+        // Three names, three metrics: the repeats registered nothing.
+        assert_eq!(r.inner.lock().unwrap().metrics.len(), 3);
+        assert_eq!(r.counter(&name).get(), 1);
     }
 
     #[test]

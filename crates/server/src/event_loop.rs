@@ -4,9 +4,11 @@
 //! connections, and a completion channel back from the worker pool. The
 //! contract that keeps tail latency flat is simple: **an event thread
 //! never blocks** — not on a socket (everything is nonblocking), not on a
-//! session lock (lock-taking requests run on the pool), not on a sleep
-//! (the poll timeout is the only wait, and any thread can cut it short
-//! through its [`Waker`]).
+//! session lock (it takes a session's index lock only with `try_read`,
+//! and under it runs only the read ladder's shared rung; every request
+//! that may wait for a lock runs on the pool), not on a sleep (the poll
+//! timeout is the only wait, and any thread can cut it short through its
+//! [`Waker`]).
 //!
 //! ## Connection lifecycle
 //!
@@ -37,6 +39,12 @@
 //! * Work-carrying requests are shed with `kind:"overloaded"` when the
 //!   pool backlog reaches `queue_limit` — the request sheds, the
 //!   connection survives.
+//! * A `measure` or `tuple_measures` that passes the shed check is first
+//!   tried inline ([`respond_cached`]): when its session's caches are
+//!   warm, the lock is free and an admission slot is too, the shared rung
+//!   answers it here and the pool round trip is skipped. Otherwise —
+//!   `I_MC`, a large `k`, a coordinator, a held lock, a cold cache — it
+//!   goes to the pool as any other work, and the attempt counted nothing.
 //! * A connection stops being read once `max_pipeline` requests queue or
 //!   its write buffer backs up past `write_buffer_bytes`; TCP then
 //!   pushes the backpressure to the sender.
@@ -44,7 +52,7 @@
 //!   (`slow_client_drops`), without stalling any other connection.
 
 use crate::pool::WorkerPool;
-use crate::router::{classify, respond, Class, Control, Work};
+use crate::router::{classify, respond, respond_cached, Class, Control, Work};
 use crate::wire::LineFramer;
 use crate::{protocol::parse_request, ServerError, Shared};
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -106,6 +114,8 @@ struct Conn {
     /// Close once the out-buffer drains (`quit`, `shutdown`, drain mode).
     closing: bool,
     /// When the first unwritable byte was observed; cleared on progress.
+    /// Changed only by `try_flush`, `unblock` and `close`, which keep
+    /// [`EventThread::write_blocked`] in step.
     write_blocked_since: Option<Instant>,
     /// Unrecoverable (I/O error, oversized line): remove without flushing.
     dead: bool,
@@ -148,6 +158,10 @@ pub(crate) struct EventThread {
     /// included; the accept path adopts directly instead of sending).
     pub peers: Vec<Peer>,
     pub index: usize,
+    /// Connections on this thread whose `write_blocked_since` is set
+    /// (starts at 0): lets the loop skip the write-timeout work when no
+    /// write is blocked, instead of scanning every connection per turn.
+    pub write_blocked: usize,
 }
 
 /// Builds the channel pair an [`EventThread`] drains completions from.
@@ -172,7 +186,7 @@ impl EventThread {
             if draining && conns.is_empty() {
                 break;
             }
-            let timeout = self.poll_timeout(&conns, draining);
+            let timeout = self.poll_timeout(draining);
             if let Err(e) = self.poll.poll(&mut events, Some(timeout)) {
                 eprintln!("event thread {}: poll failed: {e}", self.index);
                 break;
@@ -202,9 +216,9 @@ impl EventThread {
 
     /// Poll timeout: the read-poll tick normally; tighter while a write is
     /// blocked (so the write-timeout sweep runs promptly) or draining.
-    fn poll_timeout(&self, conns: &HashMap<usize, Conn>, draining: bool) -> Duration {
+    fn poll_timeout(&self, draining: bool) -> Duration {
         let base = self.shared.read_poll;
-        if draining || conns.values().any(|c| c.write_blocked_since.is_some()) {
+        if draining || self.write_blocked > 0 {
             base.min(Duration::from_millis(20))
         } else {
             base
@@ -357,9 +371,8 @@ impl EventThread {
             || (conn.peer_eof && finished_out && idle)
             || (stopping && finished_out && !conn.inflight);
         if remove {
-            self.poll.deregister(&conn.stream).ok();
-            self.shared.counters.open_connections.dec();
-            return; // dropping `conn` closes the socket
+            self.close(conn);
+            return;
         }
         let mut desired = Interest::NONE;
         let backlog = conn.out.len() - conn.out_pos;
@@ -379,8 +392,7 @@ impl EventThread {
                 .reregister(&conn.stream, Token(token), desired)
                 .is_err()
             {
-                self.poll.deregister(&conn.stream).ok();
-                self.shared.counters.open_connections.dec();
+                self.close(conn);
                 return;
             }
             conn.interest = desired;
@@ -414,6 +426,16 @@ impl EventThread {
                         Class::Work => {
                             if self.shed_now() {
                                 self.shed(conn);
+                                continue;
+                            }
+                            if let Some(response) = respond_cached(
+                                &self.shared.registry,
+                                &self.shared.counters,
+                                &self.shared.admission,
+                                self.shared.coordinator.is_some(),
+                                &request,
+                            ) {
+                                enqueue(conn, &response);
                                 continue;
                             }
                             Work::Parsed(request)
@@ -538,13 +560,13 @@ impl EventThread {
     }
 
     /// Writes as much of the out-buffer as the socket takes.
-    fn try_flush(&self, conn: &mut Conn) {
+    fn try_flush(&mut self, conn: &mut Conn) {
         while conn.out_pos < conn.out.len() && !conn.dead {
             match (&conn.stream).write(&conn.out[conn.out_pos..]) {
                 Ok(0) => conn.dead = true,
                 Ok(n) => {
                     conn.out_pos += n;
-                    conn.write_blocked_since = None;
+                    self.unblock(conn);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if conn.write_blocked_since.is_none() {
@@ -552,6 +574,7 @@ impl EventThread {
                         // transition from writable to blocked.
                         self.shared.counters.write_stalls.inc();
                         conn.write_blocked_since = Some(Instant::now());
+                        self.write_blocked += 1;
                     }
                     break;
                 }
@@ -562,19 +585,45 @@ impl EventThread {
         if conn.out_drained() {
             conn.out.clear();
             conn.out_pos = 0;
-            conn.write_blocked_since = None;
+            self.unblock(conn);
         } else if conn.out_pos > 64 * 1024 {
             conn.out.drain(..conn.out_pos);
             conn.out_pos = 0;
         }
     }
 
+    /// Clears a connection's write stall, keeping the thread's count.
+    fn unblock(&mut self, conn: &mut Conn) {
+        if conn.write_blocked_since.take().is_some() {
+            self.write_blocked -= 1;
+        }
+    }
+
+    /// Removes a connection from this thread for good: deregisters it and
+    /// takes it out of the counts. Dropping `conn` closes the socket.
+    fn close(&mut self, mut conn: Conn) {
+        self.unblock(&mut conn);
+        self.poll.deregister(&conn.stream).ok();
+        self.shared.counters.open_connections.dec();
+    }
+
     /// Drops connections whose peer has not absorbed a write within the
-    /// write timeout (slow-client protection).
+    /// write timeout (slow-client protection). Scans the connections only
+    /// while some write is blocked.
     fn sweep_write_timeouts(&mut self, conns: &mut HashMap<usize, Conn>) {
+        debug_assert_eq!(
+            self.write_blocked,
+            conns
+                .values()
+                .filter(|c| c.write_blocked_since.is_some())
+                .count()
+        );
         let Some(timeout) = self.shared.write_timeout else {
             return;
         };
+        if self.write_blocked == 0 {
+            return;
+        }
         let now = Instant::now();
         let expired: Vec<usize> = conns
             .iter()
@@ -587,8 +636,7 @@ impl EventThread {
         for token in expired {
             if let Some(conn) = conns.remove(&token) {
                 self.shared.counters.slow_client_drops.inc();
-                self.shared.counters.open_connections.dec();
-                self.poll.deregister(&conn.stream).ok();
+                self.close(conn);
             }
         }
     }

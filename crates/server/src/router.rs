@@ -22,7 +22,7 @@ use crate::error::ServerError;
 use crate::protocol::{parse_request, Request, PROTO_VERSION, SERVER_FEATURES};
 use crate::session::{Registry, Session};
 use crate::wire::Json;
-use inconsist::incremental::ReadMode;
+use inconsist::incremental::{Measure, ReadMode};
 use inconsist_obs::{Counter, Gauge, Sample, Value};
 use std::time::Instant;
 
@@ -56,6 +56,9 @@ pub struct ServerCounters {
     /// Times a response write hit `WouldBlock` and parked the connection
     /// on writability (a slow or stalled client).
     pub write_stalls: Counter,
+    /// Warm `measure` / `tuple_measures` reads answered on the event
+    /// thread that parsed them, skipping the worker pool.
+    pub inline_reads: Counter,
 }
 
 /// Server-wide admission state: limits plus the global in-flight gauge.
@@ -97,19 +100,25 @@ impl Admission {
     /// Acquires a global slot ([`Gauge::try_inc_below`] is a strict CAS,
     /// so the bound is never exceeded) or sheds with `kind:"overloaded"`.
     fn acquire(&self) -> Result<AdmissionGuard<'_>, ServerError> {
-        match self.inflight.try_inc_below(self.max_inflight) {
-            Ok(_) => Ok(AdmissionGuard(&self.inflight)),
-            Err(_) => {
-                self.shed.inc();
-                Err(ServerError::Overloaded {
-                    what: format!(
-                        "server is at its global in-flight limit ({})",
-                        self.max_inflight
-                    ),
-                    retry_after_ms: self.retry_after_ms,
-                })
+        self.try_acquire().ok_or_else(|| {
+            self.shed.inc();
+            ServerError::Overloaded {
+                what: format!(
+                    "server is at its global in-flight limit ({})",
+                    self.max_inflight
+                ),
+                retry_after_ms: self.retry_after_ms,
             }
-        }
+        })
+    }
+
+    /// [`acquire`](Self::acquire) without the refusal: `None` when no
+    /// slot is free, counting nothing.
+    fn try_acquire(&self) -> Option<AdmissionGuard<'_>> {
+        self.inflight
+            .try_inc_below(self.max_inflight)
+            .ok()
+            .map(|_| AdmissionGuard(&self.inflight))
     }
 }
 
@@ -159,6 +168,10 @@ pub(crate) fn collect_server_samples(
     out.push(Sample {
         name: "server_slow_client_drops_total".to_string(),
         value: Value::Counter(counters.slow_client_drops.get()),
+    });
+    out.push(Sample {
+        name: "server_inline_reads_total".to_string(),
+        value: Value::Counter(counters.inline_reads.get()),
     });
     out.push(Sample {
         name: "admission_inflight".to_string(),
@@ -252,19 +265,16 @@ pub(crate) fn respond(
             };
             let kind = request.kind();
             let session = request.session_name().unwrap_or("").to_string();
-            inconsist_obs::trace_begin();
-            let started = Instant::now();
-            let result = dispatch(registry, counters, admission, coordinator, request);
-            let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            let stages = inconsist_obs::trace_take();
-            registry.observe_request(
-                kind,
-                &session,
-                response_seq(&result),
-                latency_us,
-                outcome_tag(&result),
-                stages,
-            );
+            let result = observed(registry, kind, &session, || {
+                Some(dispatch(
+                    registry,
+                    counters,
+                    admission,
+                    coordinator,
+                    request,
+                ))
+            })
+            .expect("dispatch always answers");
             match result {
                 Ok(json) => (json, control),
                 Err(e) => (e.to_json(), control),
@@ -272,6 +282,80 @@ pub(crate) fn respond(
         }
     };
     (response.to_string(), control)
+}
+
+/// Largest `k` a `tuple_measures` read may ask for and still answer on
+/// the event thread: the cache-only ranking copies `k` rows.
+const INLINE_TOP_K_MAX: usize = 256;
+
+/// Answers a warm `measure` / `tuple_measures` read on the calling (event)
+/// thread without waiting: the session's shared rung under `try_read`,
+/// holding both admission slots as the pool path does. `None` — a
+/// coordinator's request, `I_MC` (its cache-only read rescans the
+/// database), a top-`k` past [`INLINE_TOP_K_MAX`], an unknown session, no
+/// free admission slot, a held lock or a cold cache — leaves every
+/// counter untouched, and the caller dispatches the request as usual. An
+/// answer is counted once, like a pooled one, and in
+/// [`ServerCounters::inline_reads`].
+pub(crate) fn respond_cached(
+    registry: &Registry,
+    counters: &ServerCounters,
+    admission: &Admission,
+    coordinator_mode: bool,
+    request: &Request,
+) -> Option<String> {
+    let session = match request {
+        Request::Measure {
+            session, measures, ..
+        } if !measures.contains(&Measure::Mc) => session,
+        Request::TupleMeasures { session, k, .. } if *k <= INLINE_TOP_K_MAX => session,
+        _ => return None,
+    };
+    if coordinator_mode {
+        return None;
+    }
+    let result = observed(registry, request.kind(), session, || {
+        let _global = admission.try_acquire()?;
+        let s = registry.get(session).ok()?;
+        let _slot = s.try_admit(admission.session_inflight)?;
+        let answer = match request {
+            Request::Measure {
+                measures, per_dc, ..
+            } => s.read_cached(measures, *per_dc, &s.options()),
+            Request::TupleMeasures { k, .. } => s.tuples_cached(*k),
+            _ => None,
+        };
+        answer.map(Ok)
+    })?;
+    counters.requests.inc();
+    counters.inline_reads.inc();
+    Some(result.unwrap_or_else(|e| e.to_json()).to_string())
+}
+
+/// Runs one parsed request under the accounting every answered request
+/// gets: its span trace, latency and event-ring record. `run` returning
+/// `None` (an inline attempt that did not answer) records nothing.
+fn observed(
+    registry: &Registry,
+    kind: &'static str,
+    session: &str,
+    run: impl FnOnce() -> Option<Result<Json, ServerError>>,
+) -> Option<Result<Json, ServerError>> {
+    inconsist_obs::trace_begin();
+    let started = Instant::now();
+    let result = run();
+    let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let stages = inconsist_obs::trace_take();
+    let result = result?;
+    registry.observe_request(
+        kind,
+        session,
+        response_seq(&result),
+        latency_us,
+        outcome_tag(&result),
+        stages,
+    );
+    Some(result)
 }
 
 /// The event-ring outcome tag for a handled request: `ok`, a degraded

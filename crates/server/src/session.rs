@@ -11,7 +11,10 @@
 //!   connections run concurrently — the shared path never blocks another
 //!   reader. A counter/gauge pair ([`SessionCounters::shared_reads`] /
 //!   the high-water mark of [`SessionCounters::reads_in_flight`])
-//!   witnesses both the hit rate and the actual overlap.
+//!   witnesses both the hit rate and the actual overlap. The event loop
+//!   runs this shared rung alone, with the read lock only tried
+//!   (`Session::read_cached` / `Session::tuples_cached`), so a warm
+//!   read answers without a trip to the worker pool.
 //! * on a cache miss (some component was dirtied since the last warm
 //!   read) the reader upgrades: it drops the read lock, takes the
 //!   **write** lock and answers exclusively, filling only the caches the
@@ -368,20 +371,26 @@ impl Session {
     /// CAS loop, so the bound is never exceeded even under racing
     /// connections; the returned guard releases the slot on drop.
     pub fn admit(&self, limit: u64, retry_after_ms: u64) -> Result<InflightGuard<'_>, ServerError> {
-        let c = &self.counters;
-        match c.inflight.try_inc_below(limit) {
-            Ok(_) => Ok(InflightGuard(&c.inflight)),
-            Err(_) => {
-                c.shed.inc();
-                Err(ServerError::Overloaded {
-                    what: format!(
-                        "session `{}` is at its in-flight limit ({limit})",
-                        self.name
-                    ),
-                    retry_after_ms,
-                })
+        self.try_admit(limit).ok_or_else(|| {
+            self.counters.shed.inc();
+            ServerError::Overloaded {
+                what: format!(
+                    "session `{}` is at its in-flight limit ({limit})",
+                    self.name
+                ),
+                retry_after_ms,
             }
-        }
+        })
+    }
+
+    /// [`admit`](Self::admit) without the refusal: `None` when the slot
+    /// is not free, counting nothing.
+    pub(crate) fn try_admit(&self, limit: u64) -> Option<InflightGuard<'_>> {
+        let inflight = &self.counters.inflight;
+        inflight
+            .try_inc_below(limit)
+            .ok()
+            .map(|_| InflightGuard(inflight))
     }
 
     /// Summary for `create`/`sessions` responses (takes the read lock).
@@ -668,22 +677,7 @@ impl Session {
     ) -> Result<Option<Fresh>, ServerError> {
         let read = self.ladder(
             deadline,
-            |idx| {
-                let mut values = Vec::with_capacity(measures.len() + 1);
-                for &m in measures {
-                    let Some(v) = idx.try_measure(m, opts) else {
-                        return Ok(None);
-                    };
-                    values.push((m.name().to_string(), Json::Num(v?)));
-                }
-                if per_dc {
-                    let Some(counts) = idx.try_i_mi_by_dc() else {
-                        return Ok(None);
-                    };
-                    values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
-                }
-                Ok(Some((values, Vec::new())))
-            },
+            |idx| Ok(cached_values(idx, measures, per_dc, opts)?.map(|v| (v, Vec::new()))),
             |idx| {
                 let mut values = Vec::with_capacity(measures.len() + 1);
                 let mut upper = Vec::new();
@@ -730,11 +724,7 @@ impl Session {
             |idx| Ok(idx.top_k_tuples(k)),
         )?;
         if let Some((path, seq, top)) = read {
-            let tuples = tuple_scores_json(&top);
-            // One ranking is kept, whatever `k` asked for it.
-            let ranking = Json::obj([("k", Json::Num(k as f64)), ("tuples", tuples.clone())]);
-            self.record_last_served(seq, &[(RANKING.to_string(), ranking)]);
-            return Ok(self.tuple_response(path, k, tuples));
+            return Ok(self.served_ranking(path, seq, k, &top));
         }
         let ms = deadline_ms.unwrap_or(0);
         let (as_of, last) = self.last_served(&[RANKING.to_string()], ms)?;
@@ -755,36 +745,56 @@ impl Session {
         Ok(self.stale(self.tuple_response("stale", k, rows), as_of))
     }
 
-    /// The read ladder behind every reader: a `shared` attempt under the
-    /// read lock (cache-only `&self` reads; `Ok(None)` means some cache is
-    /// cold), then the `exclusive` evaluation under the write lock.
-    /// Without a deadline both rungs block. With one, the read lock is
-    /// only tried (a held write lock goes straight to the upgrade) and the
-    /// write lock is waited for only until the deadline. Returns the path
-    /// that answered, the `op_seq` the answer was computed at and the
-    /// answer — or `None` when the write lock never came.
+    /// A `measure` answered by the shared rung alone, without waiting:
+    /// the read lock is only tried and no cache is filled. `None` when a
+    /// writer holds the lock, a cache is cold or the read fails, and then
+    /// nothing was counted; an answer is the one the ladder would give,
+    /// recorded for the stale rung alike.
+    pub(crate) fn read_cached(
+        &self,
+        measures: &[Measure],
+        per_dc: bool,
+        opts: &MeasureOptions,
+    ) -> Option<Json> {
+        let shared = |idx: &IncrementalIndex| cached_values(idx, measures, per_dc, opts);
+        let (seq, values) = self.shared_rung(false, shared).ok()??;
+        self.record_last_served(seq, &values);
+        Some(self.measure_response("shared", values))
+    }
+
+    /// A top-`k` `tuple_measures` answered by the shared rung alone, on
+    /// the terms of [`read_cached`](Self::read_cached).
+    pub(crate) fn tuples_cached(&self, k: usize) -> Option<Json> {
+        let (seq, top) = self
+            .shared_rung(false, |idx| Ok(idx.try_top_k_tuples(k)))
+            .ok()??;
+        Some(self.served_ranking("shared", seq, k, &top))
+    }
+
+    /// Takes the write lock, as a writer applying ops does, and holds it
+    /// until the returned guard drops: every read of the session then
+    /// waits, degrades or goes elsewhere. Lets tests pin a session
+    /// behind a writer deterministically.
+    #[doc(hidden)]
+    pub fn hold_write_lock(&self) -> impl Sized + '_ {
+        self.index.write()
+    }
+
+    /// The read ladder behind every reader: the [shared
+    /// rung](Self::shared_rung), then the `exclusive` evaluation under the
+    /// write lock. Without a deadline both rungs block. With one, the read
+    /// lock is only tried (a held write lock goes straight to the upgrade)
+    /// and the write lock is waited for only until the deadline. Returns
+    /// the path that answered, the `op_seq` the answer was computed at and
+    /// the answer — or `None` when the write lock never came.
     fn ladder<T>(
         &self,
         deadline: Option<Instant>,
         shared: impl FnOnce(&IncrementalIndex) -> Result<Option<T>, ServerError>,
         exclusive: impl FnOnce(&mut IncrementalIndex) -> Result<T, ServerError>,
     ) -> Result<Option<(&'static str, u64, T)>, ServerError> {
-        let read = match deadline {
-            None => Some(self.index.read()),
-            Some(_) => self.index.try_read(),
-        };
-        if let Some(idx) = read {
-            self.counters.reads_in_flight.inc();
-            let answer = shared(&idx);
-            self.counters.reads_in_flight.dec();
-            if let Some(answer) = answer? {
-                // op_seq only advances under the write lock, so it is
-                // stable while we hold the read lock.
-                let seq = self.counters.op_seq.get();
-                drop(idx);
-                self.counters.shared_reads.inc();
-                return Ok(Some(("shared", seq, answer)));
-            }
+        if let Some((seq, answer)) = self.shared_rung(deadline.is_none(), shared)? {
+            return Ok(Some(("shared", seq, answer)));
         }
         let write = match deadline {
             None => Some(self.index.write()),
@@ -800,6 +810,48 @@ impl Session {
         drop(idx);
         self.counters.exclusive_reads.inc();
         Ok(Some(("exclusive", seq, answer)))
+    }
+
+    /// The ladder's shared rung: `shared` (cache-only `&self` reads;
+    /// `Ok(None)` means some cache is cold) under the read lock, waited
+    /// for when `wait` and only tried otherwise. Returns the `op_seq` the
+    /// answer was computed at and the answer, or `None` when the lock was
+    /// held or a cache was cold. Only an answer counts, in
+    /// `shared_reads`.
+    fn shared_rung<T>(
+        &self,
+        wait: bool,
+        shared: impl FnOnce(&IncrementalIndex) -> Result<Option<T>, ServerError>,
+    ) -> Result<Option<(u64, T)>, ServerError> {
+        let idx = if wait {
+            self.index.read()
+        } else {
+            match self.index.try_read() {
+                Some(idx) => idx,
+                None => return Ok(None),
+            }
+        };
+        self.counters.reads_in_flight.inc();
+        let answer = shared(&idx);
+        self.counters.reads_in_flight.dec();
+        let Some(answer) = answer? else {
+            return Ok(None);
+        };
+        // op_seq only advances under the write lock, so it is stable
+        // while we hold the read lock.
+        let seq = self.counters.op_seq.get();
+        drop(idx);
+        self.counters.shared_reads.inc();
+        Ok(Some((seq, answer)))
+    }
+
+    /// A fresh top-`k` answer: recorded as the stale rung's one ranking,
+    /// whatever `k` asked for it, and rendered as the response.
+    fn served_ranking(&self, path: &'static str, seq: u64, k: usize, top: &[TupleScores]) -> Json {
+        let tuples = tuple_scores_json(top);
+        let ranking = Json::obj([("k", Json::Num(k as f64)), ("tuples", tuples.clone())]);
+        self.record_last_served(seq, &[(RANKING.to_string(), ranking)]);
+        self.tuple_response(path, k, tuples)
     }
 
     fn tuple_response(&self, path: &'static str, k: usize, tuples: Json) -> Json {
@@ -1042,6 +1094,31 @@ pub(crate) fn options_json(opts: &MeasureOptions) -> Json {
 }
 
 /// The per-constraint `I_MI^dc` drilldown, keyed by constraint name.
+/// The shared rung of a measure read: each measure's value (then the
+/// `per_dc` drilldown when asked for) from caches only, or `None` when a
+/// cache is cold.
+fn cached_values(
+    idx: &IncrementalIndex,
+    measures: &[Measure],
+    per_dc: bool,
+    opts: &MeasureOptions,
+) -> Result<Option<Vec<(String, Json)>>, ServerError> {
+    let mut values = Vec::with_capacity(measures.len() + 1);
+    for &m in measures {
+        let Some(v) = idx.try_measure(m, opts) else {
+            return Ok(None);
+        };
+        values.push((m.name().to_string(), Json::Num(v?)));
+    }
+    if per_dc {
+        let Some(counts) = idx.try_i_mi_by_dc() else {
+            return Ok(None);
+        };
+        values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
+    }
+    Ok(Some(values))
+}
+
 fn per_dc_json(idx: &IncrementalIndex, counts: Vec<usize>) -> Json {
     Json::Obj(
         idx.constraints()

@@ -43,8 +43,10 @@
 //!   tried inline ([`respond_cached`]): when its session's caches are
 //!   warm, the lock is free and an admission slot is too, the shared rung
 //!   answers it here and the pool round trip is skipped. Otherwise —
-//!   `I_MC`, a large `k`, a coordinator, a held lock, a cold cache — it
-//!   goes to the pool as any other work, and the attempt counted nothing.
+//!   `I_MC`, a large `k`, a coordinator, a held lock, a cold cache, or
+//!   [`INLINE_READS_PER_PUMP`] reads of the same queue already answered
+//!   here — it goes to the pool as any other work, and the attempt
+//!   counted nothing.
 //! * A connection stops being read once `max_pipeline` requests queue or
 //!   its write buffer backs up past `write_buffer_bytes`; TCP then
 //!   pushes the backpressure to the sender.
@@ -78,6 +80,13 @@ const INLINE_PARSE_MAX: usize = 512;
 /// firehose peer can monopolize the event thread (level-triggered
 /// readiness re-reports whatever is left).
 const READ_BUDGET: usize = 256 * 1024;
+
+/// Warm reads one [`EventThread::pump`] call answers inline before it
+/// sends the rest of the connection's queue to the pool as usual: a deep
+/// pipeline of reads (each renders its JSON here) then holds the event
+/// thread's other connections back by two reads per turn, not by the
+/// whole pipeline.
+const INLINE_READS_PER_PUMP: usize = 2;
 
 /// A finished pool request on its way back to the event thread.
 pub(crate) struct Completion {
@@ -114,8 +123,6 @@ struct Conn {
     /// Close once the out-buffer drains (`quit`, `shutdown`, drain mode).
     closing: bool,
     /// When the first unwritable byte was observed; cleared on progress.
-    /// Changed only by `try_flush`, `unblock` and `close`, which keep
-    /// [`EventThread::write_blocked`] in step.
     write_blocked_since: Option<Instant>,
     /// Unrecoverable (I/O error, oversized line): remove without flushing.
     dead: bool,
@@ -158,10 +165,6 @@ pub(crate) struct EventThread {
     /// included; the accept path adopts directly instead of sending).
     pub peers: Vec<Peer>,
     pub index: usize,
-    /// Connections on this thread whose `write_blocked_since` is set
-    /// (starts at 0): lets the loop skip the write-timeout work when no
-    /// write is blocked, instead of scanning every connection per turn.
-    pub write_blocked: usize,
 }
 
 /// Builds the channel pair an [`EventThread`] drains completions from.
@@ -186,7 +189,7 @@ impl EventThread {
             if draining && conns.is_empty() {
                 break;
             }
-            let timeout = self.poll_timeout(draining);
+            let timeout = self.poll_timeout(&conns, draining);
             if let Err(e) = self.poll.poll(&mut events, Some(timeout)) {
                 eprintln!("event thread {}: poll failed: {e}", self.index);
                 break;
@@ -216,9 +219,9 @@ impl EventThread {
 
     /// Poll timeout: the read-poll tick normally; tighter while a write is
     /// blocked (so the write-timeout sweep runs promptly) or draining.
-    fn poll_timeout(&self, draining: bool) -> Duration {
+    fn poll_timeout(&self, conns: &HashMap<usize, Conn>, draining: bool) -> Duration {
         let base = self.shared.read_poll;
-        if draining || self.write_blocked > 0 {
+        if draining || conns.values().any(|c| c.write_blocked_since.is_some()) {
             base.min(Duration::from_millis(20))
         } else {
             base
@@ -400,10 +403,12 @@ impl EventThread {
         conns.insert(token, conn);
     }
 
-    /// Serial dispatch: runs inline requests back-to-back, hands at most
-    /// one pooled request per connection to the workers, sheds work when
-    /// the pool backlog is at the queue limit.
+    /// Serial dispatch: runs inline requests back-to-back (at most
+    /// [`INLINE_READS_PER_PUMP`] warm reads), hands at most one pooled
+    /// request per connection to the workers, sheds work when the pool
+    /// backlog is at the queue limit.
     fn pump(&mut self, conn: &mut Conn, token: usize) {
+        let mut inline_reads = 0;
         while !conn.inflight && !conn.closing && !conn.dead {
             let Some(line) = conn.pending.pop_front() else {
                 return;
@@ -428,15 +433,18 @@ impl EventThread {
                                 self.shed(conn);
                                 continue;
                             }
-                            if let Some(response) = respond_cached(
-                                &self.shared.registry,
-                                &self.shared.counters,
-                                &self.shared.admission,
-                                self.shared.coordinator.is_some(),
-                                &request,
-                            ) {
-                                enqueue(conn, &response);
-                                continue;
+                            if inline_reads < INLINE_READS_PER_PUMP {
+                                if let Some(response) = respond_cached(
+                                    &self.shared.registry,
+                                    &self.shared.counters,
+                                    &self.shared.admission,
+                                    self.shared.coordinator.is_some(),
+                                    &request,
+                                ) {
+                                    inline_reads += 1;
+                                    enqueue(conn, &response);
+                                    continue;
+                                }
                             }
                             Work::Parsed(request)
                         }
@@ -560,13 +568,13 @@ impl EventThread {
     }
 
     /// Writes as much of the out-buffer as the socket takes.
-    fn try_flush(&mut self, conn: &mut Conn) {
+    fn try_flush(&self, conn: &mut Conn) {
         while conn.out_pos < conn.out.len() && !conn.dead {
             match (&conn.stream).write(&conn.out[conn.out_pos..]) {
                 Ok(0) => conn.dead = true,
                 Ok(n) => {
                     conn.out_pos += n;
-                    self.unblock(conn);
+                    conn.write_blocked_since = None;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if conn.write_blocked_since.is_none() {
@@ -574,7 +582,6 @@ impl EventThread {
                         // transition from writable to blocked.
                         self.shared.counters.write_stalls.inc();
                         conn.write_blocked_since = Some(Instant::now());
-                        self.write_blocked += 1;
                     }
                     break;
                 }
@@ -585,45 +592,27 @@ impl EventThread {
         if conn.out_drained() {
             conn.out.clear();
             conn.out_pos = 0;
-            self.unblock(conn);
+            conn.write_blocked_since = None;
         } else if conn.out_pos > 64 * 1024 {
             conn.out.drain(..conn.out_pos);
             conn.out_pos = 0;
         }
     }
 
-    /// Clears a connection's write stall, keeping the thread's count.
-    fn unblock(&mut self, conn: &mut Conn) {
-        if conn.write_blocked_since.take().is_some() {
-            self.write_blocked -= 1;
-        }
-    }
-
     /// Removes a connection from this thread for good: deregisters it and
-    /// takes it out of the counts. Dropping `conn` closes the socket.
-    fn close(&mut self, mut conn: Conn) {
-        self.unblock(&mut conn);
+    /// takes it out of the open-connection count. Dropping `conn` closes
+    /// the socket.
+    fn close(&self, conn: Conn) {
         self.poll.deregister(&conn.stream).ok();
         self.shared.counters.open_connections.dec();
     }
 
     /// Drops connections whose peer has not absorbed a write within the
-    /// write timeout (slow-client protection). Scans the connections only
-    /// while some write is blocked.
+    /// write timeout (slow-client protection).
     fn sweep_write_timeouts(&mut self, conns: &mut HashMap<usize, Conn>) {
-        debug_assert_eq!(
-            self.write_blocked,
-            conns
-                .values()
-                .filter(|c| c.write_blocked_since.is_some())
-                .count()
-        );
         let Some(timeout) = self.shared.write_timeout else {
             return;
         };
-        if self.write_blocked == 0 {
-            return;
-        }
         let now = Instant::now();
         let expired: Vec<usize> = conns
             .iter()

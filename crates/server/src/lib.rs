@@ -366,7 +366,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
             listener: listener.take(),
             peers,
             index,
-            write_blocked: 0,
         };
         event_handles.push(
             std::thread::Builder::new()

@@ -265,16 +265,9 @@ pub(crate) fn respond(
             };
             let kind = request.kind();
             let session = request.session_name().unwrap_or("").to_string();
-            let result = observed(registry, kind, &session, || {
-                Some(dispatch(
-                    registry,
-                    counters,
-                    admission,
-                    coordinator,
-                    request,
-                ))
-            })
-            .expect("dispatch always answers");
+            let observation = Observation::begin();
+            let result = dispatch(registry, counters, admission, coordinator, request);
+            observation.record(registry, kind, &session, &result);
             match result {
                 Ok(json) => (json, control),
                 Err(e) => (e.to_json(), control),
@@ -285,8 +278,9 @@ pub(crate) fn respond(
 }
 
 /// Largest `k` a `tuple_measures` read may ask for and still answer on
-/// the event thread: the cache-only ranking copies `k` rows.
-const INLINE_TOP_K_MAX: usize = 256;
+/// the event thread: the answer renders `k` rows there, and a top-256
+/// read takes about ten times as long as a `ping`.
+const INLINE_TOP_K_MAX: usize = 16;
 
 /// Answers a warm `measure` / `tuple_measures` read on the calling (event)
 /// thread without waiting: the session's shared rung under `try_read`,
@@ -304,58 +298,94 @@ pub(crate) fn respond_cached(
     coordinator_mode: bool,
     request: &Request,
 ) -> Option<String> {
-    let session = match request {
-        Request::Measure {
-            session, measures, ..
-        } if !measures.contains(&Measure::Mc) => session,
-        Request::TupleMeasures { session, k, .. } if *k <= INLINE_TOP_K_MAX => session,
-        _ => return None,
-    };
     if coordinator_mode {
         return None;
     }
-    let result = observed(registry, request.kind(), session, || {
+    let kind = request.kind();
+    match request {
+        Request::Measure {
+            session,
+            measures,
+            per_dc,
+            ..
+        } if !measures.contains(&Measure::Mc) => {
+            answer_cached(registry, counters, admission, kind, session, |s| {
+                s.read_cached(measures, *per_dc, &s.options())
+            })
+        }
+        Request::TupleMeasures { session, k, .. } if *k <= INLINE_TOP_K_MAX => {
+            answer_cached(registry, counters, admission, kind, session, |s| {
+                s.tuples_cached(*k)
+            })
+        }
+        _ => None,
+    }
+}
+
+/// [`respond_cached`]'s attempt for one session: takes both admission
+/// slots without counting a refusal, runs `read`, and records only an
+/// answer.
+fn answer_cached(
+    registry: &Registry,
+    counters: &ServerCounters,
+    admission: &Admission,
+    kind: &'static str,
+    session: &str,
+    read: impl FnOnce(&Session) -> Option<Json>,
+) -> Option<String> {
+    let observation = Observation::begin();
+    let answer = (|| {
         let _global = admission.try_acquire()?;
         let s = registry.get(session).ok()?;
         let _slot = s.try_admit(admission.session_inflight)?;
-        let answer = match request {
-            Request::Measure {
-                measures, per_dc, ..
-            } => s.read_cached(measures, *per_dc, &s.options()),
-            Request::TupleMeasures { k, .. } => s.tuples_cached(*k),
-            _ => None,
-        };
-        answer.map(Ok)
-    })?;
+        read(&s)
+    })();
+    let Some(json) = answer else {
+        observation.discard();
+        return None;
+    };
+    let result = Ok(json);
+    observation.record(registry, kind, session, &result);
     counters.requests.inc();
     counters.inline_reads.inc();
-    Some(result.unwrap_or_else(|e| e.to_json()).to_string())
+    result.ok().map(|json| json.to_string())
 }
 
-/// Runs one parsed request under the accounting every answered request
-/// gets: its span trace, latency and event-ring record. `run` returning
-/// `None` (an inline attempt that did not answer) records nothing.
-fn observed(
-    registry: &Registry,
-    kind: &'static str,
-    session: &str,
-    run: impl FnOnce() -> Option<Result<Json, ServerError>>,
-) -> Option<Result<Json, ServerError>> {
-    inconsist_obs::trace_begin();
-    let started = Instant::now();
-    let result = run();
-    let latency_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let stages = inconsist_obs::trace_take();
-    let result = result?;
-    registry.observe_request(
-        kind,
-        session,
-        response_seq(&result),
-        latency_us,
-        outcome_tag(&result),
-        stages,
-    );
-    Some(result)
+/// The accounting every answered request gets: its span trace, latency
+/// and event-ring record. Begun before the request runs.
+struct Observation(Instant);
+
+impl Observation {
+    fn begin() -> Self {
+        inconsist_obs::trace_begin();
+        Observation(Instant::now())
+    }
+
+    /// Records the answered request in the event ring.
+    fn record(
+        self,
+        registry: &Registry,
+        kind: &'static str,
+        session: &str,
+        result: &Result<Json, ServerError>,
+    ) {
+        let latency_us = self.0.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let stages = inconsist_obs::trace_take();
+        registry.observe_request(
+            kind,
+            session,
+            response_seq(result),
+            latency_us,
+            outcome_tag(result),
+            stages,
+        );
+    }
+
+    /// Ends the trace of a request that was not answered, recording
+    /// nothing.
+    fn discard(self) {
+        inconsist_obs::trace_take();
+    }
 }
 
 /// The event-ring outcome tag for a handled request: `ok`, a degraded

@@ -1093,7 +1093,6 @@ pub(crate) fn options_json(opts: &MeasureOptions) -> Json {
     ])
 }
 
-/// The per-constraint `I_MI^dc` drilldown, keyed by constraint name.
 /// The shared rung of a measure read: each measure's value (then the
 /// `per_dc` drilldown when asked for) from caches only, or `None` when a
 /// cache is cold.
@@ -1119,6 +1118,7 @@ fn cached_values(
     Ok(Some(values))
 }
 
+/// The per-constraint `I_MI^dc` drilldown, keyed by constraint name.
 fn per_dc_json(idx: &IncrementalIndex, counts: Vec<usize>) -> Json {
     Json::Obj(
         idx.constraints()

@@ -1,6 +1,6 @@
 //! The per-constraint work counter of the `I_MI^dc` read, read from the
 //! process-global metric registry: `incremental_dc_bindings_refiltered_total`
-//! counts the raw bindings `i_mi_by_dc` re-filters.
+//! counts the `(set, constraint)` labels that component fills re-count.
 //!
 //! One `#[test]` in its own test binary: the registry is shared by every
 //! test of a process, so a concurrent test would skew the deltas.
@@ -16,7 +16,7 @@ fn refiltered() -> u64 {
         .get()
 }
 
-/// The bindings re-filtered by the `I_MI^dc` read after one update that
+/// The labels re-counted by the `I_MI^dc` read after one update that
 /// touches only `A → B`. The index holds `blocks` three-tuple `A → B`
 /// conflicts (three bindings each) and one four-tuple `B → C` conflict
 /// (six bindings) that the update leaves alone.
@@ -53,17 +53,17 @@ fn refiltered_by_one_write(blocks: i64) -> u64 {
         .unwrap();
     assert_eq!(idx.i_mi_by_dc(), vec![3 * blocks as usize, 6]);
     let work = refiltered() - before;
-    // A second read re-filters nothing.
+    // A second read re-counts nothing.
     idx.i_mi_by_dc();
     assert_eq!(refiltered() - before, work);
     work
 }
 
 #[test]
-fn a_write_refilters_the_whole_binding_set_of_each_touched_dc() {
-    // The touched `A → B` set is re-filtered whole; the `B → C` set is
-    // not re-filtered at all. So the work grows with the touched DC's
-    // binding count, not with what the write changed.
-    assert_eq!(refiltered_by_one_write(100), 300);
-    assert_eq!(refiltered_by_one_write(200), 600);
+fn a_write_recounts_only_the_bindings_of_its_component() {
+    // Only the touched block's three `A → B` bindings are re-counted, so
+    // the work follows what the write changed, not how many bindings
+    // the touched constraint holds.
+    assert_eq!(refiltered_by_one_write(100), 3);
+    assert_eq!(refiltered_by_one_write(200), 3);
 }

@@ -410,9 +410,9 @@ impl DynamicConflictGraph {
         v
     }
 
-    /// The distinct violation sets (edges) inside component `c`, sorted by
-    /// `(len, members)` so downstream consumers are deterministic.
-    pub fn component_sets(&self, c: CompId) -> Vec<ViolationSet> {
+    /// The distinct edges inside component `c` as `(set, labels)`, sorted
+    /// by `(len, members)` so downstream consumers are deterministic.
+    pub fn component_sets(&self, c: CompId) -> Vec<(&[TupleId], &[usize])> {
         let Some(members) = self.comps.get(&c) else {
             return Vec::new();
         };
@@ -422,11 +422,12 @@ impl DynamicConflictGraph {
         }
         slots.sort_unstable();
         slots.dedup();
-        let mut sets: Vec<ViolationSet> = slots
+        let mut sets: Vec<(&[TupleId], &[usize])> = slots
             .into_iter()
-            .map(|s| self.edge(s).tuples.clone())
+            .map(|s| self.edge(s))
+            .map(|e| (&e.tuples[..], &e.labels[..]))
             .collect();
-        sets.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        sets.sort_unstable_by(|(a, _), (b, _)| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         sets
     }
 
@@ -641,7 +642,7 @@ mod tests {
         assert_eq!(g.component_count(), 2);
         assert_eq!(g.component_len(h.comp), 3);
         let sets = g.component_sets(h.comp);
-        assert_eq!(sets, vec![canon(&[t(0), t(1), t(2)])]);
+        assert_eq!(sets, vec![(&[t(0), t(1), t(2)][..], &[0][..])]);
         // Removing the hyperedge drops all three nodes.
         let r = g.remove_edge(&[t(0), t(1), t(2)], 0).unwrap();
         assert_eq!(r.dead, vec![h.comp]);
@@ -673,14 +674,17 @@ mod tests {
         let c = g.insert_edge(&[t(2), t(3)], 0).unwrap().comp;
         g.insert_edge(&[t(1), t(2)], 0);
         g.insert_edge(&[t(1)], 0);
+        g.insert_edge(&[t(2), t(1)], 3);
         let comp = g.component_of(t(1)).unwrap();
         assert_eq!(comp, g.component_of(t(3)).unwrap());
         let _ = c;
         let sets = g.component_sets(comp);
-        assert_eq!(
-            sets,
-            vec![canon(&[t(1)]), canon(&[t(1), t(2)]), canon(&[t(2), t(3)])]
-        );
+        let want: [(&[TupleId], &[usize]); 3] = [
+            (&[t(1)], &[0]),
+            (&[t(1), t(2)], &[0, 3]),
+            (&[t(2), t(3)], &[0]),
+        ];
+        assert_eq!(sets, want);
         assert_eq!(g.component_nodes(comp), vec![t(1), t(2), t(3)]);
     }
 

@@ -5,7 +5,7 @@
 //! incremental index, the durability layer, the server front end and the
 //! bench harness all record into the same primitives.
 //!
-//! Three facilities:
+//! Two facilities:
 //!
 //! * a **metric registry** ([`Registry`]) of monotonic [`Counter`]s,
 //!   [`Gauge`]s with fetch-max high-water tracking, and fixed
@@ -22,10 +22,6 @@
 //!   appends a `(stage, micros)` pair to it — this is how the
 //!   slow-request log gets its per-stage breakdown without any plumbing
 //!   through the call stack.
-//! * a bounded **event ring** ([`EventRing`]) of recent structured
-//!   request records (kind, session, seq, latency, outcome, stages) for
-//!   post-hoc inspection without a log file. Writers never block: slots
-//!   are claimed with an atomic cursor and a contended slot is skipped.
 //!
 //! The [`prometheus`] function renders any snapshot in the Prometheus
 //! text exposition format; the JSON rendering lives with the server's
@@ -559,82 +555,6 @@ fn trace_push(name: &'static str, us: u64) {
     });
 }
 
-/// One structured record in the [`EventRing`]: what a request was, who
-/// asked, how long it took, how it ended, and the per-stage span
-/// breakdown captured by the thread trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Ring-assigned monotonically increasing index (orders events).
-    pub index: u64,
-    /// Request kind (`measure`, `op`, `snapshot`, ...).
-    pub kind: String,
-    /// Session name, empty for global requests.
-    pub session: String,
-    /// Request sequence within the connection/session (0 if n/a).
-    pub seq: u64,
-    /// End-to-end handling latency in microseconds.
-    pub latency_us: u64,
-    /// Outcome tag: `ok`, `shed`, `partial`, `stale`, `deadline`,
-    /// `deduped`, or an error kind.
-    pub outcome: String,
-    /// `(stage, micros)` pairs from the request's span trace.
-    pub stages: Vec<(String, u64)>,
-}
-
-/// A bounded ring of recent [`Event`]s. Writers claim a slot with an
-/// atomic cursor and `try_lock` it: a writer never blocks — if the slot
-/// is momentarily held by a reader the event is dropped (and counted).
-pub struct EventRing {
-    slots: Vec<Mutex<Option<Event>>>,
-    head: AtomicU64,
-    dropped: Counter,
-}
-
-impl EventRing {
-    /// A ring holding the most recent `capacity` events.
-    pub fn new(capacity: usize) -> EventRing {
-        assert!(capacity > 0);
-        EventRing {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicU64::new(0),
-            dropped: Counter::new(),
-        }
-    }
-
-    /// Appends an event (its `index` field is assigned by the ring).
-    pub fn push(&self, mut ev: Event) {
-        let i = self.head.fetch_add(1, Relaxed);
-        ev.index = i;
-        let slot = (i % self.slots.len() as u64) as usize;
-        if let Ok(mut g) = self.slots[slot].try_lock() {
-            *g = Some(ev);
-        } else {
-            self.dropped.inc();
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn recent(&self) -> Vec<Event> {
-        let mut out: Vec<Event> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.lock().unwrap().clone())
-            .collect();
-        out.sort_by_key(|e| e.index);
-        out
-    }
-
-    /// Events lost to slot contention (writers never block).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// Total events ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Relaxed)
-    }
-}
-
 /// Renders a snapshot in the Prometheus text exposition format:
 /// `# TYPE` line per metric family, histograms as cumulative
 /// `_bucket{le=...}` series plus `_sum`/`_count`, gauges additionally
@@ -950,28 +870,6 @@ mod tests {
             let _s = span!("obs.test.span");
         }
         assert!(trace_take().is_empty());
-    }
-
-    #[test]
-    fn ring_wraparound_keeps_newest_in_order() {
-        let ring = EventRing::new(4);
-        for i in 0..10u64 {
-            ring.push(Event {
-                index: 0,
-                kind: format!("k{i}"),
-                session: String::new(),
-                seq: i,
-                latency_us: i,
-                outcome: "ok".into(),
-                stages: vec![],
-            });
-        }
-        let recent = ring.recent();
-        assert_eq!(recent.len(), 4);
-        let seqs: Vec<u64> = recent.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        assert_eq!(ring.pushed(), 10);
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]

@@ -351,8 +351,8 @@ fn answer_cached(
     result.ok().map(|json| json.to_string())
 }
 
-/// The accounting every answered request gets: its span trace, latency
-/// and event-ring record. Begun before the request runs.
+/// The accounting every answered request gets: its span trace, latency,
+/// per-kind metrics and slow-request line. Begun before the request runs.
 struct Observation(Instant);
 
 impl Observation {
@@ -361,7 +361,7 @@ impl Observation {
         Observation(Instant::now())
     }
 
-    /// Records the answered request in the event ring.
+    /// Records the answered request's metrics (and slow-request line).
     fn record(
         self,
         registry: &Registry,
@@ -388,7 +388,7 @@ impl Observation {
     }
 }
 
-/// The event-ring outcome tag for a handled request: `ok`, a degraded
+/// The outcome tag of a handled request: `ok`, a degraded
 /// tag the response carries (`deduped` / `stale` / `partial`), `shed`
 /// for an admission refusal, or the error kind.
 fn outcome_tag(result: &Result<Json, ServerError>) -> &'static str {
@@ -412,7 +412,7 @@ fn outcome_tag(result: &Result<Json, ServerError>) -> &'static str {
     }
 }
 
-/// Best-effort sequence number for the event ring: a top-level `seq`
+/// Best-effort sequence number for the slow-request log: a top-level `seq`
 /// (snapshot/compact) or the last applied op's.
 fn response_seq(result: &Result<Json, ServerError>) -> u64 {
     let Ok(json) = result else { return 0 };

@@ -60,7 +60,7 @@ use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
 use inconsist_formats::durable::{write_snapshot, SnapshotMeta};
 use inconsist_formats::opsfile::{display_op, op_to_line, parse_ops_file};
-use inconsist_obs::{Counter, Event, EventRing, Gauge, Sample, Value};
+use inconsist_obs::{labeled, Counter, Gauge, Histogram, Sample, Value};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,14 +116,36 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// The stale rung's key for the last top-`k` ranking, stored as
-/// `{"k": k, "tuples": rows}` beside the measure keys.
-const RANKING: &str = "tuples";
+/// A measure read's answer: each measure's value, then the per-DC
+/// `I_MI^dc` counts when the drilldown was asked for.
+#[derive(Default)]
+pub(crate) struct Values {
+    pub(crate) measures: Vec<(Measure, f64)>,
+    per_dc: Option<Vec<usize>>,
+}
 
-/// A fresh measure read: the rung that answered, each measure's value
-/// (then the `per_dc` drilldown when asked for) and the upper bounds of
-/// the partial ones.
-type Fresh = (&'static str, Vec<(String, Json)>, Vec<(String, Json)>);
+/// A fresh measure read: the rung that answered, the values and the
+/// upper bounds of the partial ones.
+type Fresh = (&'static str, Values, Vec<(Measure, f64)>);
+
+/// The stale rung: the last full read of each value, tagged with the
+/// `op_seq` it was computed at — one slot per [`Measure`], one for the
+/// per-DC counts and one for the last top-`k` ranking (its `k` and rows).
+#[derive(Default)]
+struct Served {
+    measures: [Option<(u64, f64)>; Measure::ALL.len()],
+    per_dc: Option<(u64, Vec<usize>)>,
+    ranking: Option<(u64, usize, Vec<TupleScores>)>,
+}
+
+#[cfg(test)]
+impl Served {
+    /// The filled slots.
+    fn len(&self) -> usize {
+        let measures = self.measures.iter().flatten().count();
+        measures + usize::from(self.per_dc.is_some()) + usize::from(self.ranking.is_some())
+    }
+}
 
 /// Appends entries to an object response (no-op on non-objects).
 pub(crate) fn push_entries(resp: Json, extra: Vec<(&'static str, Json)>) -> Json {
@@ -164,11 +186,12 @@ pub struct Session {
     /// the `Durability` behind the mutex), so `stats` and the metrics
     /// collector read them without contending for the I/O path.
     durable_metrics: Option<Arc<crate::durable::DurableMetrics>>,
-    /// The stale rung of deadline-bounded reads: key (a measure,
-    /// `per_dc` or [`RANKING`]) → the `op_seq` and value of its last full
-    /// read. Lock order: taken only while holding no index lock, or after
-    /// the index lock.
-    served: Mutex<HashMap<String, (u64, Json)>>,
+    /// The constraints' names, in order: the keys of the `per_dc`
+    /// drilldown.
+    dc_names: Vec<String>,
+    /// The stale rung of deadline-bounded reads. Lock order: taken only
+    /// while holding no index lock, or after the index lock.
+    served: Mutex<Served>,
     /// Op-token dedup cache. Taken only under the index write lock, which
     /// serializes writers — so check-and-insert is race-free.
     tokens: Mutex<TokenCache>,
@@ -222,11 +245,17 @@ impl Session {
             rel: loaded.rel,
             rel_schema,
             options: RwLock::new(options),
+            dc_names: index
+                .constraints()
+                .dcs()
+                .iter()
+                .map(|dc| dc.name.clone())
+                .collect(),
             index: RwLock::new(index),
             counters: SessionCounters::default(),
             durable,
             durable_metrics,
-            served: Mutex::new(HashMap::new()),
+            served: Mutex::default(),
             tokens: Mutex::new(TokenCache::default()),
         })
     }
@@ -295,11 +324,17 @@ impl Session {
             rel: snap.rel,
             rel_schema,
             options: RwLock::new(options),
+            dc_names: index
+                .constraints()
+                .dcs()
+                .iter()
+                .map(|dc| dc.name.clone())
+                .collect(),
             index: RwLock::new(index),
             counters,
             durable: Some(Mutex::new(durability)),
             durable_metrics,
-            served: Mutex::new(HashMap::new()),
+            served: Mutex::default(),
             tokens: Mutex::new(TokenCache::default()),
         })
     }
@@ -648,19 +683,19 @@ impl Session {
     ) -> Result<Json, ServerError> {
         let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         let Some((path, values, upper)) = self.fresh(measures, per_dc, opts, deadline)? else {
-            let mut keys: Vec<String> = measures.iter().map(|m| m.name().to_string()).collect();
-            if per_dc {
-                keys.push("per_dc".to_string());
-            }
-            let (as_of, values) = self.last_served(&keys, deadline_ms.unwrap_or(0))?;
-            return Ok(self.stale(self.measure_response("stale", values), as_of));
+            let ms = deadline_ms.unwrap_or(0);
+            let (as_of, values) = self.last_served(measures, per_dc, ms)?;
+            return Ok(self.stale(self.measure_response("stale", &values), as_of));
         };
         if upper.is_empty() {
-            return Ok(self.measure_response(path, values));
+            return Ok(self.measure_response(path, &values));
         }
         Ok(push_entries(
-            self.measure_response(path, values),
-            vec![("partial", Json::Bool(true)), ("upper", Json::Obj(upper))],
+            self.measure_response(path, &values),
+            vec![
+                ("partial", Json::Bool(true)),
+                ("upper", values_json(&upper)),
+            ],
         ))
     }
 
@@ -679,19 +714,16 @@ impl Session {
             deadline,
             |idx| Ok(cached_values(idx, measures, per_dc, opts)?.map(|v| (v, Vec::new()))),
             |idx| {
-                let mut values = Vec::with_capacity(measures.len() + 1);
+                let mut values = Values::default();
                 let mut upper = Vec::new();
                 for &m in measures {
                     let v = idx.measure(m, opts, deadline)?;
                     if v.partial {
-                        upper.push((m.name().to_string(), Json::Num(v.upper)));
+                        upper.push((m, v.upper));
                     }
-                    values.push((m.name().to_string(), Json::Num(v.value)));
+                    values.measures.push((m, v.value));
                 }
-                if per_dc {
-                    let counts = idx.i_mi_by_dc();
-                    values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
-                }
+                values.per_dc = per_dc.then(|| idx.i_mi_by_dc());
                 Ok((values, upper))
             },
         )?;
@@ -724,24 +756,23 @@ impl Session {
             |idx| Ok(idx.top_k_tuples(k)),
         )?;
         if let Some((path, seq, top)) = read {
-            return Ok(self.served_ranking(path, seq, k, &top));
+            return Ok(self.served_ranking(path, seq, k, top));
         }
         let ms = deadline_ms.unwrap_or(0);
-        let (as_of, last) = self.last_served(&[RANKING.to_string()], ms)?;
-        let ranking = &last[0].1;
-        let served_k = ranking.get("k").and_then(Json::as_f64).unwrap_or(0.0) as usize;
-        let rows = ranking
-            .get("tuples")
-            .and_then(Json::as_arr)
-            .unwrap_or_default();
-        if served_k < k && rows.len() == served_k {
-            return Err(ServerError::Deadline(format!(
-                "`{}` busy past the {ms}ms deadline and no top-{k} tuple ranking \
-                 was served",
-                self.name
-            )));
-        }
-        let rows = Json::Arr(rows[..k.min(rows.len())].to_vec());
+        let (as_of, rows) = {
+            let served = self.served.lock();
+            let Some((seq, served_k, rows)) = &served.ranking else {
+                return Err(self.never_served("tuples", ms));
+            };
+            if *served_k < k && rows.len() == *served_k {
+                return Err(ServerError::Deadline(format!(
+                    "`{}` busy past the {ms}ms deadline and no top-{k} tuple ranking \
+                     was served",
+                    self.name
+                )));
+            }
+            (*seq, tuple_scores_json(&rows[..k.min(rows.len())]))
+        };
         Ok(self.stale(self.tuple_response("stale", k, rows), as_of))
     }
 
@@ -759,7 +790,7 @@ impl Session {
         let shared = |idx: &IncrementalIndex| cached_values(idx, measures, per_dc, opts);
         let (seq, values) = self.shared_rung(false, shared).ok()??;
         self.record_last_served(seq, &values);
-        Some(self.measure_response("shared", values))
+        Some(self.measure_response("shared", &values))
     }
 
     /// A top-`k` `tuple_measures` answered by the shared rung alone, on
@@ -768,7 +799,7 @@ impl Session {
         let (seq, top) = self
             .shared_rung(false, |idx| Ok(idx.try_top_k_tuples(k)))
             .ok()??;
-        Some(self.served_ranking("shared", seq, k, &top))
+        Some(self.served_ranking("shared", seq, k, top))
     }
 
     /// Takes the write lock, as a writer applying ops does, and holds it
@@ -847,10 +878,15 @@ impl Session {
 
     /// A fresh top-`k` answer: recorded as the stale rung's one ranking,
     /// whatever `k` asked for it, and rendered as the response.
-    fn served_ranking(&self, path: &'static str, seq: u64, k: usize, top: &[TupleScores]) -> Json {
-        let tuples = tuple_scores_json(top);
-        let ranking = Json::obj([("k", Json::Num(k as f64)), ("tuples", tuples.clone())]);
-        self.record_last_served(seq, &[(RANKING.to_string(), ranking)]);
+    fn served_ranking(
+        &self,
+        path: &'static str,
+        seq: u64,
+        k: usize,
+        top: Vec<TupleScores>,
+    ) -> Json {
+        let tuples = tuple_scores_json(&top);
+        self.served.lock().ranking = Some((seq, k, top));
         self.tuple_response(path, k, tuples)
     }
 
@@ -864,29 +900,43 @@ impl Session {
         ])
     }
 
-    /// The stale rung's lookup: the value last served under every key,
-    /// with the oldest `op_seq` among them (the current one for no keys),
-    /// or `kind:"deadline"` naming the first key never served.
+    /// The stale rung's lookup: the values last served for `measures`
+    /// (and the per-DC counts when `per_dc`), with the oldest `op_seq`
+    /// among them (the current one for none), or `kind:"deadline"` naming
+    /// the first one never served.
     fn last_served(
         &self,
-        keys: &[String],
+        measures: &[Measure],
+        per_dc: bool,
         deadline_ms: u64,
-    ) -> Result<(u64, Vec<(String, Json)>), ServerError> {
+    ) -> Result<(u64, Values), ServerError> {
         let served = self.served.lock();
         let mut as_of = self.counters.op_seq.get();
-        let mut values = Vec::with_capacity(keys.len());
-        for k in keys {
-            let Some((seq, v)) = served.get(k) else {
-                return Err(ServerError::Deadline(format!(
-                    "`{}` busy past the {deadline_ms}ms deadline and `{k}` has no \
-                     previously served value",
-                    self.name
-                )));
+        let mut values = Values::default();
+        for &m in measures {
+            let Some((seq, v)) = served.measures[m as usize] else {
+                return Err(self.never_served(m.name(), deadline_ms));
+            };
+            as_of = as_of.min(seq);
+            values.measures.push((m, v));
+        }
+        if per_dc {
+            let Some((seq, counts)) = &served.per_dc else {
+                return Err(self.never_served("per_dc", deadline_ms));
             };
             as_of = as_of.min(*seq);
-            values.push((k.clone(), v.clone()));
+            values.per_dc = Some(counts.clone());
         }
         Ok((as_of, values))
+    }
+
+    /// The error of a stale read whose `key` was never fully served.
+    fn never_served(&self, key: &str, deadline_ms: u64) -> ServerError {
+        ServerError::Deadline(format!(
+            "`{}` busy past the {deadline_ms}ms deadline and `{key}` has no \
+             previously served value",
+            self.name
+        ))
     }
 
     /// Tags a response served from the stale rung.
@@ -903,24 +953,27 @@ impl Session {
 
     /// Records fully-served values for the stale rung, each tagged with
     /// the `op_seq` it was computed at.
-    fn record_last_served(&self, seq: u64, values: &[(String, Json)]) {
+    fn record_last_served(&self, seq: u64, values: &Values) {
         let mut served = self.served.lock();
-        for (k, v) in values {
-            served.insert(k.clone(), (seq, v.clone()));
+        for &(m, v) in &values.measures {
+            served.measures[m as usize] = Some((seq, v));
+        }
+        if let Some(counts) = &values.per_dc {
+            served.per_dc = Some((seq, counts.clone()));
         }
     }
 
-    fn measure_response(&self, path: &'static str, mut values: Vec<(String, Json)>) -> Json {
-        let per_dc = values.iter().position(|(k, _)| k == "per_dc");
-        let per_dc = per_dc.map(|i| values.remove(i).1);
+    fn measure_response(&self, path: &'static str, values: &Values) -> Json {
         let mut entries = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("session".to_string(), Json::str(self.name.clone())),
             ("path".to_string(), Json::str(path)),
-            ("values".to_string(), Json::Obj(values)),
+            ("values".to_string(), values_json(&values.measures)),
         ];
-        if let Some(d) = per_dc {
-            entries.push(("per_dc".to_string(), d));
+        if let Some(counts) = &values.per_dc {
+            let per_dc = self.dc_names.iter().zip(counts);
+            let per_dc = per_dc.map(|(name, &n)| (name.clone(), Json::Num(n as f64)));
+            entries.push(("per_dc".to_string(), Json::Obj(per_dc.collect())));
         }
         Json::Obj(entries)
     }
@@ -1094,40 +1147,34 @@ pub(crate) fn options_json(opts: &MeasureOptions) -> Json {
 }
 
 /// The shared rung of a measure read: each measure's value (then the
-/// `per_dc` drilldown when asked for) from caches only, or `None` when a
+/// per-DC counts when asked for) from caches only, or `None` when a
 /// cache is cold.
 fn cached_values(
     idx: &IncrementalIndex,
     measures: &[Measure],
     per_dc: bool,
     opts: &MeasureOptions,
-) -> Result<Option<Vec<(String, Json)>>, ServerError> {
-    let mut values = Vec::with_capacity(measures.len() + 1);
+) -> Result<Option<Values>, ServerError> {
+    let mut values = Values::default();
     for &m in measures {
         let Some(v) = idx.try_measure(m, opts) else {
             return Ok(None);
         };
-        values.push((m.name().to_string(), Json::Num(v?)));
+        values.measures.push((m, v?));
     }
     if per_dc {
         let Some(counts) = idx.try_i_mi_by_dc() else {
             return Ok(None);
         };
-        values.push(("per_dc".to_string(), per_dc_json(idx, counts)));
+        values.per_dc = Some(counts);
     }
     Ok(Some(values))
 }
 
-/// The per-constraint `I_MI^dc` drilldown, keyed by constraint name.
-fn per_dc_json(idx: &IncrementalIndex, counts: Vec<usize>) -> Json {
-    Json::Obj(
-        idx.constraints()
-            .dcs()
-            .iter()
-            .zip(counts)
-            .map(|(dc, n)| (dc.name.clone(), Json::Num(n as f64)))
-            .collect(),
-    )
+/// Measure values as a wire object keyed by measure name.
+pub(crate) fn values_json(values: &[(Measure, f64)]) -> Json {
+    let entry = |&(m, v): &(Measure, f64)| (m.name().to_string(), Json::Num(v));
+    Json::Obj(values.iter().map(entry).collect())
 }
 
 /// One ranked tuple-score list as wire JSON.
@@ -1147,22 +1194,35 @@ fn tuple_scores_json(top: &[TupleScores]) -> Json {
     )
 }
 
-/// How many recent request events the registry's ring remembers.
-const EVENT_RING_CAP: usize = 256;
+/// Metric handles resolved once per label value, so that a request
+/// records into them without building a metric name or taking the
+/// metric registry's mutex.
+type Resolved<T> = RwLock<HashMap<&'static str, T>>;
+
+/// `key`'s handles in `cache`, resolved by `resolve` on first use.
+fn resolved<T: Copy>(cache: &Resolved<T>, key: &'static str, resolve: impl FnOnce() -> T) -> T {
+    if let Some(&handles) = cache.read().get(key) {
+        return handles;
+    }
+    *cache.write().entry(key).or_insert_with(resolve)
+}
 
 /// The named-session registry. It also owns this server's observability
 /// state: a per-instance [`inconsist_obs::Registry`] (tests run many
 /// servers per process, so server metrics must not share process
-/// globals), the recent-request [`EventRing`], and the slow-request
-/// threshold. The metrics collector registered here walks the live
-/// sessions and samples the *same* counter cells `stats` reads.
+/// globals), the per-kind request metrics resolved from it, and the
+/// slow-request threshold. The metrics collector registered here walks
+/// the live sessions and samples the *same* counter cells `stats` reads.
 pub struct Registry {
     sessions: Arc<RwLock<HashMap<String, Arc<Session>>>>,
     solve_threads: usize,
     options: MeasureOptions,
     durability: Option<DurabilityConfig>,
     obs: Arc<inconsist_obs::Registry>,
-    ring: Arc<EventRing>,
+    /// `server_requests_total` and `server_request_us` per request kind.
+    kind_metrics: Resolved<(&'static Counter, &'static Histogram)>,
+    /// `server_requests_degraded_total` per degraded outcome.
+    outcome_metrics: Resolved<&'static Counter>,
     /// Slow-request threshold in microseconds; 0 disables the slow log.
     slow_request_us: AtomicU64,
 }
@@ -1193,7 +1253,8 @@ impl Registry {
             options,
             durability,
             obs,
-            ring: Arc::new(EventRing::new(EVENT_RING_CAP)),
+            kind_metrics: RwLock::default(),
+            outcome_metrics: RwLock::default(),
             slow_request_us: AtomicU64::new(0),
         }
     }
@@ -1209,11 +1270,6 @@ impl Registry {
         &self.obs
     }
 
-    /// The recent-request event ring.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-
     /// Sets the slow-request log threshold (0 = off).
     pub fn set_slow_request_ms(&self, ms: u64) {
         self.slow_request_us
@@ -1221,42 +1277,32 @@ impl Registry {
     }
 
     /// Records one handled request: per-kind counter + latency histogram
-    /// in the metric registry, a structured event in the ring, and a
+    /// (and a degraded outcome's counter) in the metric registry, and a
     /// stderr line with the per-stage span breakdown when the request ran
     /// past the slow threshold.
     pub(crate) fn observe_request(
         &self,
-        kind: &str,
+        kind: &'static str,
         session: &str,
         seq: u64,
         latency_us: u64,
-        outcome: &str,
+        outcome: &'static str,
         stages: Vec<(&'static str, u64)>,
     ) {
-        self.obs
-            .counter(&inconsist_obs::labeled(
-                "server_requests_total",
-                &[("kind", kind)],
-            ))
-            .inc();
-        self.obs
-            .histogram(&inconsist_obs::labeled(
-                "server_request_us",
-                &[("kind", kind)],
-            ))
-            .record(latency_us);
+        let named = |metric| labeled(metric, &[("kind", kind)]);
+        let (requests, latency) = resolved(&self.kind_metrics, kind, || {
+            let requests = self.obs.counter(&named("server_requests_total"));
+            (requests, self.obs.histogram(&named("server_request_us")))
+        });
+        requests.inc();
+        latency.record(latency_us);
         if outcome != "ok" {
-            self.obs
-                .counter(&inconsist_obs::labeled(
-                    "server_requests_degraded_total",
-                    &[("outcome", outcome)],
-                ))
-                .inc();
+            let named = || labeled("server_requests_degraded_total", &[("outcome", outcome)]);
+            let degraded = resolved(&self.outcome_metrics, outcome, || {
+                self.obs.counter(&named())
+            });
+            degraded.inc();
         }
-        let stages: Vec<(String, u64)> = stages
-            .into_iter()
-            .map(|(name, us)| (name.to_string(), us))
-            .collect();
         let threshold = self.slow_request_us.load(Ordering::Relaxed);
         if threshold != 0 && latency_us >= threshold {
             let breakdown = stages
@@ -1269,15 +1315,6 @@ impl Registry {
                  latency={latency_us}us outcome={outcome} stages=[{breakdown}]"
             );
         }
-        self.ring.push(Event {
-            index: 0, // the ring assigns the real index
-            kind: kind.to_string(),
-            session: session.to_string(),
-            seq,
-            latency_us,
-            outcome: outcome.to_string(),
-            stages,
-        });
     }
 
     /// Every metric visible from this server: the per-server registry

@@ -30,7 +30,7 @@ use crate::client::{ClientError, TypedClient};
 use crate::durable::{DurabilityConfig, FsyncPolicy};
 use crate::error::ServerError;
 use crate::protocol::Request;
-use crate::session::{push_entries, Registry, Session};
+use crate::session::{push_entries, values_json, Registry, Session};
 use crate::wire::Json;
 use inconsist::incremental::Measure;
 use inconsist::measures::MeasureOptions;
@@ -57,7 +57,7 @@ pub fn measure_all_local(
         let (_, row, _) = session
             .fresh(measures, false, &session.options(), None)?
             .expect("a blocking read always takes the lock");
-        rows.push((session.name().to_string(), Json::Obj(row)));
+        rows.push((session.name().to_string(), values_json(&row.measures)));
     }
     Ok(fold_response(measures, rows, None, detail))
 }

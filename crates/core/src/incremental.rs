@@ -612,7 +612,7 @@ impl IncrementalIndex {
 
     /// Removes every indexed binding that involves `tid`.
     fn detach(&mut self, tid: TupleId) {
-        let Some((_, removal)) = self.graph.remove_incident(tid) else {
+        let Some(removal) = self.graph.remove_incident(tid) else {
             return;
         };
         for c in removal.touched.into_iter().chain(removal.created) {

@@ -259,23 +259,20 @@ impl DynamicConflictGraph {
     }
 
     /// Removes every edge containing `t`, with all its labels, and
-    /// re-settles `t`'s component once. Returns the labels removed (one
-    /// per `(set, label)` pair, unordered) and the component report, or
+    /// re-settles `t`'s component once. Returns the component report, or
     /// `None` when `t` is in no edge.
-    pub fn remove_incident(&mut self, t: TupleId) -> Option<(Vec<usize>, EdgeRemoval)> {
+    pub fn remove_incident(&mut self, t: TupleId) -> Option<EdgeRemoval> {
         let slots = self.nodes.get(&t)?.incident.clone();
-        let mut labels = Vec::new();
         let mut affected = Vec::new();
         for slot in slots {
-            labels.extend(self.free_edge(slot, &mut affected));
+            self.free_edge(slot, &mut affected);
         }
-        Some((labels, self.resettle(affected)))
+        Some(self.resettle(affected))
     }
 
-    /// Detaches the edge in `slot` from its nodes and frees the slot,
-    /// noting its component in `affected`; returns the labels it still
-    /// carried.
-    fn free_edge(&mut self, slot: u32, affected: &mut Vec<CompId>) -> Vec<usize> {
+    /// Detaches the edge in `slot` from its nodes and frees the slot with
+    /// every label it still carried, noting its component in `affected`.
+    fn free_edge(&mut self, slot: u32, affected: &mut Vec<CompId>) {
         let edge = self.edges[slot as usize].take().expect("live edge");
         self.free_slots.push(slot);
         self.edge_ids.remove(&edge.tuples);
@@ -288,7 +285,6 @@ impl DynamicConflictGraph {
             let node = self.nodes.get_mut(t).expect("member exists");
             node.incident.retain(|&e| e != slot);
         }
-        edge.labels
     }
 
     /// Recomputes connectivity inside each `affected` component after
@@ -727,10 +723,10 @@ mod tests {
         g.insert_edge(&[t(0), t(1)], 1).unwrap();
         let comp = g.insert_edge(&[t(1), t(2)], 0).unwrap().comp;
         g.insert_edge(&[t(3), t(4)], 1).unwrap();
-        // Removing the middle tuple dissolves its component.
-        let (mut labels, r) = g.remove_incident(t(1)).unwrap();
-        labels.sort();
-        assert_eq!(labels, vec![0, 0, 1]);
+        assert_eq!(g.label_count(), 4);
+        // Removing the middle tuple dissolves its component and takes all
+        // three of its labels.
+        let r = g.remove_incident(t(1)).unwrap();
         assert_eq!(r.dead, vec![comp]);
         assert_eq!(g.label_count(), 1);
         assert_eq!(g.node_count(), 2);
@@ -738,8 +734,8 @@ mod tests {
         // A tuple whose removal leaves the rest connected keeps the id.
         g.insert_edge(&[t(4), t(5)], 0).unwrap();
         let keep = g.component_of(t(4)).unwrap();
-        let (labels, r) = g.remove_incident(t(3)).unwrap();
-        assert_eq!(labels, vec![1]);
+        let r = g.remove_incident(t(3)).unwrap();
+        assert_eq!(g.label_count(), 1);
         assert_eq!(r.touched, vec![keep]);
         assert!(r.dead.is_empty() && r.created.is_empty());
         g.check_consistency().unwrap();

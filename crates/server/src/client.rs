@@ -276,6 +276,11 @@ impl TypedClient {
         self.inner.request_with_retry(line, &self.retry)
     }
 
+    /// The connected socket (see [`Client::into_stream`]).
+    pub(crate) fn into_stream(self) -> Option<std::net::TcpStream> {
+        self.inner.into_stream()
+    }
+
     /// Negotiates `hello`; remembers and returns the server's answer.
     pub fn hello(&mut self) -> Result<HelloInfo, ClientError> {
         let json = self.call(&Request::Hello {

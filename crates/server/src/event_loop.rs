@@ -23,11 +23,26 @@
 //!
 //! A client may write any number of requests without waiting for
 //! responses. Framed lines queue per connection and execute **serially**:
-//! at most one request per connection is in flight on the pool, and the
-//! next dispatches only when its completion is handed back. That one
-//! invariant yields both response ordering and write ordering (ops apply
-//! in the order sent) without a reorder buffer — the pipelining win is
-//! eliminating network round trips, not intra-connection parallelism.
+//! at most one request per connection is in flight (on the pool, or with
+//! a worker shard), and the next dispatches only when its response is
+//! handed back. That one invariant yields both response ordering and
+//! write ordering (ops apply in the order sent) without a reorder buffer
+//! — the pipelining win is eliminating network round trips, not
+//! intra-connection parallelism.
+//!
+//! ## Coordinator forwards
+//!
+//! On a coordinator a parsed single-session request is forwarded by this
+//! thread ([`InlineForwards`]): its line goes to the owning worker over a
+//! nonblocking worker connection registered in this thread's selector
+//! (tokens from [`UPSTREAM_TOKEN_BASE`] up), and the worker's reply line
+//! is appended to the client's out-buffer when that connection turns
+//! readable. The thread never opens such a connection: a pool job that
+//! forwarded for it hands one back with its [`Completion`]. What cannot be
+//! sent at once, or fails upstream, goes to the pool (see the coordinator
+//! module docs); `create`, `drop`, `sessions`, `measure_all`, `join`,
+//! `shards` and long lines always do. A server that is not a coordinator
+//! has no worker connections and does nothing of this.
 //!
 //! ## Admission and backpressure
 //!
@@ -43,16 +58,17 @@
 //!   tried inline ([`respond_cached`]): when its session's caches are
 //!   warm, the lock is free and an admission slot is too, the shared rung
 //!   answers it here and the pool round trip is skipped. Otherwise —
-//!   `I_MC`, a large `k`, a coordinator, a held lock, a cold cache, or
+//!   `I_MC`, a large `k`, a held lock, a cold cache, or
 //!   [`INLINE_READS_PER_PUMP`] reads of the same queue already answered
 //!   here — it goes to the pool as any other work, and the attempt
-//!   counted nothing.
+//!   counted nothing. A coordinator forwards it instead (above).
 //! * A connection stops being read once `max_pipeline` requests queue or
 //!   its write buffer backs up past `write_buffer_bytes`; TCP then
 //!   pushes the backpressure to the sender.
 //! * A peer that stops reading trips `write_timeout_ms` and is dropped
 //!   (`slow_client_drops`), without stalling any other connection.
 
+use crate::coordinator::{InlineForwards, Landed, UPSTREAM_TOKEN_BASE};
 use crate::pool::WorkerPool;
 use crate::router::{classify, respond, respond_cached, Class, Control, Work};
 use crate::wire::LineFramer;
@@ -79,7 +95,7 @@ const INLINE_PARSE_MAX: usize = 512;
 /// Per-connection bytes read per readiness wakeup; bounds how long one
 /// firehose peer can monopolize the event thread (level-triggered
 /// readiness re-reports whatever is left).
-const READ_BUDGET: usize = 256 * 1024;
+pub(crate) const READ_BUDGET: usize = 256 * 1024;
 
 /// Warm reads one [`EventThread::pump`] call answers inline before it
 /// sends the rest of the connection's queue to the pool as usual: a deep
@@ -93,6 +109,9 @@ pub(crate) struct Completion {
     token: usize,
     response: String,
     control: Control,
+    /// A coordinator's worker connection handed over with the response:
+    /// its shard index and socket (see [`InlineForwards::adopt`]).
+    upstream: Option<(usize, TcpStream)>,
 }
 
 /// A sibling event thread, as seen by the accept path: where to send an
@@ -165,6 +184,8 @@ pub(crate) struct EventThread {
     /// included; the accept path adopts directly instead of sending).
     pub peers: Vec<Peer>,
     pub index: usize,
+    /// A coordinator's inline forwards; `None` on any other server.
+    pub forwards: Option<InlineForwards>,
 }
 
 /// Builds the channel pair an [`EventThread`] drains completions from.
@@ -202,6 +223,7 @@ impl EventThread {
                 match token {
                     WAKER_TOKEN => self.waker.drain(),
                     LISTENER_TOKEN => self.accept_ready(&mut conns, &mut next_token, &mut rr),
+                    Token(t) if t >= UPSTREAM_TOKEN_BASE => self.upstream_ready(&mut conns, t),
                     Token(t) => {
                         if readable {
                             self.conn_readable(&mut conns, t);
@@ -404,91 +426,131 @@ impl EventThread {
     }
 
     /// Serial dispatch: runs inline requests back-to-back (at most
-    /// [`INLINE_READS_PER_PUMP`] warm reads), hands at most one pooled
-    /// request per connection to the workers, sheds work when the pool
-    /// backlog is at the queue limit.
+    /// [`INLINE_READS_PER_PUMP`] warm reads), then hands at most one
+    /// request per connection to the workers (or, on a coordinator, to a
+    /// worker shard), shedding work when the pool backlog is at the queue
+    /// limit.
     fn pump(&mut self, conn: &mut Conn, token: usize) {
         let mut inline_reads = 0;
         while !conn.inflight && !conn.closing && !conn.dead {
             let Some(line) = conn.pending.pop_front() else {
                 return;
             };
-            let work = if line.len() <= INLINE_PARSE_MAX {
-                match parse_request(&line) {
-                    // Parse errors answer inline: no session is touched.
-                    Err(_) => {
-                        let (response, control) = self.respond_here(Work::Raw(line));
-                        self.finish_inline(conn, response, control);
-                        continue;
-                    }
-                    Ok(request) => match classify(&request, self.shared.coordinator.is_some()) {
-                        Class::Inline => {
-                            let (response, control) = self.respond_here(Work::Parsed(request));
-                            self.finish_inline(conn, response, control);
-                            continue;
-                        }
-                        Class::NeverShed => Work::Parsed(request),
-                        Class::Work => {
-                            if self.shed_now() {
-                                self.shed(conn);
-                                continue;
-                            }
-                            if inline_reads < INLINE_READS_PER_PUMP {
-                                if let Some(response) = respond_cached(
-                                    &self.shared.registry,
-                                    &self.shared.counters,
-                                    &self.shared.admission,
-                                    self.shared.coordinator.is_some(),
-                                    &request,
-                                ) {
-                                    inline_reads += 1;
-                                    enqueue(conn, &response);
-                                    continue;
-                                }
-                            }
-                            Work::Parsed(request)
-                        }
-                    },
-                }
-            } else {
+            if line.len() > INLINE_PARSE_MAX {
                 // Long lines carry payloads (create/op): parse on the
                 // pool, and they are always sheddable work.
                 if self.shed_now() {
                     self.shed(conn);
                     continue;
                 }
-                Work::Raw(line)
+                self.to_pool(conn, token, Work::Raw(line), None);
+                return;
+            }
+            let request = match parse_request(&line) {
+                Ok(request) => request,
+                // Parse errors answer inline: no session is touched.
+                Err(_) => {
+                    let (response, control) = self.respond_here(Work::Raw(line));
+                    self.finish_inline(conn, response, control);
+                    continue;
+                }
             };
-            let shared = Arc::clone(&self.shared);
-            let tx = self.completions_tx.clone();
-            let waker = Arc::clone(&self.waker);
-            conn.inflight = true;
-            let dispatched = self.pool.execute(move || {
-                let (response, control) = respond(
-                    &shared.registry,
-                    &shared.counters,
-                    &shared.admission,
-                    shared.coordinator.as_deref(),
-                    work,
-                );
-                // The event thread may have dropped the connection (or be
-                // gone entirely, late in shutdown); either way the send
-                // failing is fine.
-                let _ = tx.send(Completion {
-                    token,
-                    response,
-                    control,
-                });
-                waker.wake();
-            });
-            if !dispatched {
-                // Pool already closed (shutdown race): nothing will call
-                // back, so don't wait for it.
-                conn.inflight = false;
-                conn.closing = true;
+            match classify(&request, self.shared.coordinator.is_some()) {
+                Class::Inline => {
+                    let (response, control) = self.respond_here(Work::Parsed(request));
+                    self.finish_inline(conn, response, control);
+                    continue;
+                }
+                Class::NeverShed => {}
+                Class::Work => {
+                    if self.shed_now() {
+                        self.shed(conn);
+                        continue;
+                    }
+                    if inline_reads < INLINE_READS_PER_PUMP && self.forwards.is_none() {
+                        if let Some(response) = respond_cached(
+                            &self.shared.registry,
+                            &self.shared.counters,
+                            &self.shared.admission,
+                            &request,
+                        ) {
+                            inline_reads += 1;
+                            enqueue(conn, &response);
+                            continue;
+                        }
+                    }
+                }
+            }
+            let Some(forwards) = self.forwards.as_mut() else {
+                self.to_pool(conn, token, Work::Parsed(request), None);
+                return;
+            };
+            match forwards.send(&self.shared, &self.poll, token, &line, request) {
+                Ok(()) => conn.inflight = true,
+                Err((request, lend)) => self.to_pool(conn, token, Work::Parsed(request), lend),
             }
             return;
         }
+    }
+
+    /// Hands connection `token`'s request to the worker pool; the
+    /// response comes back as a [`Completion`]. With `lend`, the job also
+    /// brings back one of that shard's pool connections for this
+    /// thread's inline forwards.
+    fn to_pool(&self, conn: &mut Conn, token: usize, work: Work, lend: Option<usize>) {
+        let shared = Arc::clone(&self.shared);
+        let tx = self.completions_tx.clone();
+        let waker = Arc::clone(&self.waker);
+        conn.inflight = true;
+        let dispatched = self.pool.execute(move || {
+            let (response, control) = respond(
+                &shared.registry,
+                &shared.counters,
+                &shared.admission,
+                shared.coordinator.as_deref(),
+                work,
+            );
+            let upstream =
+                lend.and_then(|idx| Some((idx, shared.coordinator.as_ref()?.lend(idx)?)));
+            // The event thread may have dropped the connection (or be
+            // gone entirely, late in shutdown); either way the send
+            // failing is fine.
+            let _ = tx.send(Completion {
+                token,
+                response,
+                control,
+                upstream,
+            });
+            waker.wake();
+        });
+        if !dispatched {
+            // Pool already closed (shutdown race): nothing will call
+            // back, so don't wait for it.
+            conn.inflight = false;
+            conn.closing = true;
+        }
+    }
+
+    /// A coordinator's worker connection `token` turned readable: a
+    /// finished forward's reply goes out to its client, and a failed one
+    /// goes to the pool.
+    fn upstream_ready(&mut self, conns: &mut HashMap<usize, Conn>, token: usize) {
+        let Some(forwards) = self.forwards.as_mut() else {
+            return;
+        };
+        let Some((client, landed)) = forwards.readable(&self.shared, &self.poll, token) else {
+            return;
+        };
+        // A client that went away meanwhile gets nothing, as on the pool.
+        let Some(conn) = conns.get_mut(&client) else {
+            return;
+        };
+        conn.inflight = false;
+        match landed {
+            Landed::Reply(reply) => conn.out.extend_from_slice(&reply),
+            Landed::Fallback(request) => self.to_pool(conn, client, Work::Parsed(request), None),
+        }
+        self.after(conns, client);
     }
 
     /// Is the pool backlog at the queue limit?
@@ -555,7 +617,11 @@ impl EventThread {
                 token,
                 response,
                 control,
+                upstream,
             } = completion;
+            if let (Some(forwards), Some((idx, stream))) = (self.forwards.as_mut(), upstream) {
+                forwards.adopt(&self.poll, idx, stream);
+            }
             // The connection may have been dropped (slow client, error)
             // while its request ran; the completion is then discarded.
             if let Some(conn) = conns.get_mut(&token) {

@@ -366,6 +366,10 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
             listener: listener.take(),
             peers,
             index,
+            forwards: shared
+                .coordinator
+                .as_ref()
+                .map(|c| coordinator::InlineForwards::new(Arc::clone(c), &shared.registry)),
         };
         event_handles.push(
             std::thread::Builder::new()
@@ -510,6 +514,14 @@ impl Client {
         Ok(())
     }
 
+    /// The connected socket, for a caller that takes the connection
+    /// over: `None` when unconnected or when unread reply bytes are
+    /// buffered.
+    pub(crate) fn into_stream(self) -> Option<TcpStream> {
+        let (reader, writer) = self.conn?;
+        reader.buffer().is_empty().then_some(writer)
+    }
+
     /// Sends one request line and reads one response line.
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
         self.ensure_connected()?;
@@ -584,13 +596,18 @@ impl Client {
     }
 }
 
+/// The prefix every `overloaded` response starts with:
+/// [`ServerError::to_json`] writes `ok` and `kind` first.
+pub(crate) const OVERLOADED_PREFIX: &str = "{\"ok\":false,\"kind\":\"overloaded\"";
+
 /// Extracts `retry_after_ms` from an `overloaded` response, or `None`
-/// when the response is anything else.
+/// when the response is anything else. Only a line with the
+/// [`OVERLOADED_PREFIX`] is parsed, so a success costs no parse here.
 fn overloaded_hint(response: &str) -> Option<u64> {
-    let json = Json::parse(response).ok()?;
-    if json.get("kind").and_then(Json::as_str) != Some("overloaded") {
+    if !response.starts_with(OVERLOADED_PREFIX) {
         return None;
     }
+    let json = Json::parse(response).ok()?;
     Some(
         json.get("retry_after_ms")
             .and_then(Json::as_f64)
@@ -646,6 +663,23 @@ mod tests {
         // The listener is gone: a fresh server can bind the same port.
         let rebind = TcpListener::bind(addr);
         assert!(rebind.is_ok(), "port still held after shutdown");
+    }
+
+    #[test]
+    fn overloaded_responses_start_with_the_checked_prefix() {
+        let response = ServerError::Overloaded {
+            what: "busy".to_string(),
+            retry_after_ms: 7,
+        }
+        .to_json()
+        .to_string();
+        assert!(response.starts_with(OVERLOADED_PREFIX), "{response}");
+        assert_eq!(overloaded_hint(&response), Some(7));
+        let unavailable = ServerError::Unavailable {
+            what: "down".to_string(),
+            retry_after_ms: 7,
+        };
+        assert_eq!(overloaded_hint(&unavailable.to_json().to_string()), None);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::session::{Registry, Session};
 use crate::wire::Json;
 use inconsist::incremental::{Measure, ReadMode};
 use inconsist_obs::{Counter, Gauge, Sample, Value};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What the connection loop should do after writing the response.
@@ -120,6 +121,15 @@ impl Admission {
             .ok()
             .map(|_| AdmissionGuard(&self.inflight))
     }
+
+    /// [`try_acquire`](Self::try_acquire) for a slot held across
+    /// event-loop turns (an inline forward waiting for its worker).
+    pub(crate) fn try_acquire_owned(self: &Arc<Self>) -> Option<OwnedSlot> {
+        self.inflight
+            .try_inc_below(self.max_inflight)
+            .ok()
+            .map(|_| OwnedSlot(Arc::clone(self)))
+    }
 }
 
 /// RAII release of one global admission slot.
@@ -128,6 +138,15 @@ struct AdmissionGuard<'a>(&'a Gauge);
 impl Drop for AdmissionGuard<'_> {
     fn drop(&mut self) {
         self.0.dec();
+    }
+}
+
+/// An admission slot that owns its [`Admission`], released on drop.
+pub(crate) struct OwnedSlot(Arc<Admission>);
+
+impl Drop for OwnedSlot {
+    fn drop(&mut self) {
+        self.0.inflight.dec();
     }
 }
 
@@ -284,23 +303,19 @@ const INLINE_TOP_K_MAX: usize = 16;
 
 /// Answers a warm `measure` / `tuple_measures` read on the calling (event)
 /// thread without waiting: the session's shared rung under `try_read`,
-/// holding both admission slots as the pool path does. `None` — a
-/// coordinator's request, `I_MC` (its cache-only read rescans the
-/// database), a top-`k` past [`INLINE_TOP_K_MAX`], an unknown session, no
-/// free admission slot, a held lock or a cold cache — leaves every
-/// counter untouched, and the caller dispatches the request as usual. An
-/// answer is counted once, like a pooled one, and in
-/// [`ServerCounters::inline_reads`].
+/// holding both admission slots as the pool path does. `None` — `I_MC`
+/// (its cache-only read rescans the database), a top-`k` past
+/// [`INLINE_TOP_K_MAX`], an unknown session, no free admission slot, a
+/// held lock or a cold cache — leaves every counter untouched, and the
+/// caller dispatches the request as usual. An answer is counted once,
+/// like a pooled one, and in [`ServerCounters::inline_reads`]. Reads
+/// against the local registry only: a coordinator forwards instead.
 pub(crate) fn respond_cached(
     registry: &Registry,
     counters: &ServerCounters,
     admission: &Admission,
-    coordinator_mode: bool,
     request: &Request,
 ) -> Option<String> {
-    if coordinator_mode {
-        return None;
-    }
     let kind = request.kind();
     match request {
         Request::Measure {
@@ -374,7 +389,7 @@ impl Observation {
         registry.observe_request(
             kind,
             session,
-            response_seq(result),
+            || response_seq(result),
             latency_us,
             outcome_tag(result),
             stages,
@@ -388,23 +403,23 @@ impl Observation {
     }
 }
 
+/// The degraded tags a response can carry, in the order
+/// [`outcome_tag`] tests them, each with the member that sets it.
+const DEGRADED: [(&str, &str); 3] = [
+    ("deduped", "\"deduped\":true"),
+    ("stale", "\"stale\":true"),
+    ("partial", "\"partial\":true"),
+];
+
 /// The outcome tag of a handled request: `ok`, a degraded
 /// tag the response carries (`deduped` / `stale` / `partial`), `shed`
 /// for an admission refusal, or the error kind.
 fn outcome_tag(result: &Result<Json, ServerError>) -> &'static str {
     match result {
-        Ok(json) => {
-            for tag in ["deduped", "stale", "partial"] {
-                if json.get(tag).and_then(Json::as_bool) == Some(true) {
-                    return match tag {
-                        "deduped" => "deduped",
-                        "stale" => "stale",
-                        _ => "partial",
-                    };
-                }
-            }
-            "ok"
-        }
+        Ok(json) => DEGRADED
+            .iter()
+            .find(|(tag, _)| json.get(tag).and_then(Json::as_bool) == Some(true))
+            .map_or("ok", |&(tag, _)| tag),
         Err(e) => match e.kind() {
             "overloaded" => "shed",
             kind => kind,
@@ -412,10 +427,30 @@ fn outcome_tag(result: &Result<Json, ServerError>) -> &'static str {
     }
 }
 
+/// [`outcome_tag`] of a worker's reply line that a coordinator passes
+/// through unparsed: a forwarded reply is an `Ok` whatever it says, so
+/// only its degraded tags count. JSON escapes every quote inside a
+/// string, so a tag's member text can only be a member.
+pub(crate) fn reply_outcome(reply: &str) -> &'static str {
+    DEGRADED
+        .iter()
+        .find(|(_, member)| reply.contains(member))
+        .map_or("ok", |&(tag, _)| tag)
+}
+
+/// [`response_seq`] of a worker's reply line, parsed only when a
+/// slow-request line needs it.
+pub(crate) fn reply_seq(reply: &str) -> u64 {
+    Json::parse(reply).map_or(0, |json| json_seq(&json))
+}
+
 /// Best-effort sequence number for the slow-request log: a top-level `seq`
 /// (snapshot/compact) or the last applied op's.
 fn response_seq(result: &Result<Json, ServerError>) -> u64 {
-    let Ok(json) = result else { return 0 };
+    result.as_ref().map_or(0, json_seq)
+}
+
+fn json_seq(json: &Json) -> u64 {
     if let Some(seq) = json.get("seq").and_then(Json::as_f64) {
         return seq as u64;
     }
@@ -882,6 +917,26 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!(served >= 9.0, "{served}");
+    }
+
+    #[test]
+    fn reply_outcome_agrees_with_the_parsed_outcome() {
+        for reply in [
+            "{\"ok\":true,\"session\":\"s\",\"values\":{\"I_MI\":1}}",
+            "{\"ok\":true,\"applied\":1,\"deduped\":true}",
+            "{\"ok\":true,\"stale\":true,\"partial\":true}",
+            "{\"ok\":true,\"partial\":true}",
+            "{\"ok\":true,\"stale\":false}",
+            "{\"ok\":true,\"session\":\"\\\"stale\\\":true\"}",
+            "{\"ok\":false,\"kind\":\"unknown_session\",\"error\":\"x\"}",
+        ] {
+            let parsed = Json::parse(reply).expect(reply);
+            assert_eq!(reply_outcome(reply), outcome_tag(&Ok(parsed)), "{reply}");
+        }
+        assert_eq!(
+            reply_seq("{\"ok\":true,\"ops\":[{\"seq\":4},{\"seq\":5}]}"),
+            5
+        );
     }
 
     #[test]

@@ -1284,7 +1284,7 @@ impl Registry {
         &self,
         kind: &'static str,
         session: &str,
-        seq: u64,
+        seq: impl FnOnce() -> u64,
         latency_us: u64,
         outcome: &'static str,
         stages: Vec<(&'static str, u64)>,
@@ -1310,6 +1310,7 @@ impl Registry {
                 .map(|(name, us)| format!("{name}={us}us"))
                 .collect::<Vec<_>>()
                 .join(" ");
+            let seq = seq();
             eprintln!(
                 "slow-request: kind={kind} session={session} seq={seq} \
                  latency={latency_us}us outcome={outcome} stages=[{breakdown}]"

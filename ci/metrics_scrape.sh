@@ -9,7 +9,7 @@
 # high-water marks are monotone across the two scrapes.
 #
 # The scrapes land in target/ as metrics_scrape_{1,2}.txt so CI can
-# upload them next to the bench_*.json summaries.
+# upload them next to the shard matrix's scrapes.
 #
 # Usage: ci/metrics_scrape.sh [path-to-inconsist-binary] [path-to-metrics_check]
 set -euo pipefail

@@ -5,11 +5,11 @@
 #   A. spawn-and-supervise — `serve --coordinator --shards 2 --data-dir`
 #      spawns two durable workers as child processes. A mixed workload
 #      (create / tokened ops with a replay / measure / measure_all /
-#      top-k) runs through the coordinator, one worker is SIGKILLed,
-#      and the supervisor must respawn it on the same port with its
-#      sessions recovered: every measure must come back **bit-identical**
-#      to the pre-kill baseline, and an idempotency-token replay must
-#      still dedup.
+#      top-k) runs through the coordinator, the worker that owns
+#      `alpha` is SIGKILLed, and the supervisor must respawn it on the
+#      same port with its sessions recovered: every measure must come
+#      back **bit-identical** to the pre-kill baseline, and an
+#      idempotency-token replay must still dedup.
 #
 #   B. externally managed workers — two workers started by this script,
 #      a coordinator pointed at them with `--shard-addr`. SIGKILLing a
@@ -173,18 +173,24 @@ snapshot_baseline "$COORD"
 
 mapfile -t WPIDS < <(pgrep -P $COORD_PID)
 [ "${#WPIDS[@]}" = 2 ] || { echo "expected 2 spawned workers, found ${#WPIDS[@]}"; exit 1; }
-echo "SIGKILL spawned worker pid ${WPIDS[0]}"
-kill -9 "${WPIDS[0]}"
+# Kill the worker that owns `alpha` (its shard data dir holds the
+# session), so the token replay below crosses that worker's restart.
+ALPHA_SHARD=$(dirname "$(ls -d "$WORK"/state_a/shard-*/alpha)")
+VICTIM=$(pgrep -P $COORD_PID -f -- "--data-dir $ALPHA_SHARD( |\$)")
+[ -n "$VICTIM" ] || { echo "no spawned worker serves $ALPHA_SHARD"; exit 1; }
+echo "SIGKILL spawned worker pid $VICTIM (owns alpha, $ALPHA_SHARD)"
+kill -9 "$VICTIM"
 
 assert_recovered_bit_identical "$COORD" "phase A respawn"
 
 mapfile -t WPIDS_AFTER < <(pgrep -P $COORD_PID)
 [ "${#WPIDS_AFTER[@]}" = 2 ] || { echo "FAIL: supervisor did not respawn (${#WPIDS_AFTER[@]} workers)"; exit 1; }
-[ "${WPIDS_AFTER[0]}" != "${WPIDS[0]}" ] && [ "${WPIDS_AFTER[1]}" != "${WPIDS[0]}" ] \
+[ "${WPIDS_AFTER[0]}" != "$VICTIM" ] && [ "${WPIDS_AFTER[1]}" != "$VICTIM" ] \
     || { echo "FAIL: killed pid still in the fleet"; exit 1; }
 
-# A token minted before the kill and replayed after the respawn must
-# still be recognised (the dedup state survives via the WAL).
+# A token `alpha` applied before the kill and replayed after the
+# respawn must still be recognised (the dedup state survives via the
+# WAL).
 "$BIN" client "$COORD" \
     '{"cmd":"op","session":"alpha","ops":"update 1 Pop 9","token":"ci-shard-a-a"}' \
     | grep -q '"deduped":true' || { echo "FAIL: token replay after respawn re-applied"; exit 1; }

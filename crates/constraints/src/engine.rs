@@ -1072,9 +1072,9 @@ fn enumerate_fixed(
 /// The historical value-keyed engine, retained verbatim as the correctness
 /// reference for the code-keyed joins above: hash joins key on freshly
 /// materialized `Vec<Value>`s and every comparison runs on values. Debug
-/// builds cross-check [`minimal_inconsistent_subsets`] against this path;
-/// `bench_violations` compares the two to quantify the encoding win. Not
-/// for production use.
+/// builds cross-check [`minimal_inconsistent_subsets`] against this path,
+/// and `tests/property_based.rs` compares the two on random instances.
+/// Not for production use.
 pub mod value_keyed {
     use super::*;
 

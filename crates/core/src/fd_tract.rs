@@ -12,9 +12,8 @@
 //! optimal deletion repair keeps, within every `X`-block, exactly the
 //! heaviest `Y`-agreement class and deletes the rest —
 //! `O(n)` with hashing instead of the `O(n²)` conflict self-join followed
-//! by an (exponential in the worst case) vertex-cover search. The
-//! `bench_solvers` ablation quantifies the gap; the tests pin the result
-//! to the exact solver.
+//! by an (exponential in the worst case) vertex-cover search. The tests
+//! pin the result to the exact solver.
 //!
 //! The full dichotomy of \[42\] (which FD sets admit polynomial optimal
 //! subset repairs, e.g. via LHS-marriage simplification) is broader than

@@ -128,11 +128,11 @@
 //! [`Database::insert`]/[`Database::delete`]/[`Database::update`] and keeps
 //! the dictionary-encoded columnar mirrors in sync as a side effect; the
 //! pinned re-probes after insert/update run on the same code-keyed joins
-//! as the full scan. The [`bench_incremental`
-//! ablation](../../../bench/benches/bench_incremental.rs) quantifies the
-//! win; the unit and property tests pin the maintained values to the
-//! from-scratch engine on random operation sequences, including sequences
-//! that force component merges and splits.
+//! as the full scan. The unit and property tests pin the maintained values
+//! to the from-scratch engine on random operation sequences, including
+//! sequences that force component merges and splits, and
+//! `crates/core/tests/incremental_work_counters.rs` pins the work one write
+//! costs.
 
 use crate::measures::{
     InconsistencyMeasure, MaximalConsistentSubsets, MeasureError, MeasureOptions, MeasureResult,

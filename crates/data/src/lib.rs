@@ -11,7 +11,8 @@
 //! * [`mod@sample`] — tuple sampling used throughout §6.2;
 //! * [`scenario`] — the scale-scenario suite: a deterministic TPC-H-style
 //!   `orders`/`lineitem` generator and a ground-truth violation injector
-//!   driving the `bench_scale` grid (scale factor × ratio × DC-set × seed).
+//!   (scale factor × ratio × DC-set × seed), behind `tests/scenario_suite.rs`
+//!   and the `read_hot` benchmark workload.
 
 #![warn(missing_docs)]
 

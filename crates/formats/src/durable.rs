@@ -52,9 +52,13 @@
 //!
 //! ```text
 //! <fnv64-hex> <seq> <op line>
+//! <fnv64-hex> <seq>@<token-hex> <op line>
 //! ```
 //!
-//! The checksum covers `"<seq> <op line>"`. A crash can only tear the
+//! The second form is a record of a batch that carried an idempotency
+//! token: every record of the batch carries the token's bytes in
+//! lowercase hex, so recovery can re-register it. The checksum covers
+//! everything after it, token included. A crash can only tear the
 //! *final* record (appends are sequential), so [`parse_log`] drops a
 //! trailing line that is incomplete (no `\n`) or fails its checksum and
 //! reports the prefix length to truncate to; the same damage anywhere
@@ -318,17 +322,36 @@ pub fn parse_snapshot(text: &str) -> Result<Snapshot, String> {
     })
 }
 
+/// One op-log record.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LogRecord {
+    /// The op's sequence number.
+    pub seq: u64,
+    /// The idempotency token of the batch the op belongs to, if any.
+    pub token: Option<String>,
+    /// The op line.
+    pub op: String,
+}
+
 /// Encodes one op-log record (including the trailing newline).
-pub fn encode_log_record(seq: u64, op_line: &str) -> String {
-    let payload = format!("{seq} {op_line}");
+pub fn encode_log_record(seq: u64, token: Option<&str>, op_line: &str) -> String {
+    let mut payload = seq.to_string();
+    if let Some(token) = token {
+        payload.push('@');
+        for b in token.bytes() {
+            payload.push_str(&format!("{b:02x}"));
+        }
+    }
+    payload.push(' ');
+    payload.push_str(op_line);
     format!("{:016x} {payload}\n", fnv64(payload.as_bytes()))
 }
 
 /// The result of scanning an op log.
 #[derive(Debug)]
 pub struct LogScan {
-    /// The intact records, in file order: `(seq, op line)`.
-    pub records: Vec<(u64, String)>,
+    /// The intact records, in file order.
+    pub records: Vec<LogRecord>,
     /// Byte length of the valid prefix — the length to truncate the file
     /// to before appending again when a torn tail was dropped.
     pub valid_len: usize,
@@ -336,7 +359,7 @@ pub struct LogScan {
     pub torn: Option<String>,
 }
 
-fn decode_record(line: &str) -> Result<(u64, String), String> {
+fn decode_record(line: &str) -> Result<LogRecord, String> {
     let (sum_hex, payload) = line
         .split_once(' ')
         .ok_or("expected `<checksum> <seq> <op>`")?;
@@ -344,13 +367,35 @@ fn decode_record(line: &str) -> Result<(u64, String), String> {
     if fnv64(payload.as_bytes()) != sum {
         return Err("checksum mismatch".into());
     }
-    let (seq_str, op) = payload
+    let (head, op) = payload
         .split_once(' ')
         .ok_or("record has no op after the sequence number")?;
+    let (seq_str, token_hex) = match head.split_once('@') {
+        Some((seq, hex)) => (seq, Some(hex)),
+        None => (head, None),
+    };
     let seq = seq_str
         .parse::<u64>()
         .map_err(|_| "bad sequence number".to_string())?;
-    Ok((seq, op.to_string()))
+    let token = token_hex
+        .map(|hex| {
+            let bytes = (0..hex.len())
+                .step_by(2)
+                .map(|i| {
+                    hex.get(i..i + 2)
+                        .and_then(|b| u8::from_str_radix(b, 16).ok())
+                })
+                .collect::<Option<Vec<u8>>>();
+            bytes
+                .and_then(|b| String::from_utf8(b).ok())
+                .ok_or_else(|| "bad token field".to_string())
+        })
+        .transpose()?;
+    Ok(LogRecord {
+        seq,
+        token,
+        op: op.to_string(),
+    })
 }
 
 /// Scans an op log. A damaged or incomplete *final* line is the torn
@@ -379,7 +424,8 @@ pub fn parse_log(bytes: &[u8]) -> Result<LogScan, String> {
             Err("no trailing newline".into())
         };
         match verdict {
-            Ok((seq, op)) => {
+            Ok(record) => {
+                let seq = record.seq;
                 if seq <= last_seq {
                     return Err(format!(
                         "oplog line {lineno} `{line}`: sequence number {seq} is not \
@@ -387,7 +433,7 @@ pub fn parse_log(bytes: &[u8]) -> Result<LogScan, String> {
                     ));
                 }
                 last_seq = seq;
-                records.push((seq, op));
+                records.push(record);
                 valid_len = pos + line_len;
             }
             Err(msg) if is_last => {
@@ -516,24 +562,29 @@ mod tests {
     #[test]
     fn log_records_round_trip_and_detect_torn_tails() {
         let mut log = String::new();
-        log.push_str(&encode_log_record(1, "update 0 B 9"));
-        log.push_str(&encode_log_record(2, "delete 3"));
-        log.push_str(&encode_log_record(3, "insert a,b"));
+        log.push_str(&encode_log_record(1, None, "update 0 B 9"));
+        log.push_str(&encode_log_record(2, Some("tok 1"), "delete 3"));
+        log.push_str(&encode_log_record(3, None, "insert a,b"));
         let scan = parse_log(log.as_bytes()).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.valid_len, log.len());
+        let record = |seq, token: Option<&str>, op: &str| LogRecord {
+            seq,
+            token: token.map(str::to_string),
+            op: op.to_string(),
+        };
         assert_eq!(
             scan.records,
             vec![
-                (1, "update 0 B 9".to_string()),
-                (2, "delete 3".to_string()),
-                (3, "insert a,b".to_string()),
+                record(1, None, "update 0 B 9"),
+                record(2, Some("tok 1"), "delete 3"),
+                record(3, None, "insert a,b"),
             ]
         );
         // Every proper prefix cut inside the last record drops exactly
         // that record and reports the truncation point.
-        let two =
-            encode_log_record(1, "update 0 B 9").len() + encode_log_record(2, "delete 3").len();
+        let two = encode_log_record(1, None, "update 0 B 9").len()
+            + encode_log_record(2, Some("tok 1"), "delete 3").len();
         for cut in two + 1..log.len() {
             let scan = parse_log(&log.as_bytes()[..cut]).unwrap();
             assert_eq!(scan.records.len(), 2, "cut={cut}");
@@ -546,15 +597,15 @@ mod tests {
     #[test]
     fn log_corruption_before_the_tail_is_an_error() {
         let mut log = String::new();
-        log.push_str(&encode_log_record(1, "delete 0"));
+        log.push_str(&encode_log_record(1, None, "delete 0"));
         log.push_str("deadbeef corrupted record\n");
-        log.push_str(&encode_log_record(2, "delete 1"));
+        log.push_str(&encode_log_record(2, None, "delete 1"));
         let err = parse_log(log.as_bytes()).unwrap_err();
         assert!(err.contains("oplog line 2"), "{err}");
         assert!(err.contains("corrupted record"), "{err}");
         // Non-increasing sequence numbers are corruption too.
-        let mut log = encode_log_record(5, "delete 0");
-        log.push_str(&encode_log_record(5, "delete 1"));
+        let mut log = encode_log_record(5, None, "delete 0");
+        log.push_str(&encode_log_record(5, None, "delete 1"));
         let err = parse_log(log.as_bytes()).unwrap_err();
         assert!(err.contains("not"), "{err}");
         // An empty log is a valid empty scan.
@@ -570,9 +621,9 @@ mod tests {
         let ops = parse_ops_file(rs, loaded.rel, script).unwrap();
         for (i, op) in ops.iter().enumerate() {
             let line = op_to_line(op, rs);
-            let record = encode_log_record(i as u64 + 1, &line);
+            let record = encode_log_record(i as u64 + 1, None, &line);
             let scan = parse_log(record.as_bytes()).unwrap();
-            let reparsed = parse_ops_file(rs, loaded.rel, &scan.records[0].1).unwrap();
+            let reparsed = parse_ops_file(rs, loaded.rel, &scan.records[0].op).unwrap();
             assert_eq!(reparsed.len(), 1);
             assert_eq!(&reparsed[0], op, "line `{line}`");
         }

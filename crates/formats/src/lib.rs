@@ -27,5 +27,5 @@ pub mod opsfile;
 
 pub use csv::{load_csv, parse_csv, write_csv, LoadedCsv};
 pub use dcfile::{parse_dc_file, write_dc_file};
-pub use durable::{encode_log_record, parse_log, parse_snapshot, write_snapshot};
+pub use durable::{encode_log_record, parse_log, parse_snapshot, write_snapshot, LogRecord};
 pub use opsfile::{display_op, op_to_line, parse_ops_file};

@@ -723,7 +723,7 @@ mod tests {
 
     #[test]
     fn histogram_quantile_within_one_bucket_of_exact() {
-        // The contract bench_server relies on: the histogram quantile
+        // The contract latency reports rely on: the histogram quantile
         // lands in the same log2 bucket as the exact sorted quantile.
         let mut samples: Vec<u64> = (0..500).map(|i| (i * 7919 + 13) % 10_000).collect();
         let h = Histogram::new();

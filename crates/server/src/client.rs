@@ -208,18 +208,25 @@ impl ClientBuilder {
 
     /// Connects (and, unless disabled, negotiates `hello`).
     pub fn connect(self) -> Result<TypedClient, ClientError> {
-        let inner = Client::connect(&self.addr)?;
-        let mut client = TypedClient {
-            inner,
+        let handshake = self.handshake;
+        let mut client = self.unconnected();
+        client.inner.ensure_connected()?;
+        if handshake {
+            client.hello()?;
+        }
+        Ok(client)
+    }
+
+    /// A client that connects on its first request, under the retry
+    /// policy like any other I/O failure, and skips the handshake.
+    pub(crate) fn unconnected(self) -> TypedClient {
+        TypedClient {
+            inner: Client::unconnected(self.addr),
             retry: self.retry,
             default_deadline_ms: self.default_deadline_ms,
             proto_version: self.proto_version,
             negotiated: None,
-        };
-        if self.handshake {
-            client.hello()?;
         }
-        Ok(client)
     }
 }
 

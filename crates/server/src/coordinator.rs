@@ -13,15 +13,15 @@
 //! A short single-session request (`measure`, `tuple_measures`, `op`,
 //! `set_options`, `snapshot`, `compact`, `fetch_wal`, `fetch_snapshot`,
 //! session `stats`) is forwarded by the event thread that parsed it
-//! ([`InlineForwards`]): the client's own line (an untokened `op`
+//! (`InlineForwards`): the client's own line (an untokened `op`
 //! re-serialised with a minted token) goes out over one of the thread's
 //! nonblocking worker connections, and the worker's reply line is
 //! appended to the client's out-buffer verbatim — no worker-pool hand-off
 //! and no parse or re-serialisation of the reply. Each such connection
-//! carries one request at a time; a thread holds at most [`POOL_CAP`] per
+//! carries one request at a time; a thread holds at most `POOL_CAP` per
 //! shard, and only connections the pool path opened and handed over.
 //!
-//! Everything else runs on the worker pool through [`Coordinator::dispatch`]
+//! Everything else runs on the worker pool through `Coordinator::dispatch`
 //! and a blocking [`TypedClient`] per forward: `create`, `drop`,
 //! `sessions`, `measure_all`, `join`, `shards`, long lines, and every
 //! request the event thread cannot send at once (a locked routing table,
@@ -305,18 +305,15 @@ impl Coordinator {
             what,
             retry_after_ms: self.retry_after_ms,
         };
+        // A fresh connection opens inside `call_line_raw`, so a worker
+        // that is still binding its listener gets the same backoff as a
+        // stale pooled connection does.
         let pooled = shard.idle.lock().pop();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => ClientBuilder::new(shard.state.addr)
+        let mut client = pooled.unwrap_or_else(|| {
+            ClientBuilder::new(shard.state.addr)
                 .retry(self.retry)
-                .handshake(false)
-                .connect()
-                .map_err(|e| {
-                    shard.state.alive.store(false, Ordering::Relaxed);
-                    unavailable(format!("shard {}: {e}", shard.state.addr))
-                })?,
-        };
+                .unconnected()
+        });
         match client.call_line_raw(line) {
             Ok(response) => {
                 shard.state.alive.store(true, Ordering::Relaxed);

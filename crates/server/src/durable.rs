@@ -45,7 +45,9 @@
 //! acknowledged.
 
 use crate::error::ServerError;
-use inconsist_formats::durable::{encode_log_record, parse_log, parse_snapshot, Snapshot};
+use inconsist_formats::durable::{
+    encode_log_record, parse_log, parse_snapshot, LogRecord, Snapshot,
+};
 use inconsist_obs::{Counter, Histogram};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -324,6 +326,17 @@ impl Durability {
     /// the caller can refuse the whole batch; if even that rollback
     /// fails, the session wedges and refuses all further appends.
     pub fn append(&mut self, records: &[(u64, String)]) -> Result<(), ServerError> {
+        self.append_batch(records, None)
+    }
+
+    /// [`append`](Self::append) for a batch that carried an idempotency
+    /// token: every record of the batch carries it, so recovery can
+    /// re-register it.
+    pub fn append_batch(
+        &mut self,
+        records: &[(u64, String)],
+        token: Option<&str>,
+    ) -> Result<(), ServerError> {
         if let Some(why) = &self.wedged {
             return Err(ServerError::Io(format!(
                 "{}: log wedged by earlier failure ({why}); restart to recover",
@@ -336,7 +349,7 @@ impl Durability {
         let mut logical = 0u64;
         for (seq, line) in records {
             logical += line.len() as u64;
-            buf.push_str(&encode_log_record(*seq, line));
+            buf.push_str(&encode_log_record(*seq, token, line));
         }
         let result = faulty_write("wal.append.write", &mut self.log, buf.as_bytes()).and_then(
             |()| match self.fsync {
@@ -497,10 +510,10 @@ impl Durability {
         let mut kept = 0u64;
         let mut dropped = 0u64;
         let mut out = String::new();
-        for (seq, line) in &scan.records {
-            if *seq > cutoff {
+        for r in &scan.records {
+            if r.seq > cutoff {
                 kept += 1;
-                out.push_str(&encode_log_record(*seq, line));
+                out.push_str(&encode_log_record(r.seq, r.token.as_deref(), &r.op));
             } else {
                 dropped += 1;
             }
@@ -553,8 +566,8 @@ impl Durability {
     /// the active log (whose torn tail, if any, is simply not yet
     /// acknowledged and is skipped). This is the WAL-shipping read path —
     /// a follower fetches these verbatim and replays them.
-    pub fn records_since(&self, from_seq: u64) -> Result<Vec<(u64, String)>, ServerError> {
-        let mut records: Vec<(u64, String)> = Vec::new();
+    pub fn records_since(&self, from_seq: u64) -> Result<Vec<LogRecord>, ServerError> {
+        let mut records: Vec<LogRecord> = Vec::new();
         for (_, seg_path) in list_segments(&self.dir)? {
             let bytes = std::fs::read(&seg_path).map_err(|e| io_err("read", &seg_path, e))?;
             let scan = parse_log(&bytes)
@@ -576,7 +589,7 @@ impl Durability {
         let scan =
             parse_log(&bytes).map_err(|e| ServerError::Io(format!("{}: {e}", path.display())))?;
         records.extend(scan.records);
-        records.retain(|(seq, _)| *seq > from_seq);
+        records.retain(|r| r.seq > from_seq);
         Ok(records)
     }
 
@@ -597,7 +610,7 @@ pub struct Recovered {
     /// The newest snapshot, parsed.
     pub snapshot: Snapshot,
     /// Log records with `seq >` the snapshot's, in order.
-    pub tail: Vec<(u64, String)>,
+    pub tail: Vec<LogRecord>,
     /// Durability state with the log already truncated past any torn
     /// tail and reopened for append.
     pub durability: Durability,
@@ -646,7 +659,7 @@ pub fn recover_dir(cfg: &DurabilityConfig, name: &str) -> Result<Recovered, Serv
     // Replay sealed segments in seq order. Sealed segments are immutable
     // once rotation renames them, so *any* damage inside one — torn tail
     // included — is corruption and fails recovery loudly.
-    let mut records: Vec<(u64, String)> = Vec::new();
+    let mut records: Vec<LogRecord> = Vec::new();
     let mut last_seq = 0u64;
     let mut sealed_segments = 0u64;
     let mut sealed_bytes = 0u64;
@@ -662,15 +675,15 @@ pub fn recover_dir(cfg: &DurabilityConfig, name: &str) -> Result<Recovered, Serv
                 seg_path.display()
             )));
         }
-        let seg_last = scan.records.last().map(|(s, _)| *s).unwrap_or(file_seq);
+        let seg_last = scan.records.last().map_or(file_seq, |r| r.seq);
         if seg_last != file_seq {
             return Err(ServerError::Io(format!(
                 "{}: filename says last seq {file_seq} but the records end at {seg_last}",
                 seg_path.display()
             )));
         }
-        if let Some((first, _)) = scan.records.first() {
-            if *first <= last_seq {
+        if let Some(first) = scan.records.first().map(|r| r.seq) {
+            if first <= last_seq {
                 return Err(ServerError::Io(format!(
                     "{}: seq {first} does not extend the previous segment (ends at {last_seq})",
                     seg_path.display()
@@ -696,8 +709,8 @@ pub fn recover_dir(cfg: &DurabilityConfig, name: &str) -> Result<Recovered, Serv
     if let Some(report) = &scan.torn {
         eprintln!("recovering `{name}`: {report}");
     }
-    if let Some((first, _)) = scan.records.first() {
-        if sealed_segments > 0 && *first <= last_seq {
+    if let Some(first) = scan.records.first().map(|r| r.seq) {
+        if sealed_segments > 0 && first <= last_seq {
             return Err(ServerError::Io(format!(
                 "{}: seq {first} does not extend the sealed segments (end at {last_seq})",
                 path.display()
@@ -714,9 +727,9 @@ pub fn recover_dir(cfg: &DurabilityConfig, name: &str) -> Result<Recovered, Serv
             .map_err(|e| io_err("truncate", &path, e))?;
     }
     records.extend(scan.records);
-    let tail: Vec<(u64, String)> = records
+    let tail: Vec<LogRecord> = records
         .into_iter()
-        .filter(|(seq, _)| *seq > snapshot.meta.seq)
+        .filter(|r| r.seq > snapshot.meta.seq)
         .collect();
     let durability = Durability {
         dir,

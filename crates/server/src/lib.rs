@@ -497,12 +497,14 @@ impl Default for RetryPolicy {
 impl Client {
     /// Connects to a server.
     pub fn connect(addr: &SocketAddr) -> std::io::Result<Client> {
-        let mut client = Client {
-            addr: *addr,
-            conn: None,
-        };
+        let mut client = Client::unconnected(*addr);
         client.ensure_connected()?;
         Ok(client)
+    }
+
+    /// A client that connects on its first request.
+    pub(crate) fn unconnected(addr: SocketAddr) -> Client {
+        Client { addr, conn: None }
     }
 
     fn ensure_connected(&mut self) -> std::io::Result<()> {

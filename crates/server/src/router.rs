@@ -602,7 +602,7 @@ fn dispatch(
         }
         Request::FetchWal { session, from_seq } => {
             let records = admitted(registry, admission, &session, |s| s.wal_since(from_seq))?;
-            let last_seq = records.last().map(|(seq, _)| *seq).unwrap_or(from_seq);
+            let last_seq = records.last().map_or(from_seq, |r| r.seq);
             Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("session", Json::str(session)),
@@ -612,8 +612,11 @@ fn dispatch(
                     Json::Arr(
                         records
                             .into_iter()
-                            .map(|(seq, op)| {
-                                Json::obj([("seq", Json::Num(seq as f64)), ("op", Json::Str(op))])
+                            .map(|r| {
+                                Json::obj([
+                                    ("seq", Json::Num(r.seq as f64)),
+                                    ("op", Json::Str(r.op)),
+                                ])
                             })
                             .collect(),
                     ),

@@ -56,9 +56,10 @@ use crate::wire::Json;
 use inconsist::incremental::{IncrementalIndex, Measure, ReadMode, TupleScores};
 use inconsist::measures::MeasureOptions;
 use inconsist::relational::{RelId, RelationSchema};
+use inconsist::repair::RepairOp;
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
-use inconsist_formats::durable::{write_snapshot, SnapshotMeta};
+use inconsist_formats::durable::{write_snapshot, LogRecord, SnapshotMeta};
 use inconsist_formats::opsfile::{display_op, op_to_line, parse_ops_file};
 use inconsist_obs::{labeled, Counter, Gauge, Histogram, Sample, Value};
 use parking_lot::{Mutex, RwLock};
@@ -163,6 +164,40 @@ pub(crate) fn push_entries(resp: Json, extra: Vec<(&'static str, Json)>) -> Json
 struct TokenCache {
     map: HashMap<String, Json>,
     order: VecDeque<String>,
+}
+
+impl TokenCache {
+    /// Remembers a batch's response, evicting the oldest token at
+    /// [`TOKEN_CACHE_CAP`].
+    fn remember(&mut self, token: String, response: Json) {
+        if self.map.len() >= TOKEN_CACHE_CAP {
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&oldest);
+            }
+        }
+        self.order.push_back(token.clone());
+        self.map.insert(token, response);
+    }
+}
+
+/// The response to an applied `op` batch, from its per-op echo entries.
+fn batch_response(session: &str, applied: u64, echo: Vec<Json>) -> Json {
+    Json::obj([
+        ("ok", Json::Bool(true)),
+        ("session", Json::str(session)),
+        ("applied", Json::Num(applied as f64)),
+        ("noops", Json::Num((echo.len() as u64 - applied) as f64)),
+        ("ops", Json::Arr(echo)),
+    ])
+}
+
+/// One op's entry in a batch response.
+fn echo_entry(seq: u64, op: &RepairOp, applied: bool, schema: &RelationSchema) -> Json {
+    Json::obj([
+        ("seq", Json::Num(seq as f64)),
+        ("op", Json::str(display_op(op, schema))),
+        ("applied", Json::Bool(applied)),
+    ])
 }
 
 /// One named live database: an incremental index plus everything needed
@@ -299,13 +334,34 @@ impl Session {
         index.set_solve_threads(solve_threads);
         let mut replay_applied = 0u64;
         let mut last_seq = snap.meta.seq;
-        for (seq, line) in &recovered.tail {
-            let ops = parse_ops_file(&rel_schema, snap.rel, line)
+        // A tokened batch's records are consecutive and each carries the
+        // token: replaying them rebuilds the batch's response, which is
+        // remembered as if the batch had just been applied.
+        let mut tokens = TokenCache::default();
+        let mut batch: Option<(&str, u64, Vec<Json>)> = None;
+        for record in &recovered.tail {
+            let seq = record.seq;
+            let ops = parse_ops_file(&rel_schema, snap.rel, &record.op)
                 .map_err(|e| ServerError::Io(format!("oplog record seq {seq}: {e}")))?;
-            for op in &ops {
-                replay_applied += u64::from(index.apply(op));
+            let token = record.token.as_deref();
+            if batch.as_ref().map(|b| b.0) != token {
+                if let Some((token, applied, echo)) = batch.take() {
+                    tokens.remember(token.to_string(), batch_response(name, applied, echo));
+                }
+                batch = token.map(|t| (t, 0, Vec::new()));
             }
-            last_seq = *seq;
+            for op in &ops {
+                let did = index.apply(op);
+                replay_applied += u64::from(did);
+                if let Some((_, applied, echo)) = batch.as_mut() {
+                    *applied += u64::from(did);
+                    echo.push(echo_entry(seq, op, did, &rel_schema));
+                }
+            }
+            last_seq = seq;
+        }
+        if let Some((token, applied, echo)) = batch {
+            tokens.remember(token.to_string(), batch_response(name, applied, echo));
         }
         let counters = SessionCounters::default();
         counters.op_seq.set(last_seq);
@@ -335,7 +391,7 @@ impl Session {
             durable: Some(Mutex::new(durability)),
             durable_metrics,
             served: Mutex::default(),
-            tokens: Mutex::new(TokenCache::default()),
+            tokens: Mutex::new(tokens),
         })
     }
 
@@ -487,16 +543,12 @@ impl Session {
                     .zip(&seqs)
                     .map(|(op, &seq)| (seq, op_to_line(op, &self.rel_schema)))
                     .collect();
-                durable.lock().append(&records)?;
+                durable.lock().append_batch(&records, token)?;
             }
             for (op, &seq) in ops.iter().zip(&seqs) {
                 let did = idx.apply(op);
                 applied += u64::from(did);
-                echo.push(Json::obj([
-                    ("seq", Json::Num(seq as f64)),
-                    ("op", Json::str(display_op(op, &self.rel_schema))),
-                    ("applied", Json::Bool(did)),
-                ]));
+                echo.push(echo_entry(seq, op, did, &self.rel_schema));
             }
             self.counters.ops_applied.add(applied);
             if let Some(durable) = &self.durable {
@@ -519,24 +571,13 @@ impl Session {
                     }
                 }
             }
-            let response = Json::obj([
-                ("ok", Json::Bool(true)),
-                ("session", Json::str(self.name.clone())),
-                ("applied", Json::Num(applied as f64)),
-                ("noops", Json::Num((ops.len() as u64 - applied) as f64)),
-                ("ops", Json::Arr(echo)),
-            ]);
+            let response = batch_response(&self.name, applied, echo);
             // Remember the token before the write lock drops, so a racing
             // retry that enters right after us sees it.
             if let Some(token) = token {
-                let mut cache = self.tokens.lock();
-                if cache.map.len() >= TOKEN_CACHE_CAP {
-                    if let Some(oldest) = cache.order.pop_front() {
-                        cache.map.remove(&oldest);
-                    }
-                }
-                cache.order.push_back(token.to_string());
-                cache.map.insert(token.to_string(), response.clone());
+                self.tokens
+                    .lock()
+                    .remember(token.to_string(), response.clone());
             }
             Ok(response)
         }
@@ -598,7 +639,7 @@ impl Session {
     /// (via [`inconsist_formats::durable::encode_log_record`]) to its own
     /// copy of the session directory and replays them — sealed segments
     /// plus the active tail in one stream.
-    pub fn wal_since(&self, from_seq: u64) -> Result<Vec<(u64, String)>, ServerError> {
+    pub fn wal_since(&self, from_seq: u64) -> Result<Vec<LogRecord>, ServerError> {
         let durable = self
             .durable
             .as_ref()

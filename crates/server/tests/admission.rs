@@ -316,3 +316,101 @@ fn token_carrying_writes_are_idempotent_over_the_wire() {
     client.request("{\"cmd\":\"shutdown\"}").unwrap();
     handle.wait();
 }
+
+/// Eight clients that never back off against two global in-flight slots:
+/// every answer is a success or a well-formed shed, the slots are never
+/// exceeded, at least 0.5% of the attempts are shed and some are
+/// admitted. Release builds hold the admitted requests' p99 (log2-bucket
+/// histogram, which never underestimates) to 30 ms.
+#[test]
+fn offered_load_past_the_global_bound_is_shed_not_queued() {
+    use rand::prelude::*;
+    const SLOTS: u64 = 2;
+    const CLIENTS: usize = 8;
+    const REQUESTS: usize = 60;
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: CLIENTS + 1,
+        solve_threads: 1,
+        max_inflight: SLOTS,
+        retry_after_ms: 5,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr();
+    // 60 blocks of 4 tuples agreeing on `A` with distinct `B`s.
+    let csv: String = (0..240).fold("A,B\n".into(), |csv, i| csv + &format!("{},{i}\n", i / 4));
+    let mut admin = Client::connect(&addr).unwrap();
+    let create = format!(
+        "{{\"cmd\":\"create\",\"session\":\"hot\",\"csv\":{},\"dc\":{}}}",
+        Json::str(csv),
+        Json::str("fd: t.A = t'.A & t.B != t'.B\n")
+    );
+    assert!(admin.request(&create).unwrap().contains("\"ok\":true"));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|who| {
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x0BEEF + who as u64);
+                let mut client = Client::connect(&addr).unwrap();
+                let (mut admitted_us, mut shed) = (Vec::new(), 0u64);
+                for i in 0..REQUESTS {
+                    // 10% writes keep components dirty, so reads miss the
+                    // caches and hold their slot through a solve.
+                    let line = if rng.gen_range(0..100) < 10 {
+                        format!(
+                            "{{\"cmd\":\"op\",\"session\":\"hot\",\"ops\":\"update {} B {}\"}}",
+                            rng.gen_range(0..240 + 4096),
+                            rng.gen_range(0..10_000)
+                        )
+                    } else if i % 5 == 0 {
+                        "{\"cmd\":\"measure\",\"session\":\"hot\",\"measures\":\
+                         [\"I_MI\",\"I_P\",\"I_R\",\"I_R^lin\",\"I_MC\"],\"per_dc\":true}"
+                            .to_string()
+                    } else {
+                        "{\"cmd\":\"measure\",\"session\":\"hot\",\
+                         \"measures\":[\"I_MI\",\"I_R\",\"I_R^lin\"]}"
+                            .to_string()
+                    };
+                    let sent = std::time::Instant::now();
+                    let response = client.request(&line).unwrap();
+                    let json = Json::parse(&response).unwrap();
+                    if json.get("kind").and_then(Json::as_str) == Some("overloaded") {
+                        assert_overloaded_wire_shape(&response, 5.0);
+                        shed += 1;
+                    } else {
+                        assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true), "{json}");
+                        admitted_us.push(sent.elapsed().as_micros() as u64);
+                    }
+                }
+                (admitted_us, shed)
+            })
+        })
+        .collect();
+    let admitted = inconsist_obs::Histogram::new();
+    let mut shed = 0;
+    for client in clients {
+        let (us, s) = client.join().unwrap();
+        us.into_iter().for_each(|v| admitted.record(v));
+        shed += s;
+    }
+    let stats = Json::parse(&admin.request("{\"cmd\":\"stats\"}").unwrap()).unwrap();
+    let high_water = stats
+        .get("server")
+        .and_then(|s| s.get("admission"))
+        .and_then(|a| a.get("inflight_high_water"))
+        .and_then(Json::as_f64)
+        .unwrap();
+    assert!(high_water <= SLOTS as f64, "high water {high_water}");
+    let attempts = (CLIENTS * REQUESTS) as f64;
+    assert!(
+        shed as f64 / attempts >= 0.05 * (1.0 - 0.9),
+        "{shed} of {attempts} shed"
+    );
+    assert!(admitted.count() > 0, "overload starved every request");
+    if !cfg!(debug_assertions) {
+        let p99 = admitted.quantile(0.99);
+        assert!(p99 <= 6000 * 5, "admitted p99 {p99} µs");
+    }
+    admin.request("{\"cmd\":\"shutdown\"}").unwrap();
+    handle.wait();
+}

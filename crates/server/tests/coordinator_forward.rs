@@ -289,8 +289,9 @@ fn a_stopped_worker_answers_unavailable_without_stalling_the_event_thread() {
 
     // Restarted on its address and data dir, the worker serves the
     // session as it was, and a re-sent tokened op is not applied twice.
-    // (The token cache lives in the worker's memory, so the token is one
-    // the restarted process applied.)
+    // (A clean stop snapshots the session, and a token is recovered only
+    // from log records past the snapshot, so the token is one the
+    // restarted process applied.)
     let w0 = worker(&addrs[0].to_string(), Some(dirs[0].clone()));
     let after = values(&ok(&reads.request(&measure_line(&session)).unwrap()));
     assert_eq!(after, before);
@@ -306,6 +307,30 @@ fn a_stopped_worker_answers_unavailable_without_stalling_the_event_thread() {
     for dir in dirs {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// With no pooled connection to a worker, the pool path's first connect
+/// backs off under the retry policy: a `create` sent while the worker is
+/// still ~150 ms from binding its listener answers `ok`, not
+/// `unavailable`.
+#[test]
+fn the_first_connect_to_a_worker_that_is_still_binding_is_retried() {
+    let port = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port();
+    let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
+    let coord = coordinator(vec![addr]);
+    let mut client = Client::connect(&coord.addr()).unwrap();
+    let late = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(150));
+        worker(&addr.to_string(), None)
+    });
+    ok(&client.request(&create_line("late")).unwrap());
+    ok(&client.request(&measure_line("late")).unwrap());
+    coord.stop();
+    late.join().unwrap().stop();
 }
 
 /// A stand-in worker: answers each line it receives from `answer(line,

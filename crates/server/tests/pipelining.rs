@@ -177,3 +177,51 @@ fn pipelined_requests_return_in_order_with_ascending_seqs() {
     client.request("{\"cmd\":\"shutdown\"}").unwrap();
     handle.wait();
 }
+
+/// 400 warm reads written down one connection ahead of any read all
+/// answer `ok`; release builds require at least 27.5k req/s.
+/// A writer thread keeps the burst flowing once the server's pipeline
+/// bound pushes back.
+#[test]
+fn a_pipelined_read_burst_answers_in_full() {
+    const BURST: usize = 400;
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 4,
+        solve_threads: 1,
+        event_threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = handle.addr();
+    // 60 blocks of 4 tuples agreeing on `A` with distinct `B`s.
+    let csv: String = (0..240).fold("A,B\n".into(), |csv, i| csv + &format!("{},{i}\n", i / 4));
+    let mut client = Client::connect(&addr).unwrap();
+    let create = format!(
+        "{{\"cmd\":\"create\",\"session\":\"fe\",\"csv\":{},\"dc\":{}}}",
+        Json::str(csv),
+        Json::str("fd: t.A = t'.A & t.B != t'.B\n")
+    );
+    assert!(client.request(&create).unwrap().contains("\"ok\":true"));
+    let read = "{\"cmd\":\"measure\",\"session\":\"fe\",\"measures\":[\"I_MI\"]}";
+    client.request(read).unwrap();
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let burst = format!("{read}\n").repeat(BURST);
+    let started = std::time::Instant::now();
+    let writer = std::thread::spawn(move || (&stream).write_all(burst.as_bytes()));
+    let mut line = String::new();
+    for i in 0..BURST {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("{\"ok\":true"), "request {i}: {line}");
+    }
+    let rate = BURST as f64 / started.elapsed().as_secs_f64();
+    writer.join().unwrap().unwrap();
+    if !cfg!(debug_assertions) {
+        assert!(rate >= 55_000.0 * 0.5, "{rate:.0} pipelined req/s");
+    }
+    client.request("{\"cmd\":\"shutdown\"}").unwrap();
+    handle.wait();
+}

@@ -3,10 +3,10 @@
 //! renamed module cannot stay documented.
 //!
 //! A name resolves when some repository file's path equals it or ends
-//! with `/` + it (`session.rs`, `benches/bench_server.rs` and
+//! with `/` + it (`session.rs`, `tests/smoke.rs` and
 //! `crates/solver/src/fvc.rs` all resolve). Template names containing
 //! `<` are skipped, as are `target/...` names: those are outputs the
-//! benches write into the build directory, not repository files.
+//! scripts write into the build directory, not repository files.
 
 use std::fs;
 use std::path::Path;

@@ -167,3 +167,23 @@ fn sampling_preserves_consistency_and_constraints() {
         assert!(engine::is_consistent(&s, &ds.constraints), "{}", id.name());
     }
 }
+
+/// The miner finds the Stock dataset's unary order constraints (the
+/// Fig. 3 family) at either pair-sample cap.
+#[test]
+fn miner_recovers_stock_unary_order_dcs() {
+    use inconsist::constraints::{mine_dcs, MinerConfig};
+    let ds = generate(DatasetId::Stock, 600, 23);
+    for max_pairs in [5_000usize, 20_000] {
+        let cfg = MinerConfig {
+            max_pairs,
+            max_dcs: 8,
+            ..Default::default()
+        };
+        let mined = mine_dcs(&ds.db, inconsist::relational::RelId(0), &cfg);
+        assert!(
+            mined.iter().any(|m| m.dc.arity() == 1),
+            "no unary order DC at max_pairs={max_pairs}"
+        );
+    }
+}

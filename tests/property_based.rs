@@ -353,7 +353,7 @@ proptest! {
                 MinimumRepair { options: opts }.eval(&cs, &db).unwrap()
             );
             let lin = LinearMinimumRepair { options: opts }.eval(&cs, &db).unwrap();
-            prop_assert!((idx.i_r_lin().unwrap() - lin).abs() < 1e-6);
+            prop_assert_eq!(idx.i_r_lin().unwrap(), lin);
             // Per-DC counts and per-tuple scores against the batch path.
             prop_assert_eq!(
                 idx.i_mi_dc(),

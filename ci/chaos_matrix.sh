@@ -9,8 +9,8 @@
 # record by chopping bytes off the file, restarts over the same
 # --data-dir and requires the recovered measures to be **bit-identical**
 # to the acknowledged prefix: everything for an intact log, everything
-# minus the torn final batch for a chopped one (which recovery must also
-# *report* via `torn_tail_dropped`).
+# minus the whole torn final batch for a chopped one (which recovery must
+# also *report* via `torn_tail_dropped`).
 #
 # The in-process half of the matrix — injected write/fsync/truncate/
 # rename/unlink/read failures at every durable I/O site, in both read
@@ -73,11 +73,12 @@ DC
             '{"cmd":"op","session":"cities","ops":"update 1 Country FR\ninsert Metz,DE,9"}' \
             | grep -q '"applied":2'
         SURVIVING=$("$BIN" client "$ADDR" "$MEASURE")
-        # One sacrificial batch: the torn-tail cells chop into *its*
-        # record, so it must vanish all-or-nothing on recovery.
+        # One sacrificial two-op batch: the torn-tail cells chop into its
+        # last record, so the whole batch (its intact first record
+        # included) must vanish on recovery.
         "$BIN" client "$ADDR" \
-            '{"cmd":"op","session":"cities","ops":"update 5 Country FR"}' \
-            | grep -q '"ok":true'
+            '{"cmd":"op","session":"cities","ops":"update 5 Country FR\nupdate 6 Country FR"}' \
+            | grep -q '"applied":2'
         FULL=$("$BIN" client "$ADDR" "$MEASURE")
 
         # The crash: no shutdown, no clean-exit snapshot.

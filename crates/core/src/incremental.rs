@@ -39,9 +39,10 @@
 //! minimal subsets, the `I_MI`/`I_P`/`I_MI^dc` contributions, and the
 //! solved `I_R`/`I_R^lin` values. A read then:
 //!
-//! * re-runs [`engine::filter_minimal_sorted`] only on dirty components (sound
-//!   because a subset relation implies shared tuples, so minimality is
-//!   decided within a component);
+//! * re-runs [`engine::filter_minimal_sorted`] only on dirty components
+//!   whose cache the write dropped rather than patched (sound because a
+//!   subset relation implies shared tuples, so minimality is decided
+//!   within a component);
 //! * re-solves the cover only on dirty components via the solver's
 //!   component-scoped entry points ([`component_min_repair`] /
 //!   [`component_min_repair_lin`]; sound because no covering constraint
@@ -77,17 +78,40 @@
 //! Every write keeps three structures up to date, so that no read has to
 //! look at the clean components one by one:
 //!
-//! * an explicit **dirty set** — the live components without a cache,
-//!   filled where a delta drops a cache. The filter, cover and LP steps
-//!   walk it (and the matching "no `I_R` / no `I_R^lin` yet" sets), never
-//!   the component list;
-//! * the clean caches in a map **ordered by [`CompId`]**. Ids come from a
+//! * an explicit **dirty set** — the live components a write touched
+//!   since the last exclusive read. The filter, cover and LP steps walk
+//!   it (and the matching "no `I_R` / no `I_R^lin` yet" sets), never the
+//!   component list;
+//! * the caches in a map **ordered by [`CompId`]**. Ids come from a
 //!   monotonic counter, so a new component lands at the end and nothing
 //!   is ever sorted;
 //! * one **rank set** of every scored tuple, keyed `(cbm desc, cim desc,
 //!   rim desc, tuple asc)`. A component's scores enter it when its cache
-//!   is filled and leave it when the component goes dirty, so a top-`k`
-//!   read is the first `k` entries.
+//!   is filled and leave it when the cache is dropped, and a patch moves
+//!   the keys of the tuples it re-scores, so a top-`k` read is the first
+//!   `k` entries.
+//!
+//! # A write patches a pair component's cache
+//!
+//! A write touches one tuple: it removes the tuple's edges (`detach`) and
+//! adds its new ones (`attach`). When the component it lands in has only
+//! pairs and singletons for edges, and the write neither splits nor
+//! merges it, the write **patches** the component's cache instead of
+//! dropping it. There a pair is minimal iff neither endpoint is
+//! self-inconsistent, and a `(pair, constraint)` label counts toward
+//! `I_MI^dc` iff neither endpoint's singleton carries that constraint;
+//! so only the sets containing the touched tuple change, and only the
+//! scores of that tuple and its neighbours (`pair_scores`). The
+//! patch updates the sorted minimal list, `mi_sum`, `p_sum`, `dc_sum`,
+//! those tuples' score entries and rank keys, and clears only the solved
+//! `I_R` and `I_R^lin`. The component joins the dirty set with its cache
+//! kept, so the next read only solves it: `I_d`, `I_MI`, `I_P`,
+//! `I_MI^dc` and the top-`k` stay cache reads. A component with a
+//! hyperedge, and a write that splits, dissolves into or merges
+//! components, takes the **refill** path instead: the cache is dropped
+//! and the next read re-derives the component whole (`fill_component`).
+//! `incremental_components_patched_total` and
+//! `incremental_components_refilled_total` count the two.
 //!
 //! `I_MI`, `I_P` and the per-constraint `I_MI^dc` counts are exact integer
 //! sums maintained by delta. `I_R` and `I_R^lin` are floating-point sums
@@ -102,7 +126,7 @@
 //! path. `incremental_components_visited_total`,
 //! `incremental_tuples_rescored_total` and
 //! `incremental_dc_bindings_refiltered_total` in [`inconsist_obs::global`]
-//! count this work.
+//! count this work, beside the patch and refill counters.
 //!
 //! # Parallel dirty-component solves
 //!
@@ -287,17 +311,23 @@ impl Solve {
     }
 }
 
-/// Per-component measure cache; present iff the component is *clean*.
+/// Per-component measure cache: present for every clean component, and
+/// for a dirty one whose cache the write patched in place.
 #[derive(Clone, Debug)]
 struct CompCache {
-    /// The component's minimal inconsistent subsets.
+    /// The component's minimal inconsistent subsets, sorted by `(len,
+    /// members)`.
     minimal: Vec<ViolationSet>,
     /// Per-tuple scores of the tuples in `minimal`, sorted by tuple id;
     /// its length is the component's `I_P` share.
     scores: Vec<RankKey>,
     /// The constraint of each `(set, constraint)` pair counted toward
-    /// `I_MI^dc` (see [`dc_minimal`]).
+    /// `I_MI^dc` (see [`dc_minimal`]), ascending.
     dc_minimal: Vec<usize>,
+    /// Whether every edge of the component has at most two tuples, so
+    /// that a write patches this cache instead of dropping it (see
+    /// [`pair_scores`]).
+    pairs_only: bool,
     /// Solved `I_R` value.
     ir: Option<f64>,
     /// Solved `I_R^lin` value.
@@ -341,14 +371,59 @@ fn dc_minimal(edges: &[(&[TupleId], &[usize])], minimal: &[ViolationSet]) -> Vec
                 .filter(|i| mask >> i & 1 == 1)
                 .map(|i| set[i])
                 .collect();
-            let order = |(s, _): &(&[TupleId], _)| s.len().cmp(&sub.len()).then(s[..].cmp(&sub));
-            if let Ok(i) = edges.binary_search_by(order) {
+            if let Ok(i) = edges.binary_search_by(|(s, _)| by_len_then_members(s, &sub)) {
                 covered.extend_from_slice(edges[i].1);
             }
         }
         out.extend(labels.iter().filter(|dc| !covered.contains(dc)));
     }
     out
+}
+
+/// The order of a component's minimal list: `(len, members)`.
+fn by_len_then_members(a: &[TupleId], b: &[TupleId]) -> Ordering {
+    a.len().cmp(&b.len()).then_with(|| a.cmp(b))
+}
+
+/// Whether `t` is self-inconsistent, read off a component's minimal list
+/// (sorted by `(len, members)`): a singleton edge is always minimal, so
+/// the list's singleton prefix is exactly its self-inconsistent tuples.
+fn looped(minimal: &[ViolationSet], t: TupleId) -> bool {
+    let loops = &minimal[..minimal.partition_point(|m| m.len() == 1)];
+    loops.binary_search_by(|m| m[0].cmp(&t)).is_ok()
+}
+
+/// The scores of tuple `t` in a component whose edges all have at most two
+/// tuples, read off `t`'s own edges and the component's `minimal` list.
+/// There a pair is minimal iff neither endpoint is self-inconsistent, so
+/// `t` scores `(cbm, cim, rim) = (1, 1, 1)` when it is self-inconsistent
+/// and `(n, n/2, 1/2)` otherwise, where `n` counts its pairs with
+/// neighbours that are not — the bits [`component_tuple_scores`] gives
+/// over the minimal list. `None` when `t` is in no minimal set.
+fn pair_scores(
+    graph: &DynamicConflictGraph,
+    minimal: &[ViolationSet],
+    t: TupleId,
+) -> Option<RankKey> {
+    let (cbm, cim, rim) = if looped(minimal, t) {
+        (1.0, 1.0, 1.0)
+    } else {
+        let clean_pairs = graph
+            .incident_sets(t)
+            .filter(|(set, _)| set.len() == 2 && !looped(minimal, set[usize::from(set[0] == t)]));
+        let n = clean_pairs.count() as f64;
+        if n == 0.0 {
+            return None;
+        }
+        (n, 0.5 * n, 0.5)
+    };
+    Some(RankKey::new(&TupleScores {
+        tuple: t,
+        cbm,
+        cim,
+        pim: 1.0,
+        rim,
+    }))
 }
 
 /// The top-k order on tuple scores: `(cbm desc, cim desc, rim desc, tuple
@@ -426,22 +501,24 @@ pub struct IncrementalIndex {
     /// time): one edge per distinct tuple set, labelled with the DCs that
     /// flag it, and component ids stable while a component is untouched.
     graph: DynamicConflictGraph,
-    /// Clean components' cached measures in ascending id order; a
-    /// component is dirty iff absent.
+    /// Cached components' measures in ascending id order: every clean
+    /// component, and the dirty ones a write patched.
     comp_cache: BTreeMap<CompId, CompCache>,
-    /// Live components without a cache entry.
+    /// Live components a write touched since the last exclusive read:
+    /// every component without a cache, and the patched ones.
     dirty: BTreeSet<CompId>,
-    /// Clean components without an `I_R` value.
+    /// Cached components without an `I_R` value.
     ir_pending: BTreeSet<CompId>,
-    /// Clean components without an `I_R^lin` value.
+    /// Cached components without an `I_R^lin` value.
     lin_pending: BTreeSet<CompId>,
-    /// `Σ |minimal|` over the clean components (`I_MI` once none is dirty).
+    /// `Σ |minimal|` over the cached components (`I_MI` once every live
+    /// component is cached).
     mi_sum: usize,
-    /// `Σ |scores|` over the clean components (`I_P` once none is dirty).
+    /// `Σ |scores|` over the cached components (`I_P` likewise).
     p_sum: usize,
-    /// Every clean component's tuple scores in top-k order.
+    /// Every cached component's tuple scores in top-k order.
     ranked: BTreeSet<RankKey>,
-    /// Per-constraint `Σ` of the clean components' `I_MI^dc` terms.
+    /// Per-constraint `Σ` of the cached components' `I_MI^dc` terms.
     dc_sum: Vec<usize>,
     /// Thread budget for dirty-component cover/LP solves (1 = sequential).
     solve_threads: usize,
@@ -541,7 +618,9 @@ impl IncrementalIndex {
         self.graph.component_count()
     }
 
-    /// Components whose caches were invalidated since the last read.
+    /// Components a read still has to re-derive or re-solve: those a
+    /// write touched since the last exclusive read, whether it dropped
+    /// their caches or patched them.
     pub fn dirty_component_count(&self) -> usize {
         self.dirty.len()
     }
@@ -594,8 +673,8 @@ impl IncrementalIndex {
         }
     }
 
-    /// A live component whose edge set changed (or a fresh one): its
-    /// cache goes, and it joins the dirty set.
+    /// A live component whose edge set changed in a way no patch follows
+    /// (or a fresh one): its cache goes, and it joins the dirty set.
     fn mark_dirty(&mut self, c: CompId) {
         self.drop_cache(c);
         self.dirty.insert(c);
@@ -610,11 +689,132 @@ impl IncrementalIndex {
 
     // -- mutations ---------------------------------------------------------
 
-    /// Removes every indexed binding that involves `tid`.
+    /// Whether component `c` has a cache a write can patch in place: one
+    /// whose edges all have at most two tuples.
+    fn patchable(&self, c: CompId) -> bool {
+        self.comp_cache
+            .get(&c)
+            .is_some_and(|cache| cache.pairs_only)
+    }
+
+    /// Adds to (`add`) or takes out of patchable component `c`'s cache
+    /// every minimal set and `I_MI^dc` label of the edges containing `t`,
+    /// as the graph holds them now, and returns `t`'s neighbours over
+    /// those edges. Exact because a write only adds or removes edges of
+    /// the one tuple it touches: a pair not containing `t` keeps its
+    /// endpoints' singletons, and so its minimality and its counted
+    /// labels.
+    fn patch_edges(&mut self, c: CompId, t: TupleId, add: bool) -> Vec<TupleId> {
+        let graph = &self.graph;
+        let cache = self.comp_cache.get_mut(&c).expect("patchable component");
+        let own = graph.loop_labels(t);
+        let mut neighbours = Vec::new();
+        for (set, labels) in graph.incident_sets(t) {
+            let other = (set.len() == 2).then(|| set[usize::from(set[0] == t)]);
+            // The write leaves every other tuple's singleton alone.
+            let theirs = match other {
+                Some(u) if looped(&cache.minimal, u) => graph.loop_labels(u),
+                _ => &[],
+            };
+            // A singleton is minimal; a pair is iff neither endpoint is
+            // self-inconsistent.
+            if other.is_none() || (own.is_empty() && theirs.is_empty()) {
+                let found = cache
+                    .minimal
+                    .binary_search_by(|m| by_len_then_members(m, set));
+                match (add, found) {
+                    (true, Err(at)) => cache.minimal.insert(at, set.into()),
+                    (false, Ok(at)) => drop(cache.minimal.remove(at)),
+                    _ => unreachable!("a cache lists exactly its minimal sets"),
+                }
+                if add {
+                    self.mi_sum += 1;
+                } else {
+                    self.mi_sum -= 1;
+                }
+            }
+            // A pair's label counts toward `I_MI^dc` unless an endpoint's
+            // singleton carries it too.
+            let counted = labels
+                .iter()
+                .filter(|dc| other.is_none() || !(own.contains(dc) || theirs.contains(dc)));
+            for &dc in counted {
+                let at = cache.dc_minimal.partition_point(|&x| x < dc);
+                if add {
+                    cache.dc_minimal.insert(at, dc);
+                    self.dc_sum[dc] += 1;
+                } else {
+                    cache.dc_minimal.remove(at);
+                    self.dc_sum[dc] -= 1;
+                }
+            }
+            neighbours.extend(other);
+        }
+        neighbours
+    }
+
+    /// Ends a patch of component `c` around tuple `t`: re-scores `t` and
+    /// its `neighbours` (their keys move in the score list and the rank
+    /// set), clears the solved values, and marks `c` dirty with its cache
+    /// kept, so the next read only solves it.
+    fn finish_patch(&mut self, c: CompId, t: TupleId, neighbours: Vec<TupleId>) {
+        let rescored = 1 + neighbours.len() as u64;
+        let cache = self.comp_cache.get_mut(&c).expect("patchable component");
+        let scores = &mut cache.scores;
+        for u in std::iter::once(t).chain(neighbours) {
+            let fresh = pair_scores(&self.graph, &cache.minimal, u);
+            match scores.binary_search_by_key(&u, |key| key.tuple) {
+                Ok(at) if Some(scores[at]) == fresh => continue,
+                Ok(at) => {
+                    self.ranked.remove(&scores[at]);
+                    match fresh {
+                        Some(key) => scores[at] = key,
+                        None => {
+                            scores.remove(at);
+                            self.p_sum -= 1;
+                        }
+                    }
+                }
+                Err(at) => {
+                    if let Some(key) = fresh {
+                        scores.insert(at, key);
+                        self.p_sum += 1;
+                    }
+                }
+            }
+            self.ranked.extend(fresh);
+        }
+        if cache.ir.take().is_some() {
+            self.ir_pending.insert(c);
+        }
+        if cache.ir_lin.take().is_some() {
+            self.lin_pending.insert(c);
+        }
+        self.ir_total.take();
+        self.lin_total.take();
+        self.dirty.insert(c);
+        inconsist_obs::counter!("incremental_components_patched_total").inc();
+        inconsist_obs::counter!("incremental_tuples_rescored_total").add(rescored);
+    }
+
+    /// Removes every indexed binding that involves `tid`. A patchable
+    /// component that neither splits nor dissolves keeps its cache,
+    /// patched around the edges it lost; any other gets the
+    /// drop-and-refill treatment.
     fn detach(&mut self, tid: TupleId) {
+        let patch = self
+            .graph
+            .component_of(tid)
+            .filter(|&c| self.patchable(c))
+            .map(|c| (c, self.patch_edges(c, tid, false)));
         let Some(removal) = self.graph.remove_incident(tid) else {
             return;
         };
+        if let Some((c, neighbours)) = patch {
+            if removal.dead.is_empty() && removal.created.is_empty() {
+                return self.finish_patch(c, tid, neighbours);
+            }
+        }
         for c in removal.touched.into_iter().chain(removal.created) {
             self.mark_dirty(c);
         }
@@ -623,13 +823,49 @@ impl IncrementalIndex {
         }
     }
 
+    /// The patchable component that `delta`, the new bindings of `tid`,
+    /// extends without a merge: every set has at most two tuples, and
+    /// every other member already in the graph lies in that one
+    /// component. Moves the first set that reaches it to the front, so
+    /// that `tid` joins it rather than starting a component of its own.
+    fn patch_target(&self, delta: &mut [(usize, ViolationSet)], tid: TupleId) -> Option<CompId> {
+        if self.graph.component_of(tid).is_some() || delta.iter().any(|(_, set)| set.len() > 2) {
+            return None;
+        }
+        let mut target = None;
+        for (i, (_, set)) in delta.iter().enumerate() {
+            for &u in set.iter().filter(|&&u| u != tid) {
+                let Some(c) = self.graph.component_of(u) else {
+                    continue;
+                };
+                match target {
+                    None => target = Some((c, i)),
+                    Some((seen, _)) if seen != c => return None,
+                    Some(_) => {}
+                }
+            }
+        }
+        let (c, first) = target.filter(|&(c, _)| self.patchable(c))?;
+        delta[..=first].rotate_right(1);
+        Some(c)
+    }
+
     /// Probes the engine for bindings involving `tid` and indexes them, in
     /// ascending `(dc, set)` order: which component survives a merge
     /// depends on the insertion order, and the same history must number
-    /// components alike.
+    /// components alike. Bindings that extend one patchable component
+    /// patch its cache instead.
     fn attach(&mut self, tid: TupleId) {
         let mut delta = engine::delta_violations_involving(&self.db, &self.cs, tid).per_dc;
         delta.sort_unstable();
+        if let Some(c) = self.patch_target(&mut delta, tid) {
+            for (dc, set) in &delta {
+                let ins = self.graph.insert_edge(set, *dc);
+                debug_assert!(ins.is_none_or(|ins| ins.comp == c && ins.merged.is_empty()));
+            }
+            let neighbours = self.patch_edges(c, tid, true);
+            return self.finish_patch(c, tid, neighbours);
+        }
         for (dc, set) in delta {
             let Some(ins) = self.graph.insert_edge(&set, dc) else {
                 continue;
@@ -706,13 +942,17 @@ impl IncrementalIndex {
         }
     }
 
-    /// Fills the minimal-subset cache of every dirty component (one
-    /// component-local [`engine::filter_minimal_sorted`] run each); the clean
-    /// ones are not visited.
+    /// Fills the minimal-subset cache of every dirty component without one
+    /// (one component-local [`engine::filter_minimal_sorted`] run each) and
+    /// empties the dirty set; the cached components, patched ones
+    /// included, are not visited.
     fn ensure_components(&mut self) {
         self.stats.filter_cache_hits += self.comp_cache.len() as u64;
         let mut fresh: Vec<RankKey> = Vec::new();
         while let Some(c) = self.dirty.pop_first() {
+            if self.comp_cache.contains_key(&c) {
+                continue;
+            }
             self.fill_component(c);
             fresh.extend_from_slice(&self.comp_cache[&c].scores);
         }
@@ -725,25 +965,29 @@ impl IncrementalIndex {
         }
     }
 
-    /// Fills one component's minimal-subset cache if dirty.
+    /// Fills one component's minimal-subset cache if it has none, and
+    /// takes it out of the dirty set.
     fn ensure_component(&mut self, c: CompId) {
-        if self.dirty.remove(&c) {
+        self.dirty.remove(&c);
+        if self.comp_cache.contains_key(&c) {
+            self.stats.filter_cache_hits += 1;
+        } else {
             self.fill_component(c);
             self.ranked
                 .extend(self.comp_cache[&c].scores.iter().copied());
-        } else {
-            self.stats.filter_cache_hits += 1;
         }
     }
 
-    /// Filters, scores and counts one dirty component (already taken out
-    /// of the dirty set) and adds it to every maintained aggregate but the
-    /// rank set, which the caller extends.
+    /// Filters, scores and counts one uncached component and adds it to
+    /// every maintained aggregate but the rank set, which the caller
+    /// extends.
     fn fill_component(&mut self, c: CompId) {
         let _span = inconsist_obs::span!("index.filter_minimal");
         let edges = self.graph.component_sets(c);
+        let pairs_only = edges.iter().all(|e| e.0.len() <= 2);
         let minimal = engine::filter_minimal_sorted(edges.iter().map(|e| e.0.into()).collect());
-        let dc_minimal = dc_minimal(&edges, &minimal);
+        let mut dc_minimal = dc_minimal(&edges, &minimal);
+        dc_minimal.sort_unstable();
         let labels = edges.iter().map(|e| e.1.len() as u64).sum();
         inconsist_obs::counter!("incremental_dc_bindings_refiltered_total").add(labels);
         dc_minimal.iter().for_each(|&dc| self.dc_sum[dc] += 1);
@@ -753,6 +997,7 @@ impl IncrementalIndex {
             .collect();
         self.stats.filter_runs += 1;
         inconsist_obs::counter!("incremental_components_visited_total").inc();
+        inconsist_obs::counter!("incremental_components_refilled_total").inc();
         inconsist_obs::counter!("incremental_tuples_rescored_total").add(scores.len() as u64);
         self.mi_sum += minimal.len();
         self.p_sum += scores.len();
@@ -764,6 +1009,7 @@ impl IncrementalIndex {
                 minimal,
                 scores,
                 dc_minimal,
+                pairs_only,
                 ir: None,
                 ir_lin: None,
             },
@@ -782,7 +1028,7 @@ impl IncrementalIndex {
             .flat_map(|cache| cache.minimal.iter().cloned())
             .collect();
         // Same presentation order as `filter_minimal`: `(len, members)`.
-        all.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        all.sort_unstable_by(|a, b| by_len_then_members(a, b));
         all
     }
 
@@ -1211,9 +1457,10 @@ impl IncrementalIndex {
     /// Internal consistency check used by tests: rebuilds from scratch and
     /// cross-validates the database's built postings, the raw binding
     /// sets, the maintained component structure and every cached
-    /// aggregate: per-component minimal sets, scores and per-DC minimal
-    /// pairs, solved cover values, the dirty and pending sets, the integer
-    /// sums, the rank set and the memoized folds.
+    /// aggregate, patched or filled, against a fresh fill of its
+    /// component: minimal sets, scores, per-DC minimal pairs and the
+    /// pairs-only flag; then solved cover values, the dirty and pending
+    /// sets, the integer sums, the rank set and the memoized folds.
     /// Expensive; not for production loops.
     #[doc(hidden)]
     pub fn self_check(&self) -> bool {
@@ -1249,7 +1496,9 @@ impl IncrementalIndex {
             if cache.minimal != minimal {
                 return false;
             }
-            if cache.dc_minimal != dc_minimal(&edges, &minimal) {
+            let mut dc = dc_minimal(&edges, &minimal);
+            dc.sort_unstable();
+            if cache.dc_minimal != dc || cache.pairs_only != edges.iter().all(|e| e.0.len() <= 2) {
                 return false;
             }
             cache.dc_minimal.iter().for_each(|&dc| dc_sum[dc] += 1);
@@ -1272,14 +1521,11 @@ impl IncrementalIndex {
                 }
             }
         }
-        // The dirty set is exactly the live components without a cache
-        // (a cache of a dead component failed above).
-        let dirty: BTreeSet<CompId> = self
-            .graph
-            .component_ids()
-            .filter(|c| !self.comp_cache.contains_key(c))
-            .collect();
-        if dirty != self.dirty {
+        // The dirty set holds every live component without a cache (a
+        // cache of a dead component failed above), and only live ones.
+        let live: BTreeSet<CompId> = self.graph.component_ids().collect();
+        let uncached = live.iter().filter(|c| !self.comp_cache.contains_key(c));
+        if !self.dirty.is_subset(&live) || !uncached.into_iter().all(|c| self.dirty.contains(c)) {
             return false;
         }
         // The pending sets and integer sums equal a fresh pass over the
@@ -2503,5 +2749,111 @@ mod tests {
             }
             assert_matches_scratch(&mut idx);
         }
+    }
+
+    /// Random writes over FD + unary-DC instances, so that singletons
+    /// appear and vanish inside pair components, with inserts that merge
+    /// and deletes that split; one instance adds a 3-atom DC whose
+    /// hyperedges send their components down the refill path. After every
+    /// op the patched caches must equal a scratch build's: `I_MI`, `I_P`,
+    /// the per-DC counts, `I_R`, `I_R^lin`, the scores, every top-`k` cut
+    /// and `self_check`.
+    #[test]
+    fn patched_caches_match_scratch_on_random_sequences() {
+        use inconsist_constraints::{Atom, DenialConstraint, Predicate};
+        let (s, r) = setup();
+        let (a, b, c) = (AttrId(0), AttrId(1), AttrId(2));
+        let mut cs = two_fd_cs(&s, r);
+        let neg = vec![build::uc(c, CmpOp::Lt, Value::int(0))];
+        cs.add_dc(build::unary("neg", r, neg, &s).unwrap());
+        let mut with_triples = cs.clone();
+        let same_a = |x, y| Predicate::attr_attr(x, a, CmpOp::Eq, y, a);
+        let tri = vec![
+            same_a(0, 1),
+            same_a(1, 2),
+            Predicate::attr_attr(0, b, CmpOp::Lt, 1, b),
+            Predicate::attr_attr(1, b, CmpOp::Lt, 2, b),
+            Predicate::attr_attr(0, c, CmpOp::Gt, 2, c),
+        ];
+        let atoms = vec![Atom { rel: r }; 3];
+        with_triples.add_dc(DenialConstraint::new("tri", atoms, tri, &s).unwrap());
+        let random_fact = |rng: &mut StdRng| {
+            fact3(
+                r,
+                rng.gen_range(0..6),
+                rng.gen_range(0..6),
+                rng.gen_range(-2..3),
+            )
+        };
+        let opts = MeasureOptions::default();
+        let mut rng = StdRng::seed_from_u64(40);
+        let (mut patched, mut refilled, mut merges, mut splits) = (0, 0, 0, 0);
+        for round in 0..10 {
+            let cs = if round == 0 { &with_triples } else { &cs };
+            let mut db = Database::new(Arc::clone(&s));
+            for _ in 0..14 {
+                db.insert(random_fact(&mut rng)).unwrap();
+            }
+            let mut idx = IncrementalIndex::build(db, cs.clone()).unwrap();
+            idx.warm(&opts).unwrap();
+            for _ in 0..40 {
+                // Sorted, so that the op sequence is the same in every
+                // process.
+                let mut ids: Vec<TupleId> = idx.db().ids().collect();
+                ids.sort_unstable();
+                let before = idx.component_count();
+                match rng.gen_range(0..4) {
+                    0 => {
+                        idx.insert(random_fact(&mut rng)).unwrap();
+                    }
+                    1 if ids.len() > 4 => {
+                        idx.delete(ids[rng.gen_range(0..ids.len())]);
+                    }
+                    _ => {
+                        let t = ids[rng.gen_range(0..ids.len())];
+                        let attr = AttrId(rng.gen_range(0..3));
+                        let v = if attr == c { -2..3 } else { 0..6 };
+                        idx.update(t, attr, Value::int(rng.gen_range(v))).unwrap();
+                    }
+                }
+                let after = idx.component_count();
+                merges += usize::from(after < before);
+                splits += usize::from(after > before);
+                let touched = idx.dirty_component_count() > 0;
+                idx.reset_stats();
+                let mut scratch =
+                    IncrementalIndex::build(idx.db().clone(), idx.constraints().clone()).unwrap();
+                assert_eq!(idx.i_mi(), scratch.i_mi());
+                assert_eq!(idx.i_p(), scratch.i_p());
+                assert_eq!(idx.i_mi_by_dc(), scratch.i_mi_by_dc());
+                assert_eq!(idx.i_mi_dc(), scratch.i_mi_dc());
+                let ir = idx.i_r(&opts).unwrap().to_bits();
+                assert_eq!(ir, scratch.i_r(&opts).unwrap().to_bits());
+                let lin = idx.i_r_lin().unwrap().to_bits();
+                assert_eq!(lin, scratch.i_r_lin().unwrap().to_bits());
+                assert_eq!(idx.tuple_measures(), scratch.tuple_measures());
+                for k in [1, 3, usize::MAX] {
+                    assert_eq!(idx.top_k_tuples(k), scratch.top_k_tuples(k));
+                    assert_eq!(idx.try_top_k_tuples(k), scratch.try_top_k_tuples(k));
+                }
+                assert!(idx.self_check(), "patched cache diverged");
+                if touched {
+                    if idx.stats().filter_runs == 0 {
+                        patched += 1;
+                    } else {
+                        refilled += 1;
+                    }
+                }
+            }
+        }
+        // Both paths, and the structural changes, are exercised.
+        assert!(
+            patched > 250 && refilled > 50,
+            "{patched} patched, {refilled} refilled"
+        );
+        assert!(
+            merges > 10 && splits > 10,
+            "{merges} merges, {splits} splits"
+        );
     }
 }

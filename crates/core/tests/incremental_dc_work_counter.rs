@@ -1,6 +1,7 @@
 //! The per-constraint work counter of the `I_MI^dc` read, read from the
 //! process-global metric registry: `incremental_dc_bindings_refiltered_total`
-//! counts the `(set, constraint)` labels that component fills re-count.
+//! counts the `(set, constraint)` labels that component fills re-count; a
+//! write that patches its component's cache leaves none to re-count.
 //!
 //! One `#[test]` in its own test binary: the registry is shared by every
 //! test of a process, so a concurrent test would skew the deltas.
@@ -61,9 +62,9 @@ fn refiltered_by_one_write(blocks: i64) -> u64 {
 
 #[test]
 fn a_write_recounts_only_the_bindings_of_its_component() {
-    // Only the touched block's three `A → B` bindings are re-counted, so
-    // the work follows what the write changed, not how many bindings
-    // the touched constraint holds.
-    assert_eq!(refiltered_by_one_write(100), 3);
-    assert_eq!(refiltered_by_one_write(200), 3);
+    // The write patches its block's cache, labels included, so the read
+    // re-counts no binding at all, whatever the number of bindings the
+    // touched constraint holds.
+    assert_eq!(refiltered_by_one_write(100), 0);
+    assert_eq!(refiltered_by_one_write(200), 0);
 }

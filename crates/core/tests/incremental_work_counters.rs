@@ -1,7 +1,8 @@
 //! The incremental read path's work counters, read from the process-global
 //! metric registry: `incremental_components_visited_total` (per-component
 //! filter, cover and LP steps) and `incremental_tuples_rescored_total`
-//! (tuple scores recomputed at cache fill), beside the index's own
+//! (tuple scores recomputed by a write's cache patch or at cache fill),
+//! beside the index's own
 //! [`ReadStats`](inconsist::incremental::ReadStats) filter and solve
 //! counts. Each is pinned exactly per write, so a write or a warm read
 //! that does one unit more work than it needs fails here.
@@ -59,7 +60,7 @@ fn work_of_one_write(blocks: i64) -> ((u64, u64), usize, ReadStats) {
     idx.reset_stats();
     let before = counters();
     // Still conflicting with both block mates: the component stays whole
-    // and goes dirty.
+    // and goes dirty with its cache patched.
     idx.update(t, AttrId(1), Value::int(-1)).unwrap();
     let dirty = idx.dirty_component_count();
     assert_eq!(idx.i_mi(), 3.0 * blocks as f64);
@@ -86,17 +87,20 @@ fn a_write_costs_its_dirty_components_not_the_component_count() {
     let (small, dirty_small, stats_small) = work_of_one_write(1000);
     let (large, dirty_large, stats_large) = work_of_one_write(2000);
     assert_eq!((dirty_small, dirty_large), (1, 1));
-    // One filter, one cover solve and one LP solve of the one dirty
-    // component; its three tuples re-scored once.
-    assert_eq!(small, (3, 3), "visited, re-scored at 1000 components");
+    // The write patches the one dirty component: its detach and its
+    // attach each re-score the updated tuple and its two block mates.
+    // The read then visits it for one cover solve and one LP solve, and
+    // filters nothing.
+    assert_eq!(small, (2, 6), "visited, re-scored at 1000 components");
     assert_eq!(large, small, "the work does not grow with the components");
-    // One filter, one cover solve and one LP solve per write. Each read
-    // counts every other component as a cache hit: five reads fill
-    // (`I_MI`, `I_P`, `I_R`, `I_R^lin`, top-10), two solve.
+    // No filter, one cover solve and one LP solve per write. Each of the
+    // five reads (`I_MI`, `I_P`, `I_R`, `I_R^lin`, top-10) counts every
+    // component as a filter cache hit, the patched one included; two
+    // solve.
     for (blocks, stats) in [(1000, stats_small), (2000, stats_large)] {
         let want = ReadStats {
-            filter_runs: 1,
-            filter_cache_hits: 5 * blocks - 1,
+            filter_runs: 0,
+            filter_cache_hits: 5 * blocks,
             cover_solves: 1,
             cover_cache_hits: blocks - 1,
             lin_solves: 1,

@@ -53,17 +53,26 @@
 //! ```text
 //! <fnv64-hex> <seq> <op line>
 //! <fnv64-hex> <seq>@<token-hex> <op line>
+//! <fnv64-hex> <seq>+ <op line>
+//! <fnv64-hex> <seq>@<token-hex>+ <op line>
 //! ```
 //!
-//! The second form is a record of a batch that carried an idempotency
-//! token: every record of the batch carries the token's bytes in
-//! lowercase hex, so recovery can re-register it. The checksum covers
-//! everything after it, token included. A crash can only tear the
-//! *final* record (appends are sequential), so [`parse_log`] drops a
-//! trailing line that is incomplete (no `\n`) or fails its checksum and
-//! reports the prefix length to truncate to; the same damage anywhere
-//! else is real corruption and fails with a line-echoing error in the
-//! ``oplog line N `line`: msg`` shape shared with the `.ops` parser.
+//! A record of a batch that carried an idempotency token carries the
+//! token's bytes in lowercase hex, so recovery can re-register it. A `+`
+//! after the head marks a record that is not its batch's last: every
+//! record of a multi-op batch but the final one carries it, so a
+//! single-op batch's record has none. The checksum covers everything
+//! after it, token and mark included.
+//!
+//! A crash can only tear the *end* of the log (appends are sequential),
+//! and a batch is all-or-nothing there: [`parse_log`] drops a trailing
+//! line that is incomplete (no `\n`) or fails its checksum, then every
+//! record of a trailing batch whose last record is missing, and reports
+//! the prefix length to truncate to. Logs written before the mark read as
+//! they always did: no record of theirs waits for a later one. The same
+//! damage anywhere else is real corruption and fails with a line-echoing
+//! error in the ``oplog line N `line`: msg`` shape shared with the `.ops`
+//! parser.
 
 use crate::csv::{parse_csv, to_value, write_csv};
 use crate::dcfile::write_dc_file;
@@ -329,18 +338,24 @@ pub struct LogRecord {
     pub seq: u64,
     /// The idempotency token of the batch the op belongs to, if any.
     pub token: Option<String>,
+    /// Whether another record of the same batch follows this one.
+    pub continued: bool,
     /// The op line.
     pub op: String,
 }
 
-/// Encodes one op-log record (including the trailing newline).
-pub fn encode_log_record(seq: u64, token: Option<&str>, op_line: &str) -> String {
+/// Encodes one op-log record (including the trailing newline);
+/// `continued` marks every record of a batch but its last.
+pub fn encode_log_record(seq: u64, token: Option<&str>, continued: bool, op_line: &str) -> String {
     let mut payload = seq.to_string();
     if let Some(token) = token {
         payload.push('@');
         for b in token.bytes() {
             payload.push_str(&format!("{b:02x}"));
         }
+    }
+    if continued {
+        payload.push('+');
     }
     payload.push(' ');
     payload.push_str(op_line);
@@ -370,6 +385,10 @@ fn decode_record(line: &str) -> Result<LogRecord, String> {
     let (head, op) = payload
         .split_once(' ')
         .ok_or("record has no op after the sequence number")?;
+    let (head, continued) = match head.strip_suffix('+') {
+        Some(head) => (head, true),
+        None => (head, false),
+    };
     let (seq_str, token_hex) = match head.split_once('@') {
         Some((seq, hex)) => (seq, Some(hex)),
         None => (head, None),
@@ -394,17 +413,22 @@ fn decode_record(line: &str) -> Result<LogRecord, String> {
     Ok(LogRecord {
         seq,
         token,
+        continued,
         op: op.to_string(),
     })
 }
 
 /// Scans an op log. A damaged or incomplete *final* line is the torn
 /// tail of an interrupted append: it is dropped (never half-applied) and
-/// reported. Damage anywhere else — or a non-increasing sequence number —
-/// is corruption and fails with an ``oplog line N `line`: msg`` error.
+/// reported, and so is every record of a trailing batch that lost its
+/// last record. Damage anywhere else — or a non-increasing sequence
+/// number — is corruption and fails with an ``oplog line N `line`: msg``
+/// error.
 pub fn parse_log(bytes: &[u8]) -> Result<LogScan, String> {
-    let mut records = Vec::new();
+    let mut records: Vec<LogRecord> = Vec::new();
     let mut valid_len = 0usize;
+    // How many records, and how many bytes, end with a batch's last record.
+    let mut whole = (0usize, 0usize);
     let mut torn = None;
     let mut last_seq = 0u64;
     let mut pos = 0usize;
@@ -433,8 +457,11 @@ pub fn parse_log(bytes: &[u8]) -> Result<LogScan, String> {
                     ));
                 }
                 last_seq = seq;
-                records.push(record);
                 valid_len = pos + line_len;
+                if !record.continued {
+                    whole = (records.len() + 1, valid_len);
+                }
+                records.push(record);
             }
             Err(msg) if is_last => {
                 torn = Some(format!(
@@ -447,6 +474,18 @@ pub fn parse_log(bytes: &[u8]) -> Result<LogScan, String> {
             }
         }
         pos += line_len;
+    }
+    // A batch is all-or-nothing: records of a batch whose last record
+    // never made it to disk go with it.
+    if whole.0 < records.len() {
+        let dropped = records.len() - whole.0;
+        let first = records[whole.0].seq;
+        valid_len = whole.1;
+        records.truncate(whole.0);
+        torn = Some(format!(
+            "{}incomplete batch of {dropped} record(s) from seq {first} dropped",
+            torn.map_or(String::new(), |t| format!("{t}; "))
+        ));
     }
     Ok(LogScan {
         records,
@@ -562,15 +601,16 @@ mod tests {
     #[test]
     fn log_records_round_trip_and_detect_torn_tails() {
         let mut log = String::new();
-        log.push_str(&encode_log_record(1, None, "update 0 B 9"));
-        log.push_str(&encode_log_record(2, Some("tok 1"), "delete 3"));
-        log.push_str(&encode_log_record(3, None, "insert a,b"));
+        log.push_str(&encode_log_record(1, None, false, "update 0 B 9"));
+        log.push_str(&encode_log_record(2, Some("tok 1"), false, "delete 3"));
+        log.push_str(&encode_log_record(3, None, false, "insert a,b"));
         let scan = parse_log(log.as_bytes()).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.valid_len, log.len());
         let record = |seq, token: Option<&str>, op: &str| LogRecord {
             seq,
             token: token.map(str::to_string),
+            continued: false,
             op: op.to_string(),
         };
         assert_eq!(
@@ -583,8 +623,8 @@ mod tests {
         );
         // Every proper prefix cut inside the last record drops exactly
         // that record and reports the truncation point.
-        let two = encode_log_record(1, None, "update 0 B 9").len()
-            + encode_log_record(2, Some("tok 1"), "delete 3").len();
+        let two = encode_log_record(1, None, false, "update 0 B 9").len()
+            + encode_log_record(2, Some("tok 1"), false, "delete 3").len();
         for cut in two + 1..log.len() {
             let scan = parse_log(&log.as_bytes()[..cut]).unwrap();
             assert_eq!(scan.records.len(), 2, "cut={cut}");
@@ -595,17 +635,57 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_missing_its_last_record_is_dropped_whole() {
+        let ops = ["update 0 B 9", "delete 3", "insert a,b"];
+        let mut log = encode_log_record(1, None, false, "delete 7");
+        let one = log.len();
+        for (i, op) in ops.iter().enumerate() {
+            log.push_str(&encode_log_record(2 + i as u64, Some("t"), i < 2, op));
+        }
+        let first_intact = one + encode_log_record(2, Some("t"), true, ops[0]).len();
+        let scan = parse_log(log.as_bytes()).unwrap();
+        assert!(scan.torn.is_none());
+        assert_eq!(scan.records.len(), 4);
+        let marks: Vec<bool> = scan.records.iter().map(|r| r.continued).collect();
+        assert_eq!(marks, [false, true, true, false]);
+        // Any cut inside the batch, at a record boundary or not, drops
+        // all three of its records and truncates to the batch's start.
+        for cut in one + 1..log.len() {
+            let scan = parse_log(&log.as_bytes()[..cut]).unwrap();
+            assert_eq!(scan.records.len(), 1, "cut={cut}");
+            assert_eq!(scan.valid_len, one, "cut={cut}");
+            let torn = scan.torn.expect("torn batch reported");
+            if cut >= first_intact {
+                assert!(torn.contains("batch of"), "cut={cut}: {torn}");
+                assert!(torn.contains("from seq 2"), "cut={cut}: {torn}");
+            }
+        }
+        // A single-op batch keeps the unmarked record bytes.
+        assert_eq!(
+            encode_log_record(1, None, false, "delete 7"),
+            format!("{:016x} 1 delete 7\n", fnv64(b"1 delete 7"))
+        );
+        // The mark sits under the checksum.
+        let marked = encode_log_record(2, None, true, "delete 3");
+        let flipped = marked.replacen("2+ ", "2 ", 1);
+        let err =
+            parse_log(format!("{flipped}{}", encode_log_record(3, None, false, "x")).as_bytes())
+                .unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
+    }
+
+    #[test]
     fn log_corruption_before_the_tail_is_an_error() {
         let mut log = String::new();
-        log.push_str(&encode_log_record(1, None, "delete 0"));
+        log.push_str(&encode_log_record(1, None, false, "delete 0"));
         log.push_str("deadbeef corrupted record\n");
-        log.push_str(&encode_log_record(2, None, "delete 1"));
+        log.push_str(&encode_log_record(2, None, false, "delete 1"));
         let err = parse_log(log.as_bytes()).unwrap_err();
         assert!(err.contains("oplog line 2"), "{err}");
         assert!(err.contains("corrupted record"), "{err}");
         // Non-increasing sequence numbers are corruption too.
-        let mut log = encode_log_record(5, None, "delete 0");
-        log.push_str(&encode_log_record(5, None, "delete 1"));
+        let mut log = encode_log_record(5, None, false, "delete 0");
+        log.push_str(&encode_log_record(5, None, false, "delete 1"));
         let err = parse_log(log.as_bytes()).unwrap_err();
         assert!(err.contains("not"), "{err}");
         // An empty log is a valid empty scan.
@@ -621,7 +701,7 @@ mod tests {
         let ops = parse_ops_file(rs, loaded.rel, script).unwrap();
         for (i, op) in ops.iter().enumerate() {
             let line = op_to_line(op, rs);
-            let record = encode_log_record(i as u64 + 1, None, &line);
+            let record = encode_log_record(i as u64 + 1, None, false, &line);
             let scan = parse_log(record.as_bytes()).unwrap();
             let reparsed = parse_ops_file(rs, loaded.rel, &scan.records[0].op).unwrap();
             assert_eq!(reparsed.len(), 1);

@@ -37,9 +37,9 @@
 //! operated-on components — the point of the structure.
 
 use inconsist_constraints::ViolationSet;
-use inconsist_relational::TupleId;
+use inconsist_relational::{IdMap, IdSet, TupleId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Identifier of one connected component. Stable until the component is
 /// merged away or split; never reused.
@@ -94,11 +94,15 @@ pub struct DynamicConflictGraph {
     /// Edge arena; freed slots are recycled.
     edges: Vec<Option<EdgeData>>,
     free_slots: Vec<u32>,
-    /// Edge key (sorted tuple set) → arena slot.
-    edge_ids: HashMap<ViolationSet, u32>,
-    nodes: HashMap<TupleId, NodeData>,
+    /// Edge key (sorted tuple set) → arena slot. This map and the two
+    /// below are keyed by ids the program assigns, so they use the cheap
+    /// fixed [`IdMap`] hasher. Which id sets become edges follows the
+    /// data and constraints a client sends, but so does the number of
+    /// bindings, which the build's violation limit already bounds.
+    edge_ids: IdMap<ViolationSet, u32>,
+    nodes: IdMap<TupleId, NodeData>,
     /// Component id → member nodes (unordered).
-    comps: HashMap<CompId, Vec<TupleId>>,
+    comps: IdMap<CompId, Vec<TupleId>>,
     next_comp: u64,
     /// Total labels over all edges.
     label_count: usize,
@@ -294,7 +298,8 @@ impl DynamicConflictGraph {
         let mut out = EdgeRemoval::default();
         for comp in affected {
             let members = self.comps.remove(&comp).expect("affected component exists");
-            let mut unvisited: HashSet<TupleId> = HashSet::with_capacity(members.len());
+            let mut unvisited: IdSet<TupleId> =
+                IdSet::with_capacity_and_hasher(members.len(), Default::default());
             for &t in &members {
                 let node = &self.nodes[&t];
                 if node.incident.is_empty() {
@@ -425,6 +430,24 @@ impl DynamicConflictGraph {
             .collect();
         sets.sort_unstable_by(|(a, _), (b, _)| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         sets
+    }
+
+    /// The distinct edges containing `t` as `(set, labels)`, unordered;
+    /// none when `t` is in no edge.
+    pub fn incident_sets(&self, t: TupleId) -> impl Iterator<Item = (&[TupleId], &[usize])> + '_ {
+        let slots = self.nodes.get(&t).map_or(&[][..], |n| &n.incident[..]);
+        slots.iter().map(|&slot| {
+            let e = self.edge(slot);
+            (&e.tuples[..], &e.labels[..])
+        })
+    }
+
+    /// The labels of the singleton edge `{t}`: empty unless `t` is
+    /// self-inconsistent.
+    pub fn loop_labels(&self, t: TupleId) -> &[usize] {
+        self.incident_sets(t)
+            .find(|(set, _)| set.len() == 1)
+            .map_or(&[], |(_, labels)| labels)
     }
 
     /// Every distinct edge with its labels (unordered).
@@ -739,5 +762,28 @@ mod tests {
         assert_eq!(r.touched, vec![keep]);
         assert!(r.dead.is_empty() && r.created.is_empty());
         g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn incident_sets_and_loop_labels_read_one_node() {
+        let mut g = DynamicConflictGraph::new();
+        g.insert_edge(&[t(0), t(1)], 0).unwrap();
+        g.insert_edge(&[t(0), t(1)], 2).unwrap();
+        g.insert_edge(&[t(0)], 1).unwrap();
+        g.insert_edge(&[t(0)], 3).unwrap();
+        g.insert_edge(&[t(1), t(2)], 0).unwrap();
+        let mut sets: Vec<(Vec<TupleId>, Vec<usize>)> = g
+            .incident_sets(t(0))
+            .map(|(set, labels)| (set.to_vec(), labels.to_vec()))
+            .collect();
+        sets.sort();
+        assert_eq!(
+            sets,
+            vec![(vec![t(0)], vec![1, 3]), (vec![t(0), t(1)], vec![0, 2])]
+        );
+        assert_eq!(g.loop_labels(t(0)), [1, 3]);
+        assert!(g.loop_labels(t(1)).is_empty());
+        assert_eq!(g.incident_sets(t(9)).count(), 0);
+        assert!(g.loop_labels(t(9)).is_empty());
     }
 }

@@ -17,6 +17,7 @@
 mod database;
 mod dictionary;
 mod domain;
+mod idhash;
 mod schema;
 mod smallvec;
 mod value;
@@ -24,6 +25,7 @@ mod value;
 pub use database::{Database, Fact, FactRef, Postings, ShardView, TupleId};
 pub use dictionary::Dictionary;
 pub use domain::{ActiveDomain, DomainCache};
+pub use idhash::{IdMap, IdSet};
 pub use schema::{relation, AttrId, Attribute, RelId, RelationSchema, Schema};
 pub use smallvec::{InlineItem, SmallVec};
 pub use value::{Value, ValueKind};

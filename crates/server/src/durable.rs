@@ -32,9 +32,12 @@
 //!   snapshot and rewrites the (bounded) active log keeping only records
 //!   newer than that snapshot.
 //! * **recovery** loads the newest snapshot, replays sealed segments in
-//!   seq order then the active log, and truncates a torn final record in
-//!   the *active* log only — a tear inside a sealed segment is corruption
-//!   and fails recovery loudly.
+//!   seq order then the active log, and truncates a torn tail in the
+//!   *active* log only — a tear inside a sealed segment is corruption and
+//!   fails recovery loudly. The tail goes batch by batch: every record of
+//!   a multi-op batch but its last is marked as continued, so a batch
+//!   whose last record was torn is dropped whole, never replayed as its
+//!   surviving prefix.
 //!
 //! Every I/O site here is instrumented with a [`failpoints`] site (a
 //! compile-time no-op unless the `enabled` feature is on, which only
@@ -321,8 +324,9 @@ impl Durability {
         self.wedged = Some(why);
     }
 
-    /// Appends one batch of already-sequenced op lines, write-ahead. On
-    /// any failure the log is truncated back to its pre-batch length so
+    /// Appends one batch of already-sequenced op lines, write-ahead, each
+    /// record but the last marked as continued so that recovery replays
+    /// the batch whole or not at all. On any failure the log is truncated back to its pre-batch length so
     /// the caller can refuse the whole batch; if even that rollback
     /// fails, the session wedges and refuses all further appends.
     pub fn append(&mut self, records: &[(u64, String)]) -> Result<(), ServerError> {
@@ -347,9 +351,10 @@ impl Durability {
         let before = self.log_bytes;
         let mut buf = String::new();
         let mut logical = 0u64;
-        for (seq, line) in records {
+        for (i, (seq, line)) in records.iter().enumerate() {
             logical += line.len() as u64;
-            buf.push_str(&encode_log_record(*seq, token, line));
+            let continued = i + 1 < records.len();
+            buf.push_str(&encode_log_record(*seq, token, continued, line));
         }
         let result = faulty_write("wal.append.write", &mut self.log, buf.as_bytes()).and_then(
             |()| match self.fsync {
@@ -513,7 +518,12 @@ impl Durability {
         for r in &scan.records {
             if r.seq > cutoff {
                 kept += 1;
-                out.push_str(&encode_log_record(r.seq, r.token.as_deref(), &r.op));
+                out.push_str(&encode_log_record(
+                    r.seq,
+                    r.token.as_deref(),
+                    r.continued,
+                    &r.op,
+                ));
             } else {
                 dropped += 1;
             }
@@ -619,8 +629,8 @@ pub struct Recovered {
 }
 
 /// Loads a session directory: newest snapshot + intact log tail. The log
-/// file is truncated to its valid prefix (dropping a torn final record)
-/// so subsequent appends extend an intact log.
+/// file is truncated to its valid prefix (dropping a torn final record
+/// and the rest of its batch) so subsequent appends extend an intact log.
 pub fn recover_dir(cfg: &DurabilityConfig, name: &str) -> Result<Recovered, ServerError> {
     check_session_name(name)?;
     let dir = cfg.data_dir.join(name);

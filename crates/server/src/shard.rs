@@ -207,7 +207,7 @@ impl Follower {
             .open(&log)
             .map_err(|e| ServerError::Io(format!("{}: {e}", log.display())))?;
         for (seq, op) in &fetched {
-            f.write_all(encode_log_record(*seq, None, op).as_bytes())
+            f.write_all(encode_log_record(*seq, None, false, op).as_bytes())
                 .map_err(|e| ServerError::Io(format!("{}: {e}", log.display())))?;
         }
         drop(f);

@@ -545,3 +545,51 @@ fn op_tokens_survive_crash_recovery() {
     drop(recovered);
     std::fs::remove_dir_all(&cfg.data_dir).ok();
 }
+
+/// A tokened multi-op batch whose last log record was torn comes back
+/// not at all: recovery lands on the sequence number before the batch,
+/// and a re-send under the same token applies every op anew instead of
+/// answering `deduped` with the response of a surviving prefix.
+#[test]
+fn a_torn_multi_op_batch_is_dropped_whole_with_its_token() {
+    let cfg = fresh_cfg();
+    let opts = MeasureOptions::default();
+    let session = Session::open(
+        "w",
+        &fixture_csv(),
+        FIXTURE_DC,
+        ReadMode::Component,
+        1,
+        opts,
+        Some(&cfg),
+    )
+    .unwrap();
+    session.apply_ops("update 0 B 9\n").unwrap();
+    let before = session.counters().op_seq.get();
+    let kept = measures(&session);
+    let batch = "update 1 B 7\nupdate 4 B 40\ninsert 2,41\n";
+    let first = session.apply_ops_token(batch, Some("tok-w")).unwrap();
+    assert_eq!(session.counters().op_seq.get(), before + 3);
+    let full = measures(&session);
+    drop(session); // kill -9: no shutdown snapshot
+
+    // Tear the batch's last record: 3 bytes short.
+    let log = cfg.data_dir.join("w").join("ops.log");
+    let bytes = std::fs::read(&log).unwrap();
+    std::fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
+
+    let recovered = Session::recover(&cfg, "w", 1, opts).unwrap();
+    assert_eq!(
+        recovered.counters().op_seq.get(),
+        before,
+        "no op of the torn batch replays"
+    );
+    assert_eq!(measures(&recovered), kept);
+    let again = recovered.apply_ops_token(batch, Some("tok-w")).unwrap();
+    assert_eq!(again.get("deduped"), None, "{again}");
+    assert_eq!(again, first, "the same three ops at the same seqs");
+    assert_eq!(recovered.counters().op_seq.get(), before + 3);
+    assert_eq!(measures(&recovered), full);
+    drop(recovered);
+    std::fs::remove_dir_all(&cfg.data_dir).ok();
+}

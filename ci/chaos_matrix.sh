@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
-# Chaos matrix: the crash-recovery check (ci/crash_recovery.sh) widened
-# into a grid of failure shapes, over real processes and real files:
+# Chaos matrix: the durability contract end to end over real processes
+# and real files, in a grid of failure shapes:
 #
 #   kill -9   ×   --fsync {always,never}   ×   torn-tail chop {0,1,3} bytes
 #
-# Each cell starts a durable server, applies acknowledged ops, SIGKILLs
-# it with no clean shutdown, optionally tears the final write-ahead-log
-# record by chopping bytes off the file, restarts over the same
-# --data-dir and requires the recovered measures to be **bit-identical**
-# to the acknowledged prefix: everything for an intact log, everything
-# minus the whole torn final batch for a chopped one (which recovery must
-# also *report* via `torn_tail_dropped`).
+# Each cell starts a durable server over two constraints, applies an
+# acknowledged batch that inserts a tuple, takes a mid-run snapshot,
+# applies more acknowledged batches, SIGKILLs it with no clean shutdown,
+# optionally tears the final write-ahead-log record by chopping bytes off
+# the file, restarts over the same --data-dir and requires:
+#
+# * the recovered measures to be **bit-identical** to the acknowledged
+#   prefix: everything for an intact log, everything minus the whole torn
+#   final batch for a chopped one (which recovery must also *report* via
+#   `torn_tail_dropped`);
+# * recovery to start from the snapshot and replay the log tail past it
+#   (`"replayed":N` counts exactly the intact post-snapshot records, so a
+#   rebuild from a full dump fails the cell), including at least one
+#   intact batch in the chopped cells.
 #
 # The in-process half of the matrix — injected write/fsync/truncate/
-# rename/unlink/read failures at every durable I/O site, in both read
-# modes — runs first via the failpoint-instrumented test suite.
+# rename/unlink/read failures at every durable I/O site — runs first via
+# the failpoint-instrumented test suite.
 #
 # Usage: ci/chaos_matrix.sh [path-to-inconsist-binary]
 set -euo pipefail
@@ -65,13 +72,29 @@ Nice,IT,6
 CSV
         cat > "$WORK/rules.dc" <<'DC'
 fd: t.City = t'.City & t.Country != t'.Country
+pop: t.City = t'.City & t.Pop = t'.Pop
 DC
         start_server --preload "cities=$WORK/cities.csv,$WORK/rules.dc"
 
-        # Ops that must survive every cell.
+        # Ops that must survive every cell: a batch with an insert, the
+        # snapshot that covers it, and a two-record batch past the
+        # snapshot that recovery replays from the log (it also gives the
+        # `pop` constraint a two-tuple binding, Nice,FR,6 and Nice,IT,6).
         "$BIN" client "$ADDR" \
             '{"cmd":"op","session":"cities","ops":"update 1 Country FR\ninsert Metz,DE,9"}' \
-            | grep -q '"applied":2'
+            snapshot cities \
+            '{"cmd":"op","session":"cities","ops":"update 4 Pop 6\ndelete 3"}' \
+            > "$WORK/surviving.out"
+        [ "$(grep -c '"applied":2' "$WORK/surviving.out")" -eq 2 ] || {
+            echo "FAIL(fsync=$FSYNC chop=$CHOP): surviving batches not applied:"
+            cat "$WORK/surviving.out"
+            exit 1
+        }
+        grep -q '"session":"cities","seq":2,' "$WORK/surviving.out" || {
+            echo "FAIL(fsync=$FSYNC chop=$CHOP): snapshot not at seq 2:"
+            cat "$WORK/surviving.out"
+            exit 1
+        }
         SURVIVING=$("$BIN" client "$ADDR" "$MEASURE")
         # One sacrificial two-op batch: the torn-tail cells chop into its
         # last record, so the whole batch (its intact first record
@@ -80,6 +103,11 @@ DC
             '{"cmd":"op","session":"cities","ops":"update 5 Country FR\nupdate 6 Country FR"}' \
             | grep -q '"applied":2'
         FULL=$("$BIN" client "$ADDR" "$MEASURE")
+        # A chopped cell must tell the two prefixes apart.
+        if [ "$(extract_values "$SURVIVING")" = "$(extract_values "$FULL")" ]; then
+            echo "FAIL(fsync=$FSYNC chop=$CHOP): the sacrificial batch changed no measure"
+            exit 1
+        fi
 
         # The crash: no shutdown, no clean-exit snapshot.
         kill -9 $SERVER_PID
@@ -92,8 +120,10 @@ DC
             head -c $((SIZE - CHOP)) "$LOG" > "$LOG.chopped"
             mv "$LOG.chopped" "$LOG"
             EXPECTED=$SURVIVING
+            REPLAYED=2
         else
             EXPECTED=$FULL
+            REPLAYED=4
         fi
 
         start_server
@@ -105,6 +135,11 @@ DC
             echo "FAIL(fsync=$FSYNC chop=$CHOP): recovered measures diverge"
             exit 1
         fi
+        # Snapshot at seq 2, then exactly the intact records past it.
+        echo "$STATS" | grep -q "\"replayed\":$REPLAYED[,}]" || {
+            echo "FAIL(fsync=$FSYNC chop=$CHOP): expected a $REPLAYED-record log-tail replay: $STATS"
+            exit 1
+        }
         if [ "$CHOP" -gt 0 ]; then
             echo "$STATS" | grep -q '"torn_tail_dropped":true' || {
                 echo "FAIL(fsync=$FSYNC chop=$CHOP): torn tail not reported: $STATS"

@@ -1,8 +1,8 @@
-//! The typed client: one request-assembly path shared by tests, benches,
-//! the CLI and the coordinator⇄worker leg.
+//! The typed client: one request-assembly path shared by the tests and
+//! the coordinator⇄worker leg.
 //!
-//! [`ClientBuilder`] configures the connection (address, retry policy,
-//! default read deadline, protocol version) and yields a [`TypedClient`];
+//! [`ClientBuilder`] configures the connection (address and retry
+//! policy) and yields a [`TypedClient`];
 //! [`TypedClient::session`] scopes it to one session as a
 //! [`SessionHandle`] with typed methods (`measure`, `apply_ops`,
 //! `top_k`, `snapshot`, …). Every method builds a
@@ -162,21 +162,14 @@ pub struct TupleScore {
 pub struct ClientBuilder {
     addr: SocketAddr,
     retry: RetryPolicy,
-    default_deadline_ms: Option<u64>,
-    proto_version: u64,
-    handshake: bool,
 }
 
 impl ClientBuilder {
-    /// A builder with the default retry policy, no default deadline, the
-    /// current protocol version, and the `hello` handshake enabled.
+    /// A builder with the default retry policy.
     pub fn new(addr: SocketAddr) -> ClientBuilder {
         ClientBuilder {
             addr,
             retry: RetryPolicy::default(),
-            default_deadline_ms: None,
-            proto_version: PROTO_VERSION,
-            handshake: true,
         }
     }
 
@@ -186,34 +179,11 @@ impl ClientBuilder {
         self
     }
 
-    /// A deadline attached to every `measure`/`top_k` call that does not
-    /// name its own.
-    pub fn default_deadline_ms(mut self, ms: u64) -> ClientBuilder {
-        self.default_deadline_ms = Some(ms);
-        self
-    }
-
-    /// Overrides the protocol version offered in the handshake.
-    pub fn proto_version(mut self, version: u64) -> ClientBuilder {
-        self.proto_version = version;
-        self
-    }
-
-    /// Disables (or re-enables) the `hello` handshake on connect. Off is
-    /// for talking to pre-v2 servers, which reject unknown commands.
-    pub fn handshake(mut self, on: bool) -> ClientBuilder {
-        self.handshake = on;
-        self
-    }
-
-    /// Connects (and, unless disabled, negotiates `hello`).
+    /// Connects and negotiates `hello` at [`PROTO_VERSION`].
     pub fn connect(self) -> Result<TypedClient, ClientError> {
-        let handshake = self.handshake;
         let mut client = self.unconnected();
         client.inner.ensure_connected()?;
-        if handshake {
-            client.hello()?;
-        }
+        client.hello()?;
         Ok(client)
     }
 
@@ -223,9 +193,6 @@ impl ClientBuilder {
         TypedClient {
             inner: Client::unconnected(self.addr),
             retry: self.retry,
-            default_deadline_ms: self.default_deadline_ms,
-            proto_version: self.proto_version,
-            negotiated: None,
         }
     }
 }
@@ -236,9 +203,6 @@ impl ClientBuilder {
 pub struct TypedClient {
     inner: Client,
     retry: RetryPolicy,
-    default_deadline_ms: Option<u64>,
-    proto_version: u64,
-    negotiated: Option<HelloInfo>,
 }
 
 impl TypedClient {
@@ -288,13 +252,13 @@ impl TypedClient {
         self.inner.into_stream()
     }
 
-    /// Negotiates `hello`; remembers and returns the server's answer.
+    /// Negotiates `hello`; returns the server's answer.
     pub fn hello(&mut self) -> Result<HelloInfo, ClientError> {
         let json = self.call(&Request::Hello {
-            proto_version: self.proto_version,
+            proto_version: PROTO_VERSION,
             features: SERVER_FEATURES.iter().map(|s| s.to_string()).collect(),
         })?;
-        let info = HelloInfo {
+        Ok(HelloInfo {
             proto_version: json
                 .get("proto_version")
                 .and_then(Json::as_f64)
@@ -306,19 +270,7 @@ impl TypedClient {
                 .and_then(Json::as_str)
                 .unwrap_or("server")
                 .to_string(),
-        };
-        self.negotiated = Some(info.clone());
-        Ok(info)
-    }
-
-    /// The remembered handshake result, when one ran.
-    pub fn negotiated(&self) -> Option<&HelloInfo> {
-        self.negotiated.as_ref()
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call(&Request::Ping).map(|_| ())
+        })
     }
 
     /// Live session names, sorted.
@@ -374,9 +326,9 @@ impl SessionHandle<'_> {
         &self.name
     }
 
-    /// Reads measures (the builder's default deadline applies when set).
+    /// Reads measures, blocking until they are served.
     pub fn measure(&mut self, measures: &[&str]) -> Result<Measures, ClientError> {
-        self.measure_deadline(measures, self.client.default_deadline_ms)
+        self.measure_deadline(measures, None)
     }
 
     /// Reads measures under an explicit deadline (`None` = block).
@@ -442,7 +394,7 @@ impl SessionHandle<'_> {
         let json = self.client.call(&Request::TupleMeasures {
             session: self.name.clone(),
             k,
-            deadline_ms: self.client.default_deadline_ms,
+            deadline_ms: None,
         })?;
         let tuples = json
             .get("tuples")

@@ -11,8 +11,7 @@
 //! ## Two forward paths
 //!
 //! A short single-session request (`measure`, `tuple_measures`, `op`,
-//! `set_options`, `snapshot`, `compact`, `fetch_wal`, `fetch_snapshot`,
-//! session `stats`) is forwarded by the event thread that parsed it
+//! `set_options`, `snapshot`, `compact`, session `stats`) is forwarded by the event thread that parsed it
 //! (`InlineForwards`): the client's own line (an untokened `op`
 //! re-serialised with a minted token) goes out over one of the thread's
 //! nonblocking worker connections, and the worker's reply line is
@@ -411,8 +410,6 @@ impl Coordinator {
             | Request::SetOptions { ref session, .. }
             | Request::Snapshot { ref session }
             | Request::Compact { ref session }
-            | Request::FetchWal { ref session, .. }
-            | Request::FetchSnapshot { ref session }
             | Request::Stats {
                 session: Some(ref session),
             } => {

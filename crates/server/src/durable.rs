@@ -571,38 +571,6 @@ impl Durability {
         }
     }
 
-    /// All intact log records with `seq > from_seq`, in sequence order:
-    /// sealed segments first (immutable, so any damage is an error), then
-    /// the active log (whose torn tail, if any, is simply not yet
-    /// acknowledged and is skipped). This is the WAL-shipping read path —
-    /// a follower fetches these verbatim and replays them.
-    pub fn records_since(&self, from_seq: u64) -> Result<Vec<LogRecord>, ServerError> {
-        let mut records: Vec<LogRecord> = Vec::new();
-        for (_, seg_path) in list_segments(&self.dir)? {
-            let bytes = std::fs::read(&seg_path).map_err(|e| io_err("read", &seg_path, e))?;
-            let scan = parse_log(&bytes)
-                .map_err(|e| ServerError::Io(format!("{}: {e}", seg_path.display())))?;
-            if let Some(report) = &scan.torn {
-                return Err(ServerError::Io(format!(
-                    "{}: sealed segment is damaged ({report})",
-                    seg_path.display()
-                )));
-            }
-            records.extend(scan.records);
-        }
-        let path = log_path(&self.dir);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let scan =
-            parse_log(&bytes).map_err(|e| ServerError::Io(format!("{}: {e}", path.display())))?;
-        records.extend(scan.records);
-        records.retain(|r| r.seq > from_seq);
-        Ok(records)
-    }
-
     /// The session directory.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -10,7 +10,7 @@
 //! ## Protocol
 //!
 //! Line-delimited JSON over TCP: one request object per line, one
-//! response object per line (see [`protocol`] for the command table).
+//! response object per line (`docs/PROTOCOL.md` lists the commands).
 //! A hand-rolled [`wire`] codec keeps the workspace inside the offline
 //! dependency roster — no serde, no tokio: a readiness-driven event loop
 //! (epoll via the in-tree `mio` shim, `poll(2)` fallback) multiplexes
@@ -27,7 +27,7 @@
 //! ## Shape
 //!
 //! * [`wire`] — JSON parse/serialize and incremental line framing;
-//! * [`protocol`] — typed requests, the command table;
+//! * [`protocol`] — typed requests;
 //! * [`error`] — the error taxonomy every response can carry;
 //! * [`session`] — the registry and the reader/writer lock discipline;
 //! * [`durable`] — the write-ahead op log, snapshot store and recovery
@@ -62,7 +62,6 @@ pub use error::ServerError;
 pub use protocol::{PROTO_VERSION, SERVER_FEATURES};
 pub use router::{Admission, Control, ServerCounters};
 pub use session::{Registry, Session};
-pub use shard::Follower;
 pub use wire::Json;
 
 use event_loop::{completion_channel, EventThread, Peer};

@@ -1,30 +1,10 @@
 //! The request half of the line protocol: typed commands parsed from
 //! [`Json`] objects.
 //!
-//! Every request is one JSON object with a `"cmd"` discriminator:
-//!
-//! | `cmd` | fields | effect |
-//! |---|---|---|
-//! | `ping` | — | liveness probe |
-//! | `create` | `session`, `csv`/`csv_path`, `dc`/`dc_path` | load a database + constraints into a named session |
-//! | `drop` | `session` | drop a session |
-//! | `sessions` | — | list live session names |
-//! | `op` | `session`, `ops`, `token?` | apply repairing operations (`.ops` lines) through the writer path; `token` makes the batch idempotent (a replayed token returns the recorded response instead of re-applying) |
-//! | `measure` | `session`, `measures?`, `per_dc?`, `deadline_ms?` | read measures through the shared/exclusive read paths; past the deadline, `I_R`/`I_R^lin` degrade to bounds tagged `partial:true` and lock-blocked reads degrade to the last served values tagged `stale:true` |
-//! | `tuple_measures` | `session`, `k?`, `deadline_ms?` | the `k` (default 10) most inconsistent tuples with their per-tuple responsibility scores (`cbm`/`cim`/`pim`/`rim`), ranked `(cbm, cim, rim) desc` with tuple-id tie-break; same deadline semantics as `measure` (lock-blocked reads degrade to the last served ranking tagged `stale:true`) |
-//! | `set_options` | `session`, `violation_limit?`, `mis_budget?`, `vc_budget?` | override the session's measure budgets/caps; omitted fields keep their value, `violation_limit` accepts a number or `null`/`"none"` to lift the cap; durable sessions persist the new options through recovery |
-//! | `stats` | `session?` | read/op counters, cache hit rates, durability/recovery stats |
-//! | `metrics` | `format?` | full metric registry snapshot; `"format":"prom"` (or `"prom":true`) returns Prometheus text exposition instead of JSON |
-//! | `snapshot` | `session` | write a point-in-time snapshot (durable sessions only) |
-//! | `compact` | `session` | drop log records covered by the newest snapshot |
-//! | `hello` | `proto_version?`, `features?` | version/feature negotiation; the server answers with its protocol version, the intersection of the offered and supported feature sets, and its role |
-//! | `measure_all` | `measures?`, `detail?` | aggregate summable measures over *every* live session, folded in ascending session-name order seeded from 0.0 (the canonical fold a coordinator reproduces bit-identically) |
-//! | `fetch_wal` | `session`, `from_seq?` | ship op-log records with `seq > from_seq` (durable sessions only) — the follower-replication feed |
-//! | `fetch_snapshot` | `session` | the session's current snapshot text, for follower bootstrap |
-//! | `join` | `addr` | register a worker with a coordinator (coordinator-only) |
-//! | `shards` | — | shard topology and liveness (coordinator-only) |
-//! | `shutdown` | — | stop accepting and drain |
-//! | `quit` | — | close this connection only |
+//! Every request is one JSON object with a `"cmd"` discriminator; the
+//! `Requests` table in `docs/PROTOCOL.md` lists every command with its
+//! fields and response (a test below keeps that table and [`Request`] in
+//! step).
 //!
 //! Parsing is **unknown-field-tolerant** by construction: every arm reads
 //! only the keys it knows, so a newer client may attach fields an older
@@ -50,9 +30,9 @@ pub const MEASURE_DEFAULTS: &[Measure] = &[
 pub const MEASURE_ALL_DEFAULTS: &[Measure] = &[Measure::Mi, Measure::P, Measure::R, Measure::RLin];
 
 /// The protocol version this server speaks. Version 2 added `hello`,
-/// `measure_all`, the WAL-shipping pair (`fetch_wal`/`fetch_snapshot`)
-/// and the coordinator commands (`join`/`shards`); version 1 is the
-/// pre-handshake protocol, which v2 servers still accept unchanged.
+/// `measure_all` and the coordinator commands (`join`/`shards`);
+/// version 1 is the pre-handshake protocol, which v2 servers still
+/// accept unchanged.
 pub const PROTO_VERSION: u64 = 2;
 
 /// Feature flags this server advertises in the `hello` negotiation. A
@@ -102,7 +82,7 @@ pub enum Request {
         per_dc: bool,
         /// Wall-clock budget for this read, in milliseconds. When it
         /// expires the response degrades (partial/stale) instead of
-        /// blocking; see the module table.
+        /// blocking; see `docs/PROTOCOL.md`.
         deadline_ms: Option<u64>,
     },
     /// Read the top-k most inconsistent tuples with their per-tuple
@@ -166,18 +146,6 @@ pub enum Request {
         /// Also return the per-session values the fold consumed.
         detail: bool,
     },
-    /// Ship op-log records newer than `from_seq` (durable sessions only).
-    FetchWal {
-        /// Session name.
-        session: String,
-        /// Ship records with `seq` strictly greater than this.
-        from_seq: u64,
-    },
-    /// The session's current snapshot text (follower bootstrap).
-    FetchSnapshot {
-        /// Session name.
-        session: String,
-    },
     /// Register a worker with a coordinator.
     Join {
         /// The worker's protocol address, `host:port`.
@@ -210,8 +178,6 @@ impl Request {
             Request::Compact { .. } => "compact",
             Request::Hello { .. } => "hello",
             Request::MeasureAll { .. } => "measure_all",
-            Request::FetchWal { .. } => "fetch_wal",
-            Request::FetchSnapshot { .. } => "fetch_snapshot",
             Request::Join { .. } => "join",
             Request::Shards => "shards",
             Request::Shutdown => "shutdown",
@@ -229,9 +195,7 @@ impl Request {
             | Request::TupleMeasures { session, .. }
             | Request::SetOptions { session, .. }
             | Request::Snapshot { session }
-            | Request::Compact { session }
-            | Request::FetchWal { session, .. }
-            | Request::FetchSnapshot { session } => Some(session),
+            | Request::Compact { session } => Some(session),
             Request::Stats { session } => session.as_deref(),
             Request::Ping
             | Request::Sessions
@@ -272,8 +236,7 @@ impl Request {
             }
             Request::Drop { session }
             | Request::Snapshot { session }
-            | Request::Compact { session }
-            | Request::FetchSnapshot { session } => {
+            | Request::Compact { session } => {
                 m.push(("session", Json::str(session.clone())));
             }
             Request::Op {
@@ -357,10 +320,6 @@ impl Request {
                 if *detail {
                     m.push(("detail", Json::Bool(true)));
                 }
-            }
-            Request::FetchWal { session, from_seq } => {
-                m.push(("session", Json::str(session.clone())));
-                m.push(("from_seq", Json::Num(*from_seq as f64)));
             }
             Request::Join { addr } => {
                 m.push(("addr", Json::str(addr.clone())));
@@ -647,24 +606,6 @@ pub fn parse_request(line: &str) -> Result<Request, ServerError> {
                 detail: json.get("detail").and_then(Json::as_bool).unwrap_or(false),
             })
         }
-        "fetch_wal" => {
-            let from_seq = match json.get("from_seq") {
-                None => 0,
-                Some(v) => {
-                    let n = v.as_f64().filter(|n| *n >= 0.0).ok_or_else(|| {
-                        ServerError::Protocol("`from_seq` must be a non-negative number".into())
-                    })?;
-                    n as u64
-                }
-            };
-            Ok(Request::FetchWal {
-                session: required_str(&json, "session")?,
-                from_seq,
-            })
-        }
-        "fetch_snapshot" => Ok(Request::FetchSnapshot {
-            session: required_str(&json, "session")?,
-        }),
         "join" => Ok(Request::Join {
             addr: required_str(&json, "addr")?,
         }),
@@ -875,6 +816,9 @@ mod tests {
                 "{\"cmd\":\"tuple_measures\",\"session\":\"s\",\"deadline_ms\":-1}",
                 "`deadline_ms`",
             ),
+            // Withdrawn commands answer like any unknown one.
+            ("{\"cmd\":\"fetch_wal\",\"session\":\"s\"}", "unknown cmd"),
+            ("{\"cmd\":\"fetch_snapshot\",\"session\":\"s\"}", "unknown cmd"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.to_string().contains(needle), "{line} → {err}");
@@ -922,26 +866,6 @@ mod tests {
                 .contains("not summable")
         );
         assert_eq!(
-            parse_request("{\"cmd\":\"fetch_wal\",\"session\":\"s\",\"from_seq\":7}").unwrap(),
-            Request::FetchWal {
-                session: "s".into(),
-                from_seq: 7,
-            }
-        );
-        assert_eq!(
-            parse_request("{\"cmd\":\"fetch_wal\",\"session\":\"s\"}").unwrap(),
-            Request::FetchWal {
-                session: "s".into(),
-                from_seq: 0,
-            }
-        );
-        assert_eq!(
-            parse_request("{\"cmd\":\"fetch_snapshot\",\"session\":\"s\"}").unwrap(),
-            Request::FetchSnapshot {
-                session: "s".into()
-            }
-        );
-        assert_eq!(
             parse_request("{\"cmd\":\"join\",\"addr\":\"127.0.0.1:9\"}").unwrap(),
             Request::Join {
                 addr: "127.0.0.1:9".into()
@@ -952,9 +876,6 @@ mod tests {
             Request::Shards
         );
         assert!(parse_request("{\"cmd\":\"hello\",\"proto_version\":0}").is_err());
-        assert!(
-            parse_request("{\"cmd\":\"fetch_wal\",\"session\":\"s\",\"from_seq\":-1}").is_err()
-        );
         assert!(parse_request("{\"cmd\":\"join\"}").is_err());
     }
 
@@ -1073,13 +994,6 @@ mod tests {
                 measures: vec![Measure::Mi],
                 detail: true,
             },
-            Request::FetchWal {
-                session: "s".into(),
-                from_seq: 42,
-            },
-            Request::FetchSnapshot {
-                session: "s".into(),
-            },
             Request::Join {
                 addr: "127.0.0.1:7878".into(),
             },
@@ -1182,5 +1096,93 @@ mod tests {
             .filter(|m| m.summable())
             .collect();
         assert_eq!(MEASURE_ALL_DEFAULTS, both);
+    }
+
+    /// The request after `req` in a walk over one request per variant,
+    /// starting at [`Request::Ping`]. The `match` has no `_` arm, so a
+    /// new variant does not compile until it joins the walk.
+    fn next_variant(req: &Request) -> Option<Request> {
+        let session = || "s".to_string();
+        Some(match req {
+            Request::Ping => Request::Hello {
+                proto_version: PROTO_VERSION,
+                features: vec![],
+            },
+            Request::Hello { .. } => Request::Create {
+                session: session(),
+                csv: Payload::Inline("A\n1\n".into()),
+                dc: Payload::Inline("t.A < 0".into()),
+            },
+            Request::Create { .. } => Request::Drop { session: session() },
+            Request::Drop { .. } => Request::Sessions,
+            Request::Sessions => Request::Op {
+                session: session(),
+                ops: "delete 1".into(),
+                token: None,
+            },
+            Request::Op { .. } => Request::Measure {
+                session: session(),
+                measures: MEASURE_DEFAULTS.to_vec(),
+                per_dc: false,
+                deadline_ms: None,
+            },
+            Request::Measure { .. } => Request::TupleMeasures {
+                session: session(),
+                k: 10,
+                deadline_ms: None,
+            },
+            Request::TupleMeasures { .. } => Request::SetOptions {
+                session: session(),
+                violation_limit: None,
+                mis_budget: Some(1),
+                vc_budget: None,
+            },
+            Request::SetOptions { .. } => Request::Stats { session: None },
+            Request::Stats { .. } => Request::Metrics { prom: false },
+            Request::Metrics { .. } => Request::Snapshot { session: session() },
+            Request::Snapshot { .. } => Request::Compact { session: session() },
+            Request::Compact { .. } => Request::MeasureAll {
+                measures: MEASURE_ALL_DEFAULTS.to_vec(),
+                detail: false,
+            },
+            Request::MeasureAll { .. } => Request::Join {
+                addr: "127.0.0.1:9".into(),
+            },
+            Request::Join { .. } => Request::Shards,
+            Request::Shards => Request::Shutdown,
+            Request::Shutdown => Request::Quit,
+            Request::Quit => return None,
+        })
+    }
+
+    /// `docs/PROTOCOL.md`'s `Requests` table is the one list of commands:
+    /// its `cmd` column must be exactly the [`Request::kind`] of every
+    /// variant, so a command cannot ship or go without its doc row.
+    #[test]
+    fn protocol_doc_request_table_matches_the_code() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let header = doc
+            .find("| `cmd` | fields | response (beyond `ok`) |")
+            .expect("Requests table in docs/PROTOCOL.md");
+        let mut documented: Vec<&str> = doc[header..]
+            .lines()
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| line.split('|').nth(1).unwrap().trim().trim_matches('`'))
+            .collect();
+        let mut served = vec![];
+        let mut req = Some(Request::Ping);
+        while let Some(r) = req {
+            assert!(
+                !served.contains(&r.kind()),
+                "the walk revisits `{}`",
+                r.kind()
+            );
+            served.push(r.kind());
+            req = next_variant(&r);
+        }
+        documented.sort_unstable();
+        served.sort_unstable();
+        assert_eq!(documented, served);
     }
 }

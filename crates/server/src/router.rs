@@ -561,9 +561,7 @@ fn dispatch(
                 | Request::SetOptions { .. }
                 | Request::Snapshot { .. }
                 | Request::Compact { .. }
-                | Request::MeasureAll { .. }
-                | Request::FetchWal { .. }
-                | Request::FetchSnapshot { .. } => Some(admission.acquire()?),
+                | Request::MeasureAll { .. } => Some(admission.acquire()?),
                 _ => None,
             };
             return coord.dispatch(registry, request);
@@ -599,40 +597,6 @@ fn dispatch(
         Request::MeasureAll { measures, detail } => {
             let _global = admission.acquire()?;
             crate::shard::measure_all_local(registry, &measures, detail)
-        }
-        Request::FetchWal { session, from_seq } => {
-            let records = admitted(registry, admission, &session, |s| s.wal_since(from_seq))?;
-            let last_seq = records.last().map_or(from_seq, |r| r.seq);
-            Ok(Json::obj([
-                ("ok", Json::Bool(true)),
-                ("session", Json::str(session)),
-                ("from_seq", Json::Num(from_seq as f64)),
-                (
-                    "records",
-                    Json::Arr(
-                        records
-                            .into_iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("seq", Json::Num(r.seq as f64)),
-                                    ("op", Json::Str(r.op)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("last_seq", Json::Num(last_seq as f64)),
-            ]))
-        }
-        Request::FetchSnapshot { session } => {
-            let (seq, text) =
-                admitted(registry, admission, &session, |s| Ok(s.snapshot_payload()))?;
-            Ok(Json::obj([
-                ("ok", Json::Bool(true)),
-                ("session", Json::str(session)),
-                ("seq", Json::Num(seq as f64)),
-                ("snapshot", Json::Str(text)),
-            ]))
         }
         Request::Join { .. } => Err(ServerError::Protocol(
             "join: this server is not a coordinator (start it with --coordinator)".to_string(),

@@ -59,7 +59,7 @@ use inconsist::relational::{RelId, RelationSchema};
 use inconsist::repair::RepairOp;
 use inconsist_formats::csv::load_csv;
 use inconsist_formats::dcfile::parse_dc_file;
-use inconsist_formats::durable::{write_snapshot, LogRecord, SnapshotMeta};
+use inconsist_formats::durable::{write_snapshot, SnapshotMeta};
 use inconsist_formats::opsfile::{display_op, op_to_line, parse_ops_file};
 use inconsist_obs::{labeled, Counter, Gauge, Histogram, Sample, Value};
 use parking_lot::{Mutex, RwLock};
@@ -632,36 +632,6 @@ impl Session {
             ("kept", Json::Num(kept as f64)),
             ("dropped", Json::Num(dropped as f64)),
         ]))
-    }
-
-    /// WAL shipping (the `fetch_wal` request): every intact log record
-    /// with `seq > from_seq`, in order. A follower appends these verbatim
-    /// (via [`inconsist_formats::durable::encode_log_record`]) to its own
-    /// copy of the session directory and replays them — sealed segments
-    /// plus the active tail in one stream.
-    pub fn wal_since(&self, from_seq: u64) -> Result<Vec<LogRecord>, ServerError> {
-        let durable = self
-            .durable
-            .as_ref()
-            .ok_or_else(|| ServerError::NotDurable(self.name.clone()))?;
-        // The index read lock keeps writers (who append under the write
-        // lock) out, so the scan never races a half-written batch.
-        let _idx = self.index.read();
-        durable.lock().records_since(from_seq)
-    }
-
-    /// Snapshot *text* for the current state (the `fetch_snapshot`
-    /// request): `(covered_seq, snapshot_text)`. Unlike
-    /// [`snapshot`](Self::snapshot) nothing is written locally — the
-    /// caller (a follower bootstrapping its copy) writes the text
-    /// verbatim as `snapshot-<seq>.snap` on its side. Works for
-    /// in-memory sessions too, which is also how a follower can seed
-    /// from a non-durable primary.
-    pub fn snapshot_payload(&self) -> (u64, String) {
-        let idx = self.index.read();
-        let seq = self.counters.op_seq.get();
-        let text = self.snapshot_text(&idx, seq);
-        (seq, text)
     }
 
     /// Clean-shutdown snapshot: a no-op for in-memory sessions, else a

@@ -397,62 +397,6 @@ fn drop_leaves_every_shard_recoverable() {
     }
 }
 
-/// The WAL-shipping follower serves bit-identical measures at the
-/// primary's sequence number, always tagged `stale:true`.
-#[test]
-fn follower_replicates_bit_identically_and_tags_stale() {
-    use inconsist_server::Follower;
-
-    let primary_dir = fresh_dir("follower-primary");
-    let replica_dir = fresh_dir("follower-replica");
-    let primary = start_server("127.0.0.1:0", primary_dir.clone());
-    let mut client = connect(primary.addr());
-    let csv = fixture_csv();
-    client.create("t", &csv, FIXTURE_DC).expect("create");
-    client
-        .session("t")
-        .apply_ops("update 0 B 99\nupdate 1 B 99", None)
-        .expect("ops");
-
-    let mut follower = Follower::new(replica_dir.clone(), "t", 1);
-    let seq = follower.sync(&mut client).expect("sync");
-    assert_eq!(seq, 2);
-    let want = client.session("t").measure(&MEASURES).expect("measure");
-    let got = follower
-        .measure(&MEASURES.iter().map(|m| m.to_string()).collect::<Vec<_>>())
-        .expect("follower measure");
-    assert_eq!(got.get("stale").and_then(Json::as_bool), Some(true));
-    assert_eq!(got.get("as_of_seq").and_then(Json::as_f64), Some(2.0));
-    for (name, value) in &want.values {
-        let replica = got
-            .get("values")
-            .and_then(|v| v.get(name))
-            .and_then(Json::as_f64);
-        assert_eq!(replica, Some(*value), "{name} diverged on the follower");
-    }
-
-    // The primary moves on; a re-sync catches the follower up.
-    client
-        .session("t")
-        .apply_ops("update 2 B 99", None)
-        .expect("more ops");
-    assert_eq!(follower.sync(&mut client).expect("re-sync"), 3);
-    assert_eq!(follower.applied_seq(), 3);
-    let want = client.session("t").measure(&["I_MI"]).expect("measure");
-    let got = follower.measure(&["I_MI".to_string()]).expect("measure");
-    assert_eq!(
-        got.get("values")
-            .and_then(|v| v.get("I_MI"))
-            .and_then(Json::as_f64),
-        want.value("I_MI")
-    );
-
-    primary.stop();
-    for dir in [primary_dir, replica_dir] {
-        std::fs::remove_dir_all(dir).ok();
-    }
-}
-
 /// A worker that was never told about a coordinator still answers the
 /// topology commands sanely: `shards` reports a plain server, `join` is
 /// a loud protocol error.
